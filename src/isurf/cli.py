@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parameter override, e.g. theta=0 or tau=1/2")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--order", type=int, default=10,
-                        help="series truncation order for germ computations")
+                        help="series truncation order for germ computations (at least 1)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", metavar="PATH", help="write the report to a file")
     parser.add_argument("--timing", action="store_true",
@@ -47,7 +47,12 @@ def parse_params(args) -> Params:
         key = key.strip()
         if key not in PARAM_NAMES:
             raise ValueError(f"unknown parameter {key!r} (choices: {PARAM_NAMES})")
-        values[key] = Fraction(raw.strip())
+        try:
+            values[key] = Fraction(raw.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--param {key} needs a rational number, got {raw.strip()!r}") from None
+    if args.order < 1:
+        raise ValueError(f"--order must be at least 1, got {args.order}")
     return Params(seed=args.seed, order=args.order, values=values)
 
 

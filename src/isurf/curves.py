@@ -83,15 +83,6 @@ class CurveConfiguration:
                 return m
         return 0
 
-    def neighbors(self, name: str) -> list[tuple[str, int]]:
-        out = []
-        for x, y, m in self.incidence:
-            if x == name:
-                out.append((y, m))
-            elif y == name:
-                out.append((x, m))
-        return out
-
     # -- numerics ---------------------------------------------------------
 
     def kx_pairing(self, name: str) -> Fraction:

@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import curves as cv
 from . import rings, toric, tsing, wps
-from .errors import UnknownScenario
+from .errors import NotDivisible, NotFactorable, UnknownScenario
 from .lattice import IntegerMatrix, gale_rays as lattice_gale_rays, kernel_basis
 from .poly import PolyRing
 from .series import DEFAULT_ORDER
@@ -379,7 +379,7 @@ def _collapse_shape_ok(collapsed, W: PolyRing) -> bool:
     rest = collapsed - tau * t1 ** 17 - theta * t1 ** 3 * s0 * ze - s0 ** 3
     try:
         p50 = rest.exact_divide(e)
-    except Exception:
+    except NotDivisible:
         return False
     deg = {**toric.WPS_WEIGHTS, "theta": 0, "tau": 0}
     return p50.weighted_degree(deg) == 50 and \
@@ -478,7 +478,7 @@ def _derive(params: Params) -> list[Check]:
     try:
         rings.derive_relation(F, {}, table)
         caught = False
-    except Exception:
+    except NotFactorable:
         caught = True
     out.append(check("trivial excess is rejected as non-factorable", True,
                      caught, "direct", "negative control"))
@@ -714,7 +714,7 @@ def _in_principal_ideal(value, generator) -> bool:
         try:
             probe.exact_divide(generator)
             return True
-        except Exception:
+        except NotDivisible:
             probe = probe * lam * tau
     return False
 

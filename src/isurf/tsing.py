@@ -292,20 +292,22 @@ def classify_germ(germ: QuotientGerm):
     third variable, and reads the multiplicity k of the residual there; the
     quotient type is then 1/(k n) n (1, k a - 1) with a the normalised weight
     of the residual variable.  Unrecognized results mean "not matched at this
-    truncation order", never a proof of absence.
+    truncation order", never a proof of absence.  An order that drops the
+    degree-two part, or a residual that vanishes to the order, raises
+    TruncationTooShallow.
     """
     f = germ.equation
-    ring = f.ring
     n = germ.order
-    names = ring.variables
     if f.poly.constant_term() != 0:
         return Unrecognized("nonzero constant term: point not on the germ")
-    for i, name in enumerate(names):
+    for i in range(3):
         exps = tuple(1 if j == i else 0 for j in range(3))
         if f.poly.coefficient(exps) != 0:
             return SmoothPoint()
     if n > 1 and germ.invariance_class != 0:
         return Unrecognized("equation is not invariant")
+    if f.order <= 2 * max(f.weight_vector()):
+        raise TruncationTooShallow(f"order {f.order} drops the quadratic part of the germ")
     for i in range(3):
         for j in range(i + 1, 3):
             result = _classify_with_pair(germ, i, j)
@@ -364,37 +366,22 @@ def _critical_residual(f: TruncatedSeries, x: str, y: str) -> ExactPolynomial | 
     Hessian is invertible by choice of pair); returns None if the iteration
     fails, which only happens for inadmissible pairs.
     """
-    ring = f.ring
-    order = f.order
-    weights = f.weight_map()
-    fx, fy = f.poly.derivative(x), f.poly.derivative(y)
-    hxx, hxy = fx.derivative(x), fx.derivative(y)
-    hyy = fy.derivative(y)
-    gx = ring.zero()
-    gy = ring.zero()
-
-    def trunc(p):
-        return TruncatedSeries(p, order, f.weights).poly
-
-    for _ in range(order + 2):
+    fx, fy = f.derivative(x), f.derivative(y)
+    hxx, hxy, hyy = fx.derivative(x), fx.derivative(y), fy.derivative(y)
+    gx = gy = f.ring.zero()
+    for _ in range(f.order + 2):
         sub = {x: gx, y: gy}
-        rx = trunc(fx.substitute(sub))
-        ry = trunc(fy.substitute(sub))
+        rx, ry = fx.substitute(sub), fy.substitute(sub)
         if rx.is_zero() and ry.is_zero():
-            value = TruncatedSeries(f.poly, order, f.weights).substitute(sub)
-            return value.poly
-        a = trunc(hxx.substitute(sub))
-        b = trunc(hxy.substitute(sub))
-        c = trunc(hyy.substitute(sub))
+            return f.substitute(sub).poly
+        a, b, c = hxx.substitute(sub), hxy.substitute(sub), hyy.substitute(sub)
         det = a * c - b * b
         if det.constant_term() == 0:
             return None
-        det_inv = TruncatedSeries(det, order, f.weights).inverse().poly
+        det_inv = det.inverse()
         # [gx, gy] -= H^{-1} [rx, ry] with H = [[a, b], [b, c]]
-        dx = trunc((c * rx - b * ry) * det_inv)
-        dy = trunc((a * ry - b * rx) * det_inv)
-        gx = trunc(gx - dx)
-        gy = trunc(gy - dy)
+        gx = gx - ((c * rx - b * ry) * det_inv).poly
+        gy = gy - ((a * ry - b * rx) * det_inv).poly
     return None
 
 

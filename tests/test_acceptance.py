@@ -6,6 +6,7 @@ enforced with monotonic clocks.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -236,8 +237,11 @@ def test_criterion_11_determinism_and_runtime():
     start = time.monotonic()
     cmd = [sys.executable, "-m", "isurf.cli", "--all", "--seed", "0",
            "--format", "json"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    # two string-hash seeds, so no output depends on set or dict hash order
+    first, second = (
+        subprocess.run(cmd, capture_output=True, text=True,
+                       env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        for hash_seed in ("0", "1"))
     elapsed = time.monotonic() - start
     ok = first.returncode == 0 and second.returncode == 0
     ok = ok and first.stdout == second.stdout

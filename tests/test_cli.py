@@ -75,3 +75,25 @@ def test_text_rendering():
     assert code == 0
     assert "scenario hilbert-series: PASS" in out
     assert "[ok ]" in out
+
+
+def test_order_below_one_is_a_usage_error():
+    for order in ("0", "-1"):
+        code, out, err = run_cli("--scenario", "wps51", "--order", order)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--order must be at least 1" in err
+
+
+def test_param_with_zero_denominator_is_a_usage_error():
+    code, _, err = run_cli("--scenario", "table1", "--param", "theta=1/0")
+    assert code == 2
+    assert err.count("\n") == 1 and "theta needs a rational number" in err
+
+
+def test_shallow_order_reports_error_not_fail(tmp_path):
+    out_path = tmp_path / "report.json"
+    code = main(["--scenario", "wps51", "--order", "2", "--format", "json",
+                 "--out", str(out_path)])
+    report = json.loads(out_path.read_text())
+    assert code == 1 and report["status"] == "error"
+    assert report["checks"][0]["actual"].startswith("TruncationTooShallow: ")

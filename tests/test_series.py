@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isurf.errors import NotSolvable
-from isurf.poly import PolyRing
-from isurf.series import TruncatedSeries, series_eliminate, solve_system
+from isurf.errors import InvalidInput, NotSolvable, TruncationTooShallow
+from isurf.poly import ExactPolynomial, PolyRing
+from isurf.series import (TruncatedSeries, _by_degree, _product, _truncate_poly,
+                          series_eliminate, solve_system)
 
 S = PolyRing.of("x", "y")
 
@@ -71,3 +75,119 @@ def test_solve_system_two_variables():
         assert r.substitute(sol).is_zero()
     for value in sol.values():
         assert value.degree_in("a") == 0 and value.degree_in("b") == 0
+
+
+# -- the truncation-aware product against the schoolbook oracle ---------------
+
+R3 = PolyRing.of("x", "y", "z")
+
+
+def _polys(max_terms=6, max_exp=4):
+    term = st.tuples(st.tuples(*[st.integers(0, max_exp)] * 3),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    return st.lists(term, max_size=max_terms).map(lambda ts: R3.from_terms(dict(ts)))
+
+
+_WEIGHTS = st.one_of(st.just({}), st.fixed_dictionaries(
+    {v: st.integers(0, 3) for v in R3.variables}))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys(), _polys(), st.integers(1, 9), _WEIGHTS)
+def test_product_equals_truncated_schoolbook(a, b, order, weights):
+    sa, sb = TruncatedSeries.of(a, order, weights), TruncatedSeries.of(b, order, weights)
+    expected = _truncate_poly(a * b, order, weights)
+    assert (sa * sb).poly == expected and (sa * b).poly == expected
+    # the kernel alone, without the truncation every new series applies
+    w = sa.weight_vector()
+    kernel = _product(sa.poly.terms, _by_degree(sb.poly.terms, w), w, order)
+    assert ExactPolynomial(R3, kernel) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(max_exp=3), _polys(max_terms=3, max_exp=2), _polys(max_terms=3, max_exp=2),
+       st.integers(1, 8), _WEIGHTS)
+def test_substitute_equals_truncated_schoolbook(f, gx, gy, order, weights):
+    series = TruncatedSeries.of(f, order, weights)
+    w = series.weight_vector()
+
+    def below_weight(g, v):
+        return any(sum(map(mul, w, exps)) < weights.get(v, 1)
+                   for exps in _truncate_poly(g, order, weights).terms)
+
+    if any(series.poly.degree_in(v) and below_weight(g, v) for g, v in ((gx, "x"), (gy, "y"))):
+        # an image below its variable's weight would bring dropped terms back
+        with pytest.raises(InvalidInput):
+            series.substitute({"x": gx, "y": gy})
+        return
+    got = series.substitute({"x": gx, "y": gy})
+    assert got.poly == _truncate_poly(series.poly.substitute({"x": gx, "y": gy}), order, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(max_terms=5, max_exp=3), st.integers(1, 8), _WEIGHTS,
+       st.fractions(min_value=1, max_value=5, max_denominator=4))
+def test_inverse_times_unit_is_one(m, order, weights, c0):
+    unit = TruncatedSeries.of(m - m.constant_term() + c0, order, weights)
+    try:
+        inverse = unit.inverse()
+    except NotSolvable:
+        # only a weight-0 variable keeps the geometric series from ending
+        assert any(weights.get(v, 1) == 0 for v in R3.variables)
+        return
+    assert (unit * inverse).poly == R3.one()
+
+
+@st.composite
+def _linear_unit_systems(draw):
+    ring = PolyRing.of("a", "b", "c", "s", "t")
+    k = draw(st.integers(1, 3))
+    unknowns = list(ring.variables[:k])
+    relations = []
+    for v in unknowns:
+        f = ring.var(v) * draw(st.integers(1, 4)) * draw(st.sampled_from([1, -1]))
+        for _ in range(draw(st.integers(0, 5))):
+            exps = tuple(draw(st.integers(0, 2)) for _ in ring.variables)
+            # no constant term and no linear term in an unknown: each relation
+            # vanishes at the origin with a diagonal Jacobian there
+            if sum(exps) < 2 and sum(exps[k:]) == 0:
+                continue
+            f = f + ring.monomial(dict(zip(ring.variables, exps)),
+                                  draw(st.integers(-3, 3)))
+        relations.append(f)
+    return relations, unknowns
+
+
+@settings(max_examples=40, deadline=None)
+@given(_linear_unit_systems(), st.integers(1, 7))
+def test_solve_system_residual_vanishes_mod_order(system, order):
+    relations, unknowns = system
+    series = [TruncatedSeries.of(r, order) for r in relations]
+    if order == 1:
+        with pytest.raises(TruncationTooShallow):
+            solve_system(series, unknowns)
+        return
+    sol = solve_system(series, unknowns)
+    for r in series:
+        assert r.substitute(sol).is_zero()
+    for value in sol.values():
+        assert all(value.degree_in(v) == 0 for v in unknowns)
+
+
+def test_negative_weighted_degree_is_rejected():
+    with pytest.raises(InvalidInput):
+        TruncatedSeries.of(S.parse("x + y"), 5, weights={"x": -1})
+    laurent = PolyRing.of("x", "t", invertible=["t"])
+    with pytest.raises(InvalidInput):
+        TruncatedSeries.of(laurent.parse("x + x*t^-2"), 5)
+    series = TruncatedSeries.of(laurent.parse("x + t"), 5)
+    with pytest.raises(InvalidInput):
+        series.substitute({"x": laurent.parse("t^-1")})
+
+
+def test_image_below_its_weight_is_rejected():
+    # x = 1 + y has a constant term: x^3*y, dropped at order 3, would give y
+    with pytest.raises(InvalidInput):
+        solve_system([TruncatedSeries.of(S.parse("x - 1 - y"), 3)], ["x"])
+    with pytest.raises(InvalidInput):
+        TruncatedSeries.of(S.parse("x^2 + y"), 3).substitute({"x": S.parse("1 + y")})

@@ -202,6 +202,13 @@ def test_germ_truncation_too_shallow():
         classify_germ(germ)
 
 
+def test_germ_order_too_shallow_for_quadratic_part():
+    # order 2 drops w*t: the germ must not come back as unrecognized
+    germ = QuotientGerm(5, (3, 4, 2), TruncatedSeries.of(R_WUT.parse("u1^5 - w*t"), 2))
+    with pytest.raises(TruncationTooShallow):
+        classify_germ(germ)
+
+
 def test_germ_noninvariant_rejected():
     with pytest.raises(InvalidInput):
         QuotientGerm(5, (3, 4, 2),
