@@ -87,41 +87,38 @@ def main(argv=None) -> int:
         else:
             payload = "\n".join(f"{s.name:20s} [{', '.join(s.tags)}]  {s.anchor}"
                                 for s in scenarios)
-        _emit(payload, args.out)
-        return 0
-
-    if args.all:
+        code = 0
+    elif args.all:
         reports = [run(s.name, params, args.timing) for s in list_scenarios()]
         combined = {"seed": params.seed, "scenarios": reports}
-        ok = all(r["status"] == "pass" for r in reports)
         if args.format == "json":
-            _emit(json.dumps(combined, indent=1), args.out)
+            payload = json.dumps(combined, indent=1)
         else:
-            _emit("\n\n".join(render_text(r) for r in reports), args.out)
-        return 0 if ok else 1
-
-    if not args.scenario:
+            payload = "\n\n".join(render_text(r) for r in reports)
+        code = 0 if all(r["status"] == "pass" for r in reports) else 1
+    elif args.scenario:
+        try:
+            report = run(args.scenario, params, args.timing)
+        except UnknownScenario as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        payload = json.dumps(report, indent=1) if args.format == "json" else render_text(report)
+        code = 0 if report["status"] == "pass" else 1
+    else:
         parser.print_usage(sys.stderr)
         return 2
+
+    if not args.out:
+        print(payload)
+        return code
     try:
-        report = run(args.scenario, params, args.timing)
-    except UnknownScenario as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        _emit(json.dumps(report, indent=1), args.out)
-    else:
-        _emit(render_text(report), args.out)
-    return 0 if report["status"] == "pass" else 1
-
-
-def _emit(payload: str, out: str | None):
-    if out:
-        with open(out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(payload)
             fh.write("\n")
-    else:
-        print(payload)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

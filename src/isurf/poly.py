@@ -65,14 +65,15 @@ class PolyRing:
     def var(self, name: str, power: int = 1) -> "ExactPolynomial":
         return self.monomial({name: power})
 
-    def monomial(self, powers: Mapping[str, int], coeff: Coeff = 1) -> "ExactPolynomial":
+    def exponents(self, powers: Mapping[str, int]) -> tuple[int, ...]:
+        """The exponent tuple of the monomial with the given variable powers."""
         exps = [0] * self.nvars
         for name, e in powers.items():
             exps[self.index(name)] = e
-        return ExactPolynomial(self, {tuple(exps): Fraction(coeff)})
+        return tuple(exps)
 
-    def gens(self) -> dict[str, "ExactPolynomial"]:
-        return {name: self.var(name) for name in self.variables}
+    def monomial(self, powers: Mapping[str, int], coeff: Coeff = 1) -> "ExactPolynomial":
+        return self.from_terms({self.exponents(powers): coeff})
 
     def extend(self, *names: str, invertible: Iterable[str] = ()) -> "PolyRing":
         return PolyRing(self.variables + tuple(names), self.invertible | frozenset(invertible))
@@ -121,11 +122,6 @@ class ExactPolynomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         i = self.ring.index(name)
         if not self.terms:
@@ -145,9 +141,6 @@ class ExactPolynomial:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     # -- arithmetic ------------------------------------------------------
 
@@ -294,13 +287,6 @@ class ExactPolynomial:
                 raise NotDivisible(f"{self} is not divisible by {g}")
         return quotient
 
-    def divides(self, other: "ExactPolynomial") -> bool:
-        try:
-            other.exact_divide(self)
-            return True
-        except NotDivisible:
-            return False
-
     # -- substitution ----------------------------------------------------
 
     def substitute(self, assignment: Mapping[str, object], ring: PolyRing | None = None) -> "ExactPolynomial":
@@ -381,13 +367,6 @@ class ExactPolynomial:
         if not degs:
             return 0
         return next(iter(degs))
-
-    def weighted_order(self, weights: Mapping[str, int]) -> int:
-        """Minimal weighted degree over the terms (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        w = [weights.get(name, 0) for name in self.ring.variables]
-        return min(sum(wi * e for wi, e in zip(w, exps)) for exps in self.terms)
 
     def coefficients_in(self, name: str) -> dict[int, "ExactPolynomial"]:
         """View as a univariate polynomial in ``name``: degree -> coefficient."""
@@ -534,8 +513,3 @@ class _Parser:
                 raise ParseError("zero denominator", self.pos)
             self.pos = dm.end()
         return self.ring.constant(Fraction(num, den))
-
-
-def parse_expression(text: str, ring: PolyRing) -> ExactPolynomial:
-    """Parse ``text`` over the declared variables of ``ring``."""
-    return ring.parse(text)

@@ -19,9 +19,8 @@ from .errors import (CertificateFailed, InvalidInput, NotDivisible,
                      NotFactorable, NotInvertible, NotLinear)
 from .lattice import IntegerMatrix, LatticeCone, hilbert_basis
 from .poly import ExactPolynomial, PolyRing
-from .series import TruncatedSeries, solve_system
 from .skew import SkewMatrix
-from .tsing import QuotientGerm, classify_germ
+from .tsing import chart_germ
 from . import toric
 
 
@@ -134,16 +133,11 @@ def seeded_coefficients(seed: int, tag: str, count: int) -> list[int]:
     return out
 
 
-def seeded_binary_form(ring: PolyRing, x: str, y: str, degree: int,
-                       seed: int, tag: str) -> ExactPolynomial:
-    coeffs = seeded_coefficients(seed, tag, degree + 1)
-    terms = {}
-    for i, c in enumerate(coeffs):
-        exps = [0] * ring.nvars
-        exps[ring.index(x)] = i
-        exps[ring.index(y)] = degree - i
-        terms[tuple(exps)] = Fraction(c)
-    return ring.from_terms(terms)
+def seeded_form(ring: PolyRing, monomials: Sequence[Mapping[str, int]],
+                seed: int, tag: str) -> ExactPolynomial:
+    """The given monomials with seeded coefficients, drawn in list order."""
+    coeffs = seeded_coefficients(seed, tag, len(monomials))
+    return ring.from_terms({ring.exponents(m): c for m, c in zip(monomials, coeffs)})
 
 
 def double_blowup_equation(seed: int = 0) -> ExactPolynomial:
@@ -249,7 +243,7 @@ def derive_relation(surface_eq: ExactPolynomial, excess: Mapping[str, int] | Exa
         if coeff != 1:
             raise InvalidInput("excess must be monic")
     else:
-        excess_vec_full = _pad_powers(ring, excess)
+        excess_vec_full = ring.exponents(excess)
     product = surface_eq * ExactPolynomial(ring, {excess_vec_full: Fraction(1)})
     core_idx = [ring.index(v) for v in AMBIENT_VARS]
     param_idx = [i for i in range(ring.nvars) if i not in core_idx]
@@ -273,13 +267,6 @@ def derive_relation(surface_eq: ExactPolynomial, excess: Mapping[str, int] | Exa
         pieces.update(params)
         out = out + out_ring.monomial(pieces, coeff)
     return out
-
-
-def _pad_powers(ring: PolyRing, powers: Mapping[str, int]) -> tuple[int, ...]:
-    out = [0] * ring.nvars
-    for name, e in powers.items():
-        out[ring.index(name)] = e
-    return tuple(out)
 
 
 def _detect_lead(surface_eq: ExactPolynomial, excess_vec: tuple[int, ...],
@@ -420,14 +407,8 @@ def generic_degree_10(seed: int, params: Sequence[str] = ()) -> ExactPolynomial:
     generators appears with a nonzero integer coefficient, the z^2 one with
     coefficient -1 (the sign convention produced by derive_relation)."""
     ring = generator_ring(*params, with_p=False)
-    monos = weighted_monomials(10)
-    coeffs = seeded_coefficients(seed, "P10", len(monos))
-    terms = {}
-    z2 = _gen_exps(ring, {"z": 2})
-    for mono, c in zip(monos, coeffs):
-        exps = _gen_exps(ring, mono)
-        terms[exps] = Fraction(-1) if exps == z2 else Fraction(c)
-    return ring.from_terms(terms)
+    form = seeded_form(ring, weighted_monomials(10), seed, "P10")
+    return form - ring.monomial({"z": 2}, form.coefficient(ring.exponents({"z": 2})) + 1)
 
 
 def weighted_monomials(degree: int, names: Sequence[str] = GENERATOR_ORDER[:-1],
@@ -452,13 +433,6 @@ def weighted_monomials(degree: int, names: Sequence[str] = GENERATOR_ORDER[:-1],
 
     go(0, degree, {})
     return out
-
-
-def _gen_exps(ring: PolyRing, powers: Mapping[str, int]) -> tuple[int, ...]:
-    out = [0] * ring.nvars
-    for name, e in powers.items():
-        out[ring.index(name)] = e
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +593,6 @@ class ChartPlan:
     eliminate: tuple[tuple[str, str], ...]   # (relation name, variable)
     germ_relation: str
     local_vars: tuple[str, ...]
-    group_order: int
-    action: tuple[int, int, int]
 
 
 CHARTS = {
@@ -629,16 +601,12 @@ CHARTS = {
         eliminate=(("R11", "x0"), ("R12", "x1"), ("R13", "y"), ("R14", "u0")),
         germ_relation="R10",
         local_vars=("w", "u1", "t"),
-        group_order=5,
-        action=(3, 4, 2),
     ),
     "Pw": ChartPlan(
         chart_var="w",
         eliminate=(("R2", "x0"), ("R3", "x1"), ("R6", "u0"), ("R10", "t")),
         germ_relation="R13",
         local_vars=("y", "u1", "z"),
-        group_order=3,
-        action=(2, 1, 2),
     ),
 }
 
@@ -650,21 +618,10 @@ def chart_singularity(rels: RelationSystem, chart: ChartPlan, order: int = 10):
     expanded); the planned relations eliminate their variables as series on
     the chart, and the germ relation restricts to the local coordinates.
     """
-    ring = rels.ring
-    if set(ring.variables) - set(GENERATOR_ORDER) - {"P"}:
+    if set(rels.ring.variables) - set(GENERATOR_ORDER) - {"P"}:
         raise InvalidInput("chart analysis needs a fully specialized system")
-    at_chart = {name: rels.get(name).substitute({chart.chart_var: ring.one()})
-                for name in rels.names()}
-    local_ring = PolyRing.of(*chart.local_vars)
-    solve_vars = [var for _, var in chart.eliminate]
-    series = [TruncatedSeries.of(at_chart[rel], order) for rel, _ in chart.eliminate]
-    solution = solve_system(series, solve_vars, order)
-    germ_poly = TruncatedSeries.of(at_chart[chart.germ_relation], order).substitute(solution)
-    restricted = germ_poly.poly.substitute(
-        {v: local_ring.var(v) for v in chart.local_vars}, ring=local_ring)
-    germ = QuotientGerm(chart.group_order, chart.action,
-                        TruncatedSeries.of(restricted, order))
-    return classify_germ(germ)
+    return chart_germ(dict(rels.relations), GENERATOR_DEGREES, chart.chart_var,
+                      chart.eliminate, chart.germ_relation, chart.local_vars, order)
 
 
 def specialize_standard(theta, tau, seed: int = 0,

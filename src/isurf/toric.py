@@ -43,9 +43,6 @@ class CoxPresentation:
             tuple(tuple(c) for c in irrelevant),
         )
 
-    def degree_of_variable(self, name: str) -> tuple[int, ...]:
-        return self.weights.column(self.ring.index(name))
-
     def to_json(self) -> str:
         return json.dumps({
             "vars": list(self.ring.variables),
@@ -258,7 +255,7 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
     t_ring = model.k.ring
     steps = []
     s0, s1 = R.var("s0"), R.var("s1")
-    if model.equation().coefficient(_exps(R, {"s0": 3})) == 0:
+    if model.equation().coefficient(R.exponents({"s0": 3})) == 0:
         raise InvalidInput("the s0^3 coefficient must be nonzero")
     # step 1: remove the s0^2 coefficient
     shift1 = {"s0": s0 - model.j.cast(R) * s1 ** 2 * Fraction(1, 3)}
@@ -268,8 +265,8 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
     assert _coefficient_of(eq, {"s0": 2, "s1": 2}, t_ring).is_zero()
     steps.append("removed the s0^2 s1^2 term")
     # step 2: centre the singular fiber over t0 = 0
-    alpha = k.coefficient(_pure_t1(t_ring, 12))
-    beta = l.coefficient(_pure_t1(t_ring, 18))
+    alpha = k.coefficient(t_ring.exponents({"t1": 12}))
+    beta = l.coefficient(t_ring.exponents({"t1": 18}))
     if alpha == 0 and beta == 0:
         eps = Fraction(0)
     elif alpha != 0:
@@ -305,7 +302,7 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
     kk = _coefficient_of(eq, {"s0": 1, "s1": 4}, t_ring)
     ll = _coefficient_of(eq, {"s0": 0, "s1": 6}, t_ring)
     k1 = kk.exact_divide(t_ring.var("t0"))
-    tau = ll.coefficient(_exps(t_ring, {"t0": 1, "t1": 17}))
+    tau = ll.coefficient(t_ring.exponents({"t0": 1, "t1": 17}))
     l1 = (ll - t_ring.monomial({"t0": 1, "t1": 17}, tau)).exact_divide(t_ring.var("t0") ** 2)
     out = NormalizedModel(ext, k1, l1, eps, theta, tau, tuple(steps))
     # exact verification: the transformed equation is the displayed normal form
@@ -339,17 +336,6 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def _exps(ring: PolyRing, powers: Mapping[str, int]) -> tuple[int, ...]:
-    out = [0] * ring.nvars
-    for name, e in powers.items():
-        out[ring.index(name)] = e
-    return tuple(out)
-
-
-def _pure_t1(ring: PolyRing, e: int) -> tuple[int, ...]:
-    return _exps(ring, {"t1": e})
 
 
 def _coefficient_of(eq: ExactPolynomial, fiber_powers: Mapping[str, int],

@@ -3,8 +3,9 @@
 Hirzebruch-Jung continued fractions, recognition of chains resolving cyclic
 quotient singularities of type 1/(d n^2) (1, dna-1), codiscrepancy
 coefficients, the self-intersection number of the codiscrepancy divisor,
-and classification of three-variable quotient germs through their index-one
-covers x*y - z^(dn).
+classification of three-variable quotient germs through their index-one
+covers x*y - z^(dn), and the coordinate-point germs of weighted complete
+intersections (``chart_germ``).
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvalidInput, TruncationTooShallow
-from .poly import ExactPolynomial
-from .series import TruncatedSeries
+from .poly import ExactPolynomial, PolyRing
+from .series import TruncatedSeries, solve_system
 
 
 # ---------------------------------------------------------------------------
@@ -130,19 +131,32 @@ def recognize_tchain(chain: Sequence[int]):
         return RationalDoublePoint(len(chain))
     value = hj_value(chain)
     p, q = value.numerator, value.denominator
-    matches = []
+    found = _admissible_type(p, q)
+    return found if found is not None else Unrecognized(f"{p}/{q} is not of the form dn^2/(dna-1)")
+
+
+def _admissible_type(order: int, weight: int) -> TSingularity | None:
+    """The type 1/(d n^2)(1, d n a - 1) equal to 1/order(1, weight), if any."""
     n = 2
-    while n * n <= p:
-        if p % (n * n) == 0:
-            d = p // (n * n)
-            if (q + 1) % (d * n) == 0:
-                a = (q + 1) // (d * n)
+    while n * n <= order:
+        if order % (n * n) == 0:
+            d = order // (n * n)
+            if (weight + 1) % (d * n) == 0:
+                a = (weight + 1) // (d * n)
                 if 0 < a < n and gcd(a, n) == 1:
-                    matches.append(TSingularity(d, n, a))
+                    return TSingularity(d, n, a)
         n += 1
-    if not matches:
-        return Unrecognized(f"{p}/{q} is not of the form dn^2/(dna-1)")
-    return matches[0]
+    return None
+
+
+def plane_quotient(n: int, wj: int, wk: int):
+    """Identify the plane quotient 1/n(wj, wk), both weights units mod n, among
+    the admissible types, after normalising the first weight to 1."""
+    if gcd(wj * wk, n) != 1:
+        return Unrecognized(f"1/{n}({wj},{wk}) is not isolated")
+    q = wk * pow(wj, -1, n) % n
+    found = _admissible_type(n, q)
+    return found if found is not None else Unrecognized(f"1/{n}(1,{q}) is not admissible")
 
 
 def tchain_from_singularity(sing: TSingularity) -> list[int]:
@@ -287,7 +301,9 @@ class QuotientGerm:
 def classify_germ(germ: QuotientGerm):
     """Match the germ against the index-one cover normal form x*y - z^(dn).
 
-    Looks for a pair of variables whose degree-two part has an invertible
+    A linear term makes the germ a smooth sheet over the plane of the other
+    two variables, so the point is the plane quotient there.  Otherwise looks
+    for a pair of variables whose degree-two part has an invertible
     two-by-two Hessian, Newton-solves the critical point as a series in the
     third variable, and reads the multiplicity k of the residual there; the
     quotient type is then 1/(k n) n (1, k a - 1) with a the normalised weight
@@ -303,7 +319,9 @@ def classify_germ(germ: QuotientGerm):
     for i in range(3):
         exps = tuple(1 if j == i else 0 for j in range(3))
         if f.poly.coefficient(exps) != 0:
-            return SmoothPoint()
+            if n == 1:
+                return SmoothPoint()
+            return plane_quotient(n, *(w for j, w in enumerate(germ.action) if j != i))
     if n > 1 and germ.invariance_class != 0:
         return Unrecognized("equation is not invariant")
     if f.order <= 2 * max(f.weight_vector()):
@@ -383,6 +401,31 @@ def _critical_residual(f: TruncatedSeries, x: str, y: str) -> ExactPolynomial | 
         gx = gx - ((c * rx - b * ry) * det_inv).poly
         gy = gy - ((a * ry - b * rx) * det_inv).poly
     return None
+
+
+def chart_germ(equations: Mapping[str, ExactPolynomial], weights: Mapping[str, int],
+               chart: str, eliminate: Sequence[tuple[str, str]], germ: str,
+               local: Sequence[str], order: int):
+    """Classify a weighted complete intersection at the coordinate point of ``chart``.
+
+    Sets ``chart`` = 1, solves each planned (equation, variable) pair as a
+    series in the remaining variables, restricts the ``germ`` equation to the
+    three ``local`` variables and classifies it in 1/n(weights mod n) with
+    n = weights[chart].  Returns "absent" when a used equation does not vanish
+    at the point.
+    """
+    used = [name for name, _ in eliminate] + [germ]
+    at = {name: equations[name].substitute({chart: 1}) for name in used}
+    if any(f.constant_term() != 0 for f in at.values()):
+        return "absent"
+    solution = solve_system([TruncatedSeries.of(at[name], order) for name, _ in eliminate],
+                            [var for _, var in eliminate], order)
+    value = TruncatedSeries.of(at[germ], order).substitute(solution)
+    local_ring = PolyRing.of(*local)
+    restricted = value.poly.substitute({v: local_ring.var(v) for v in local}, ring=local_ring)
+    n = weights[chart]
+    return classify_germ(QuotientGerm(n, tuple(weights[v] % n for v in local),
+                                      TruncatedSeries.of(restricted, order)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from math import gcd
 from typing import Sequence
 
 from .errors import InvalidInput
 from .poly import ExactPolynomial, PolyRing
-from .rings import seeded_coefficients, weighted_monomials
-from .series import TruncatedSeries
-from .tsing import QuotientGerm, TSingularity, Unrecognized, classify_germ
+from .rings import seeded_form, weighted_monomials
+from .tsing import chart_germ
 
 T_RING = PolyRing.of("t")
 
@@ -137,15 +135,8 @@ S51_RING = PolyRing.of("e", "t1", "s0", "ze")
 
 def generic_p50(seed: int) -> ExactPolynomial:
     """Seeded general form of weighted degree 50 (every monomial present)."""
-    monos = weighted_monomials(50, names=("e", "t1", "s0", "ze"), weights=S51_WEIGHTS)
-    coeffs = seeded_coefficients(seed, "P50", len(monos))
-    terms = {}
-    for mono, c in zip(monos, coeffs):
-        exps = [0] * 4
-        for name, e in mono.items():
-            exps[S51_RING.index(name)] = e
-        terms[tuple(exps)] = Fraction(c)
-    return S51_RING.from_terms(terms)
+    monos = weighted_monomials(50, names=S51_RING.variables, weights=S51_WEIGHTS)
+    return seeded_form(S51_RING, monos, seed, "P50")
 
 
 def s51_equation(theta, tau, seed: int = 0,
@@ -157,56 +148,15 @@ def s51_equation(theta, tau, seed: int = 0,
     return e * p + t1 ** 17 * Fraction(tau) + t1 ** 3 * s0 * ze * Fraction(theta) + s0 ** 3
 
 
-def cyclic_quotient_type(order: int, weight: int):
-    """Identify the smooth-point quotient 1/order(1, weight) among the
-    admissible types 1/(d n^2)(1, d n a - 1)."""
-    weight %= order
-    if gcd(weight, order) != 1:
-        return Unrecognized(f"1/{order}(1,{weight}) is not isolated-cyclic here")
-    n = 2
-    while n * n <= order:
-        if order % (n * n) == 0:
-            d = order // (n * n)
-            if (weight + 1) % (d * n) == 0:
-                a = (weight + 1) // (d * n)
-                if 0 < a < n and gcd(a, n) == 1:
-                    return TSingularity(d, n, a)
-        n += 1
-    return Unrecognized(f"1/{order}(1,{weight}) is not of the admissible form")
-
-
 def s51_point_analysis(point: str, theta, tau, seed: int = 0, order: int = 10):
     """Local type of the degree-51 model at a coordinate point of the ambient.
 
     point is one of "e", "t1", "s0", "ze".  Returns a classification object,
     or the string "absent" when the surface misses the point.
     """
-    eq = s51_equation(theta, tau, seed)
-    R = S51_RING
-    others = [v for v in R.variables if v != point]
-    chart = eq.substitute({point: R.one()})
-    local = PolyRing.of(*others)
-    f = chart.substitute({v: local.var(v) for v in others}, ring=local)
-    if f.constant_term() != 0:
-        return "absent"
-    n = S51_WEIGHTS[point]
-    action = tuple(S51_WEIGHTS[v] % n for v in others)
-    # a variable with a unit linear coefficient makes the germ a smooth sheet:
-    # the point is then the plain ambient quotient in the remaining variables
-    for i, v in enumerate(others):
-        exps = tuple(1 if j == i else 0 for j in range(3))
-        if f.coefficient(exps) != 0:
-            rest = [action[j] for j in range(3) if j != i]
-            unit = next((u for u in (rest[0], rest[1]) if gcd(u, n) == 1), None)
-            if unit is None:
-                return Unrecognized("quotient weights not coprime to the order")
-            inv = pow(unit, -1, n)
-            a, b = sorted(((rest[0] * inv) % n, (rest[1] * inv) % n))
-            if a != 1:
-                a, b = b, a
-            return cyclic_quotient_type(n, b)
-    germ = QuotientGerm(n, action, TruncatedSeries.of(f, order))
-    return classify_germ(germ)
+    local = [v for v in S51_RING.variables if v != point]
+    return chart_germ({"s51": s51_equation(theta, tau, seed)}, S51_WEIGHTS, point,
+                      (), "s51", local, order)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +170,10 @@ FAMILY_WEIGHTS = {"x0": 1, "x1": 1, "y": 2, "u": 3, "z": 5}
 def generic_f10(seed: int) -> ExactPolynomial:
     """Seeded general degree-10 form in (x0, x1, y, u), without the pure
     y-power."""
-    names = ("x0", "x1", "y", "u")
-    monos = [m for m in weighted_monomials(10, names=names, weights=FAMILY_WEIGHTS)
+    monos = [m for m in weighted_monomials(10, names=("x0", "x1", "y", "u"),
+                                           weights=FAMILY_WEIGHTS)
              if m != {"y": 5}]
-    coeffs = seeded_coefficients(seed, "f10", len(monos))
-    terms = {}
-    for mono, c in zip(monos, coeffs):
-        exps = [0] * FAMILY_RING.nvars
-        for name, e in mono.items():
-            exps[FAMILY_RING.index(name)] = e
-        terms[tuple(exps)] = Fraction(c)
-    return FAMILY_RING.from_terms(terms)
+    return seeded_form(FAMILY_RING, monos, seed, "f10")
 
 
 @dataclass(frozen=True)
@@ -253,30 +196,11 @@ class TwoSingularityFamily:
     def germ_at_y(self, order: int = 10):
         """Eliminate x0 with the first equation on the y-chart; classify the
         second in 1/2(1,1,1) on (x1, u, z)."""
-        return _family_germ(self, chart="y", solve=("eq1", "x0"), germ="eq2",
-                            local=("x1", "u", "z"), order=order)
+        return chart_germ({"eq1": self.eq1, "eq2": self.eq2}, FAMILY_WEIGHTS, "y",
+                          (("eq1", "x0"),), "eq2", ("x1", "u", "z"), order)
 
     def germ_at_u(self, order: int = 10):
         """Eliminate x1 with the second equation on the u-chart; classify the
         first in 1/3(1,2,2) on (x0, y, z)."""
-        return _family_germ(self, chart="u", solve=("eq2", "x1"), germ="eq1",
-                            local=("x0", "y", "z"), order=order)
-
-
-def _family_germ(fam: TwoSingularityFamily, chart: str, solve: tuple[str, str],
-                 germ: str, local: tuple[str, ...], order: int):
-    from .series import solve_system
-
-    R = FAMILY_RING
-    eqs = {"eq1": fam.eq1, "eq2": fam.eq2}
-    at = {k: v.substitute({chart: R.one()}) for k, v in eqs.items()}
-    solve_eq, solve_var = solve
-    if at[germ].constant_term() != 0 or at[solve_eq].constant_term() != 0:
-        return "absent"
-    solution = solve_system([TruncatedSeries.of(at[solve_eq], order)], [solve_var], order)
-    value = TruncatedSeries.of(at[germ], order).substitute(solution)
-    local_ring = PolyRing.of(*local)
-    restricted = value.poly.substitute({v: local_ring.var(v) for v in local}, ring=local_ring)
-    n = FAMILY_WEIGHTS[chart]
-    action = tuple(FAMILY_WEIGHTS[v] % n for v in local)
-    return classify_germ(QuotientGerm(n, action, TruncatedSeries.of(restricted, order)))
+        return chart_germ({"eq1": self.eq1, "eq2": self.eq2}, FAMILY_WEIGHTS, "u",
+                          (("eq2", "x1"),), "eq1", ("x0", "y", "z"), order)

@@ -97,3 +97,11 @@ def test_shallow_order_reports_error_not_fail(tmp_path):
     report = json.loads(out_path.read_text())
     assert code == 1 and report["status"] == "error"
     assert report["checks"][0]["actual"].startswith("TruncationTooShallow: ")
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path):
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli("--scenario", "table1", "--out", str(missing))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot write")
+    assert not missing.exists()

@@ -104,6 +104,13 @@ def test_substitute_into_larger_ring():
     assert g == big.parse("t^2*y - x1^3")
 
 
+def test_monomial_with_zero_coefficient_is_zero():
+    zero = R3.monomial({"x0": 1, "y": 2}, 0)
+    assert zero.is_zero() and zero == R3.zero() and str(zero) == "0"
+    assert R3.monomial({"x0": 1, "y": 2}, Fraction(-1, 2)) == R3.parse("-1/2*x0*y^2")
+    assert R3.exponents({"y": 3, "x0": 1}) == (1, 0, 3)
+
+
 def test_laurent_exponents_require_declaration():
     ring = PolyRing.of("x", "lam", invertible=("lam",))
     p = ring.parse("x*lam^-2")

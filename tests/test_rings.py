@@ -230,6 +230,11 @@ def test_chart_pw_classifies_index_9_and_18():
     assert cls2.same_singularity(TSingularity(2, 3, 1))
 
 
+def test_chart_pw_absent_when_the_surface_misses_the_point():
+    spec = rings.specialize_standard(Fraction(3), Fraction(2), seed=0)
+    assert rings.chart_singularity(spec, rings.CHARTS["Pw"]) == "absent"
+
+
 def test_fixed_part_shapes():
     rels = rings.standard_relations()
     ring = rels.ring

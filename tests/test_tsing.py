@@ -7,11 +7,11 @@ import pytest
 from isurf.errors import InvalidInput, TruncationTooShallow
 from isurf.poly import PolyRing
 from isurf.series import TruncatedSeries
-from isurf.tsing import (QuotientGerm, RationalDoublePoint,
+from isurf.tsing import (QuotientGerm, RationalDoublePoint, SmoothPoint,
                          TChain, TSingularity, Unrecognized, classify_germ,
                          classification_to_json, codiscrepancy, delta_squared,
                          hj_expand, hj_value, index_two_chain, ktilde_squared,
-                         recognize_tchain, tchain_from_singularity)
+                         plane_quotient, recognize_tchain, tchain_from_singularity)
 
 
 def test_hj_expansion_examples():
@@ -137,6 +137,22 @@ def test_index_two_chain_family():
         assert recognize_tchain(index_two_chain(d)) == TSingularity(d, 2, 1)
 
 
+# -- plane quotients ---------------------------------------------------------
+
+
+def test_plane_quotient_cases():
+    assert plane_quotient(25, 1, 14) == TSingularity(1, 5, 3)
+    assert plane_quotient(18, 1, 5) == TSingularity(2, 3, 1)
+    assert plane_quotient(25, 3, 17) == TSingularity(1, 5, 3)  # 17/3 = 14 mod 25
+    assert isinstance(plane_quotient(7, 1, 3), Unrecognized)
+    assert isinstance(plane_quotient(4, 2, 1), Unrecognized)  # not isolated
+    # one search serves the plane quotient and the chain recognition
+    for d, n, a in [(1, 2, 1), (2, 3, 1), (1, 3, 2), (1, 5, 3), (3, 4, 1), (1, 7, 4)]:
+        sing = TSingularity(d, n, a)
+        assert plane_quotient(sing.order, 1, sing.weight) == sing
+        assert recognize_tchain(tchain_from_singularity(sing)) == sing
+
+
 # -- germs -------------------------------------------------------------------
 
 R_WUT = PolyRing.of("w", "u1", "t")
@@ -152,6 +168,16 @@ def test_germ_index_25():
 def test_germ_index_9():
     germ = QuotientGerm(3, (1, 2, 1), TruncatedSeries.of(R_ESZ.parse("3*s0*ze + e^3"), 10))
     assert classify_germ(germ).same_singularity(TSingularity(1, 3, 2))
+
+
+def test_germ_with_linear_term_is_the_plane_quotient():
+    # e is linear: the point is 1/25(3, 17) = 1/25(1, 14) in the (t1, s0) plane
+    ring = PolyRing.of("e", "t1", "s0")
+    germ = QuotientGerm(25, (1, 3, 17), TruncatedSeries.of(ring.parse("e + s0^3"), 10))
+    got = classify_germ(germ)
+    assert got == TSingularity(1, 5, 3) and str(got) == "1/25(1,14)"
+    trivial = QuotientGerm(1, (0, 0, 0), TruncatedSeries.of(ring.parse("e + s0^3"), 10))
+    assert classify_germ(trivial) == SmoothPoint()
 
 
 def test_germ_a1_trivial_group():

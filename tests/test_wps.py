@@ -109,9 +109,3 @@ def test_family_equations_shape():
     assert f10.weighted_degree(wps.FAMILY_WEIGHTS) == 10
     y5 = tuple(5 if v == "y" else 0 for v in R.variables)
     assert f10.coefficient(y5) == 0
-
-
-def test_cyclic_quotient_type():
-    assert wps.cyclic_quotient_type(25, 14) == TSingularity(1, 5, 3)
-    assert wps.cyclic_quotient_type(18, 5) == TSingularity(2, 3, 1)
-    assert str(wps.cyclic_quotient_type(7, 3)).startswith("unrecognized")
