@@ -17,9 +17,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import NotDivisible, ParseError, UndeclaredIdentifier
+from .errors import InvalidInput, NotDivisible, ParseError, UndeclaredIdentifier
 
 Coeff = Union[Fraction, int]
+
+
+def _coeff(c) -> Fraction:
+    """A coefficient as a Fraction; only int and Fraction are exact inputs."""
+    if not isinstance(c, (int, Fraction)):
+        raise InvalidInput(f"coefficient {c!r} is not an int or a Fraction")
+    return Fraction(c)
+
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -57,7 +65,7 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, c: Coeff) -> "ExactPolynomial":
-        c = Fraction(c)
+        c = _coeff(c)
         if c == 0:
             return self.zero()
         return ExactPolynomial(self, {(0,) * self.nvars: c})
@@ -87,7 +95,7 @@ class PolyRing:
     def from_terms(self, terms: Mapping[tuple[int, ...], Coeff]) -> "ExactPolynomial":
         clean = {}
         for exps, c in terms.items():
-            c = Fraction(c)
+            c = _coeff(c)
             if c != 0:
                 clean[tuple(exps)] = c
         return ExactPolynomial(self, clean)
@@ -110,6 +118,16 @@ class ExactPolynomial:
             for name, e in zip(ring.variables, exps):
                 if e < 0 and name not in ring.invertible:
                     raise ValueError(f"negative exponent on non-invertible variable {name}")
+
+    @classmethod
+    def _closed(cls, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]) -> "ExactPolynomial":
+        """Result of an operation closed on valid terms (sums, products,
+        derivatives): its exponents need no check."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        p._hash = None
+        return p
 
     # -- basic structure -------------------------------------------------
 
@@ -160,12 +178,12 @@ class ExactPolynomial:
                 terms[exps] = s
             else:
                 terms.pop(exps, None)
-        return ExactPolynomial(self.ring, terms)
+        return ExactPolynomial._closed(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return ExactPolynomial._closed(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "ExactPolynomial":
         return self + (-self._coerce(other))
@@ -175,10 +193,10 @@ class ExactPolynomial:
 
     def __mul__(self, other) -> "ExactPolynomial":
         if not isinstance(other, ExactPolynomial):
-            c = Fraction(other)
+            c = _coeff(other)
             if c == 0:
                 return self.ring.zero()
-            return ExactPolynomial(self.ring, {e: k * c for e, k in self.terms.items()})
+            return ExactPolynomial._closed(self.ring, {e: k * c for e, k in self.terms.items()})
         if other.ring != self.ring:
             raise ValueError("ring mismatch")
         a, b = self.terms, other.terms
@@ -193,19 +211,28 @@ class ExactPolynomial:
                     terms[key] = s
                 else:
                     terms.pop(key, None)
-        return ExactPolynomial(self.ring, terms)
+        return ExactPolynomial._closed(self.ring, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ExactPolynomial":
+        """Binary powering that stops squaring at the top bit of n (Knuth,
+        TAOCP vol. 2, 4.6.3): n.bit_length() - 1 squarings and one product
+        per further set bit, so ``p ** 1`` is ``p`` itself."""
         if n < 0:
             return self.monomial_inverse() ** (-n)
-        result = self.ring.one()
+        if n == 0:
+            return self.ring.one()
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
         return result
 
@@ -245,7 +272,7 @@ class ExactPolynomial:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-        return ExactPolynomial(self.ring, terms)
+        return ExactPolynomial._closed(self.ring, terms)
 
     def exact_divide(self, g: "ExactPolynomial") -> "ExactPolynomial":
         """Exact quotient q with q*g == self; raises NotDivisible otherwise.
@@ -312,7 +339,7 @@ class ExactPolynomial:
                     images[i] = target.var(name)  # raises if missing from target
             return images[i]
 
-        result = target.zero()
+        result: dict[tuple[int, ...], Fraction] = {}
         power_cache: dict[tuple[int, int], ExactPolynomial] = {}
 
         def power(i: int, e: int) -> ExactPolynomial:
@@ -329,12 +356,17 @@ class ExactPolynomial:
             for i, e in enumerate(exps):
                 if e != 0:
                     term = term * power(i, e)
-            result = result + term
-        return result
+            for key, k in term.terms.items():
+                s = result.get(key, 0) + k
+                if s:
+                    result[key] = s
+                else:
+                    del result[key]
+        return ExactPolynomial._closed(target, result)
 
     def evaluate(self, assignment: Mapping[str, Coeff]) -> Fraction:
         total = Fraction(0)
-        values = [Fraction(assignment[name]) for name in self.ring.variables]
+        values = [_coeff(assignment[name]) for name in self.ring.variables]
         for exps, c in self.terms.items():
             v = c
             for x, e in zip(values, exps):

@@ -8,6 +8,7 @@ elimination, and local chart germs.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -98,6 +99,7 @@ def expected_generator_table() -> GeneratorTable:
         (name, tuple(vec), int(deg)) for name, vec, deg in _GEN["generators"]))
 
 
+@functools.cache
 def canonical_generators() -> GeneratorTable:
     """Hilbert basis of the graded cone, matched against the expected table.
 

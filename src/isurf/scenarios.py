@@ -9,8 +9,10 @@ independent route) or "direct" (definitional).
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable
 
 from . import curves as cv
@@ -75,6 +77,18 @@ def list_scenarios(tag: str | None = None) -> list[Scenario]:
     return sorted(out, key=lambda s: s.name)
 
 
+_PACKAGE_DIR = Path(__file__).resolve().parent
+
+
+def _raised_at(exc: BaseException) -> str:
+    """``isurf/<module>.py:<line>`` of the innermost traceback frame in this
+    package (``run`` itself is the outermost, so there is always one)."""
+    frame = [f for f in traceback.extract_tb(exc.__traceback__)
+             if Path(f.filename).resolve().is_relative_to(_PACKAGE_DIR)][-1]
+    path = Path(frame.filename).resolve().relative_to(_PACKAGE_DIR.parent)
+    return f"{path.as_posix()}:{frame.lineno}"
+
+
 def run(name: str, params: Params | None = None, timing: bool = False) -> dict:
     if name not in _REGISTRY:
         raise UnknownScenario(f"unknown scenario {name!r}")
@@ -87,7 +101,8 @@ def run(name: str, params: Params | None = None, timing: bool = False) -> dict:
             status = "fail"
     except Exception as exc:  # surfaced in the report, nonzero exit
         checks = [Check("scenario execution", "no exception",
-                        f"{type(exc).__name__}: {exc}", "direct", "runner")]
+                        f"{type(exc).__name__}: {exc} (at {_raised_at(exc)})",
+                        "direct", "runner")]
         status = "error"
     report = {
         "scenario": name,

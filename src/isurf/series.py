@@ -30,7 +30,7 @@ def _truncate_poly(p: ExactPolynomial, order: int, weights: Mapping[str, int]) -
     terms = _by_degree(p.terms, [weights.get(name, 1) for name in p.ring.variables])
     if terms and terms[0][0] < 0:
         raise InvalidInput(f"term of negative weighted degree {terms[0][0]} in a truncated series")
-    return ExactPolynomial(p.ring, {e: c for d, e, c in terms if d < order})
+    return ExactPolynomial._closed(p.ring, {e: c for d, e, c in terms if d < order})
 
 
 def _product(a: Mapping[tuple[int, ...], Fraction], b: list, w: Sequence[int],
@@ -102,7 +102,8 @@ class TruncatedSeries:
         if len(a) > len(b):
             a, b = b, a
         w = self.weight_vector()
-        return self._wrap(ExactPolynomial(self.ring, _product(a, _by_degree(b, w), w, self.order)))
+        product = _product(a, _by_degree(b, w), w, self.order)
+        return self._wrap(ExactPolynomial._closed(self.ring, product))
 
     def __neg__(self):
         return self._wrap(-self.poly)
@@ -147,7 +148,7 @@ class TruncatedSeries:
             for factor in factors[:-1]:
                 term = _product(term, factor, w, order)
             _product(term, factors[-1] if factors else [(0, zero, 1)], w, order, result)
-        return self._wrap(ExactPolynomial(ring, result))
+        return self._wrap(ExactPolynomial._closed(ring, result))
 
     def inverse(self) -> "TruncatedSeries":
         """Inverse of a unit series (nonzero constant term)."""

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -96,7 +97,9 @@ def test_shallow_order_reports_error_not_fail(tmp_path):
                  "--out", str(out_path)])
     report = json.loads(out_path.read_text())
     assert code == 1 and report["status"] == "error"
-    assert report["checks"][0]["actual"].startswith("TruncationTooShallow: ")
+    actual = report["checks"][0]["actual"]
+    assert actual.startswith("TruncationTooShallow: ")
+    assert re.search(r" \(at isurf/tsing\.py:\d+\)$", actual)
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path):

@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isurf.errors import NotDivisible, ParseError, UndeclaredIdentifier
+from isurf.errors import InvalidInput, NotDivisible, ParseError, UndeclaredIdentifier
 from isurf.poly import ExactPolynomial, PolyRing
 
 R3 = PolyRing.of("x0", "x1", "y")
@@ -149,3 +151,70 @@ def test_derivative():
     p = R3.parse("x0^3*y + x1")
     assert p.derivative("x0") == R3.parse("3*x0^2*y")
     assert p.derivative("y") == R3.parse("x0^3")
+
+
+def test_negative_exponents_are_checked_where_terms_come_in():
+    ring = PolyRing.of("x", "lam", invertible=("lam",))
+    with pytest.raises(ValueError):
+        ring.from_terms({(-1, 0): 1})
+    with pytest.raises(ValueError):
+        ring.parse("2*x").monomial_inverse()
+    with pytest.raises(ValueError):
+        ring.parse("x*lam^-1").cast(PolyRing.of("x", "lam"))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None])
+def test_floats_and_other_non_exact_coefficients_are_rejected(bad):
+    ring = PolyRing.of("x", "y")
+    p = ring.parse("x + y")
+    with pytest.raises(InvalidInput):
+        ring.constant(bad)
+    with pytest.raises(InvalidInput):
+        ring.from_terms({(1, 0): bad})
+    with pytest.raises(InvalidInput):
+        p * bad
+    with pytest.raises(InvalidInput):
+        p + bad
+    with pytest.raises(InvalidInput):
+        p.substitute({"x": bad})
+    with pytest.raises(InvalidInput):
+        p.evaluate({"x": bad, "y": 1})
+
+
+def test_int_and_fraction_coefficients_stay_exact():
+    ring = PolyRing.of("x", "y")
+    p = ring.parse("x + y")
+    assert ring.constant(Fraction(1, 10)) == ring.parse("1/10")
+    assert p * Fraction(1, 2) == ring.parse("1/2*x + 1/2*y")
+    assert p.substitute({"x": 3}) == ring.parse("y + 3")
+    assert p.evaluate({"x": Fraction(1, 3), "y": 2}) == Fraction(7, 3)
+
+
+_SMALL_TERMS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                               max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SMALL_TERMS, st.integers(0, 5))
+def test_power_equals_repeated_schoolbook_product(terms, n):
+    ring = PolyRing.of("a", "b")
+    p = ring.from_terms(terms)
+    assert p ** n == functools.reduce(operator.mul, [p] * n, ring.one())
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_power_makes_no_product_it_does_not_use(monkeypatch, n):
+    p = R3.parse("x0 + 2*x1 - y + 1")
+    products = []
+    schoolbook = ExactPolynomial.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return schoolbook(self, other)
+
+    monkeypatch.setattr(ExactPolynomial, "__mul__", counted)
+    p ** n
+    assert len(products) <= n.bit_length() - 1 + bin(n).count("1")
+    if n == 1:
+        assert products == [] and p ** 1 is p

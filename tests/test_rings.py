@@ -5,6 +5,7 @@ import pytest
 from isurf import rings
 from isurf.errors import (CertificateFailed, NotFactorable, NotInvertible,
                           NotLinear)
+from isurf.poly import ExactPolynomial
 from isurf.tsing import TSingularity
 
 
@@ -14,6 +15,27 @@ def test_canonical_generators_match_expected():
     assert table.entries == expect.entries
     assert table.extras == ()
     assert [d for _, _, d in table.entries] == [1, 1, 2, 3, 4, 4, 5, 7, 17]
+
+
+def test_canonical_generators_is_computed_once():
+    assert rings.canonical_generators() is rings.canonical_generators()
+
+
+def test_specialize_standard_never_multiplies_p_by_itself(monkeypatch):
+    p = rings.generic_degree_10(0).cast(rings.generator_ring(with_p=False))
+    assert len(p) == 153
+    squares = []
+    schoolbook = ExactPolynomial.__mul__
+
+    def counted(self, other):
+        if self == p and other == p:
+            squares.append(1)
+        return schoolbook(self, other)
+
+    monkeypatch.setattr(ExactPolynomial, "__mul__", counted)
+    monkeypatch.setattr(ExactPolynomial, "__rmul__", counted)
+    rings.specialize_standard(3, 2, 0)
+    assert squares == []
 
 
 def test_generator_monomials():
