@@ -6,4 +6,12 @@ formats, and curve-configuration replay, behind a deterministic scenario
 runner (``isurf`` on the command line).
 """
 
+import json
+from importlib import resources
+
 __version__ = "0.1.0"
+
+
+def load_fixture(name: str):
+    """The parsed contents of the bundled JSON file ``fixtures/<name>``."""
+    return json.loads(resources.files("isurf.fixtures").joinpath(name).read_text())

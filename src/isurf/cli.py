@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import UnknownScenario
 from .scenarios import Params, list_scenarios, run
+from .series import DEFAULT_ORDER
 
 PARAM_NAMES = ("theta", "tau", "lam", "mu", "nu")
 
@@ -29,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--param", action="append", default=[], metavar="K=V",
                         help="parameter override, e.g. theta=0 or tau=1/2")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--order", type=int, default=10,
+    parser.add_argument("--order", type=int, default=DEFAULT_ORDER,
                         help="series truncation order for germ computations (at least 1)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", metavar="PATH", help="write the report to a file")

@@ -8,17 +8,14 @@ scripts replay contraction sequences step by step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from importlib import resources
 from typing import Mapping, Sequence
 
+from . import load_fixture
 from .errors import (IllegalStep, InvalidInput, MissingCoefficients,
                      NotContractible, UnknownRecipe)
-from .tsing import TChain, codiscrepancy, recognize_tchain
-
-ROLES = ("f-exceptional", "eps-exceptional", "section", "fiber-component")
+from .tsing import codiscrepancy, recognize_tchain
 
 
 @dataclass(frozen=True)
@@ -178,36 +175,6 @@ class CurveConfiguration:
                         })
         return violations
 
-    # -- export -------------------------------------------------------------
-
-    def to_dot(self) -> str:
-        lines = ["graph configuration {"]
-        for c in self.curves:
-            label = f"{c.name}\\n({c.self_int})"
-            lines.append(f'  "{c.name}" [label="{label}"];')
-        for a, b, m in self.incidence:
-            attr = f' [label="{m}"]' if m > 1 else ""
-            lines.append(f'  "{a}" -- "{b}"{attr};')
-        lines.append("}")
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps(_config_dict(self))
-
-
-def _config_dict(cfg: CurveConfiguration) -> dict:
-    return {
-        "curves": [{
-            "name": c.name, "self": c.self_int, "pa": c.pa,
-            "roles": sorted(c.roles), "chain": c.chain,
-            "codisc": None if c.codisc is None else str(c.codisc),
-        } for c in cfg.curves],
-        "incidence": [[a, b, m] for a, b, m in cfg.incidence],
-        "minimal_model": cfg.minimal_model,
-        "kodaira_dimension_one": cfg.kodaira_dimension_one,
-        "k2": None if cfg.ambient_k2 is None else str(cfg.ambient_k2),
-    }
-
 
 def config_from_dict(data: Mapping) -> CurveConfiguration:
     curves = tuple(Curve(
@@ -243,7 +210,7 @@ def enumerate_gamma_profiles(chains: Sequence[Sequence[int]],
     caps = dict(incidence_caps or {})
     menu: list[tuple[str, Fraction]] = []
     for j, chain in enumerate(chains, start=1):
-        coeffs = codiscrepancy(TChain.of(chain)).coefficients
+        coeffs = codiscrepancy(chain).coefficients
         for pos, coeff in enumerate(coeffs):
             menu.append((f"{chr(ord('A') + pos)}{j}", coeff))
     out = []
@@ -311,13 +278,9 @@ def replay_script(cfg: CurveConfiguration, script: Sequence[Mapping]) -> dict:
 # bundled fixtures: contradiction scripts and example recipes
 
 
-def _fixture(name: str) -> dict:
-    return json.loads(resources.files("isurf.fixtures").joinpath(name).read_text())
-
-
 def load_profile_scripts() -> dict[str, dict]:
     """The three contradiction scripts, keyed by profile name."""
-    data = _fixture("scripts.json")
+    data = load_fixture("scripts.json")
     return {
         key: {
             "configuration": config_from_dict(entry["configuration"]),
@@ -328,18 +291,13 @@ def load_profile_scripts() -> dict[str, dict]:
     }
 
 
-def load_recipes() -> dict[str, dict]:
-    data = _fixture("recipes.json")
-    return data
-
-
 def build_example(recipe: str) -> dict:
     """Instantiate a catalogued construction and verify its chain content.
 
     Returns the configuration together with the recognized chains and the
     blow-down script that contracts it back to the fiber data.
     """
-    recipes = load_recipes()
+    recipes = load_fixture("recipes.json")
     if recipe not in recipes:
         raise UnknownRecipe(f"unknown recipe {recipe!r}")
     entry = recipes[recipe]

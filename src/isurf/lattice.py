@@ -8,8 +8,9 @@ Contejean-Devie completion procedure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -53,14 +54,6 @@ class IntegerMatrix:
     def rank(self) -> int:
         h, _ = hermite_normal_form(self)
         return sum(1 for row in h.rows if any(row))
-
-    def to_json(self) -> str:
-        return json.dumps([[str(x) for x in row] for row in self.rows])
-
-    @staticmethod
-    def from_json(text: str) -> "IntegerMatrix":
-        data = json.loads(text)
-        return IntegerMatrix.of([[int(x) for x in row] for row in data])
 
 
 def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
@@ -127,8 +120,6 @@ def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
 
 def _det(mat: list[list[int]]) -> int:
     """Exact integer determinant by fraction-free elimination."""
-    from fractions import Fraction
-
     n = len(mat)
     m = [[Fraction(x) for x in row] for row in mat]
     det = Fraction(1)
@@ -153,12 +144,28 @@ def _det(mat: list[list[int]]) -> int:
     return int(det)
 
 
+def unimodular_normal_form(vectors: Sequence[Sequence[int]]) -> list[Vec]:
+    """The vectors after the integral change of coordinates that maps the
+    lexicographically first unimodular block among them to the standard basis.
+
+    Two configurations differ by one unimodular transform exactly when their
+    normal forms agree.  RankDeficient if no block is unimodular.
+    """
+    d = len(vectors[0])
+    for subset in combinations(range(len(vectors)), d):
+        block = [[vectors[i][k] for i in subset] for k in range(d)]
+        if abs(_det(block)) == 1:
+            inv = _unimodular_inverse(block)
+            return [tuple(sum(a * x for a, x in zip(row, v)) for row in inv)
+                    for v in vectors]
+    raise RankDeficient("no unimodular block among the vectors")
+
+
 def gale_rays(weights: IntegerMatrix) -> list[Vec]:
     """Primitive ray generators dual to the grading matrix.
 
-    Every grading row a satisfies sum_i a_i * v_i = 0.  Normalisation: the
-    lexicographically first size-(n-r) subset of variables whose kernel
-    columns form a unimodular block is mapped to the standard basis.
+    Every grading row a satisfies sum_i a_i * v_i = 0.  The rays are the
+    kernel columns in unimodular normal form.
     """
     n = weights.ncols
     r = weights.nrows
@@ -170,23 +177,7 @@ def gale_rays(weights: IntegerMatrix) -> list[Vec]:
         raise RankDeficient("kernel rank inconsistent with matrix rank")
     if d == 0:
         return [() for _ in range(n)]
-    from itertools import combinations
-
-    chosen = None
-    for subset in combinations(range(n), d):
-        block = [[basis.rows[k][i] for i in subset] for k in range(d)]
-        if abs(_det(block)) == 1:
-            chosen = subset
-            break
-    if chosen is None:
-        raise RankDeficient("no unimodular coordinate block in the kernel")
-    block = [[basis.rows[k][i] for i in chosen] for k in range(d)]
-    inv = _unimodular_inverse(block)
-    rays = []
-    for i in range(n):
-        col = [basis.rows[k][i] for k in range(d)]
-        ray = tuple(sum(inv[a][k] * col[k] for k in range(d)) for a in range(d))
-        rays.append(ray)
+    rays = unimodular_normal_form(basis.transpose().rows)
     for i, ray in enumerate(rays):
         g = 0
         for x in ray:
@@ -198,8 +189,6 @@ def gale_rays(weights: IntegerMatrix) -> list[Vec]:
 
 def _unimodular_inverse(block: list[list[int]]) -> list[list[int]]:
     """Inverse of a matrix with determinant +-1, over the integers."""
-    from fractions import Fraction
-
     n = len(block)
     aug = [[Fraction(block[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
            for i in range(n)]
@@ -287,7 +276,6 @@ def extreme_rays(cone: LatticeCone) -> list[Vec]:
     n = cone.rank
     if n > 22:
         raise InvalidInput("extreme ray enumeration limited to rank <= 22")
-    from itertools import combinations
 
     eqs = [row for row in cone.equations.rows if any(row)]
     found: set[Vec] = set()

@@ -9,29 +9,23 @@ elimination, and local chart germs.
 from __future__ import annotations
 
 import functools
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Mapping, Sequence
 
+from . import load_fixture
 from .errors import (CertificateFailed, InvalidInput, NotDivisible,
                      NotFactorable, NotInvertible, NotLinear)
 from .lattice import IntegerMatrix, LatticeCone, hilbert_basis
 from .poly import ExactPolynomial, PolyRing
+from .series import DEFAULT_ORDER
 from .skew import SkewMatrix
 from .tsing import chart_germ
 from . import toric
 
-
-def _fixture(name: str) -> dict:
-    text = resources.files("isurf.fixtures").joinpath(name).read_text()
-    return json.loads(text)
-
-
-_GEN = _fixture("generators.json")
-_REL = _fixture("relations.json")
+_GEN = load_fixture("generators.json")
+_REL = load_fixture("relations.json")
 
 AMBIENT_VARS = tuple(_GEN["ambient"])
 AMBIENT_GRADING = IntegerMatrix.of(_GEN["grading"])
@@ -74,24 +68,11 @@ class GeneratorTable:
                 return v
         raise KeyError(name)
 
-    def degree(self, name: str) -> int:
-        for n, _, d in self.entries:
-            if n == name:
-                return d
-        raise KeyError(name)
-
     def monomial(self, name: str, ring: PolyRing) -> ExactPolynomial:
-        return ring.from_terms({_pad(self.vector(name), ring): Fraction(1)})
+        return ring.monomial(dict(zip(AMBIENT_VARS, self.vector(name))))
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _, _ in self.entries)
-
-
-def _pad(vec: Sequence[int], ring: PolyRing) -> tuple[int, ...]:
-    out = [0] * ring.nvars
-    for name, e in zip(AMBIENT_VARS, vec):
-        out[ring.index(name)] = e
-    return tuple(out)
 
 
 def expected_generator_table() -> GeneratorTable:
@@ -142,41 +123,39 @@ def seeded_form(ring: PolyRing, monomials: Sequence[Mapping[str, int]],
     return ring.from_terms({ring.exponents(m): c for m, c in zip(monomials, coeffs)})
 
 
-def double_blowup_equation(seed: int = 0) -> ExactPolynomial:
-    """The proper transform of the relative sextic after the two blowups,
-    oriented as rhs - lhs, over Q[t0,t1,s1,s0,ze,c,e,theta,tau].
+def relative_sextic(ring: PolyRing, seed: int = 0) -> ExactPolynomial:
+    """The relative sextic (rhs - lhs) over ``ring``, strict-transformed by the
+    blowups whose exceptional variables c and e the ring has (1 when absent).
 
     k1 and l1 are seeded general binary forms of degrees 11 and 16 evaluated
     at (c^2 e^3 t0, t1).
     """
-    R = PolyRing.of(*toric.FTILDE_VARS, "theta", "tau")
-    t0, t1, s1, s0, ze = (R.var(v) for v in ("t0", "t1", "s1", "s0", "ze"))
-    c, e, theta, tau = (R.var(v) for v in ("c", "e", "theta", "tau"))
+    t0, t1, s1, s0, ze = (ring.var(v) for v in ("t0", "t1", "s1", "s0", "ze"))
+    c, e = (ring.var(v) if v in ring.variables else ring.one() for v in ("c", "e"))
+    theta, tau = ring.var("theta"), ring.var("tau")
     arg = c ** 2 * e ** 3 * t0
-    k1 = _binary_form_at(R, arg, t1, 11, seed, "k11")
-    l1 = _binary_form_at(R, arg, t1, 16, seed, "l16")
+    k1 = _binary_form_at(arg, t1, 11, seed, "k11")
+    l1 = _binary_form_at(arg, t1, 16, seed, "l16")
     rhs = c * s0 ** 3 + c * e * t0 * k1 * s0 * s1 ** 4 \
-        + t0 * (c ** 2 * e ** 3 * t0 * l1 + tau * t1 ** 17) * s1 ** 6
+        + t0 * (arg * l1 + tau * t1 ** 17) * s1 ** 6
     lhs = (e * ze - theta * t1 ** 3 * s0 * s1) * ze
     return rhs - lhs
 
 
 def parent_equation(seed: int = 0) -> ExactPolynomial:
-    """The relative sextic before blowing up (rhs - lhs), five Cox variables."""
-    R = PolyRing.of(*toric.F_VARS, "theta", "tau")
-    t0, t1, s1, s0, ze = (R.var(v) for v in toric.F_VARS)
-    theta, tau = R.var("theta"), R.var("tau")
-    k1 = _binary_form_at(R, t0, t1, 11, seed, "k11")
-    l1 = _binary_form_at(R, t0, t1, 16, seed, "l16")
-    rhs = s0 ** 3 + t0 * k1 * s0 * s1 ** 4 + t0 * (t0 * l1 + tau * t1 ** 17) * s1 ** 6
-    lhs = (ze - theta * t1 ** 3 * s0 * s1) * ze
-    return rhs - lhs
+    """The relative sextic before blowing up, five Cox variables."""
+    return relative_sextic(PolyRing.of(*toric.F_VARS, "theta", "tau"), seed)
 
 
-def _binary_form_at(ring: PolyRing, x: ExactPolynomial, y: ExactPolynomial,
+def double_blowup_equation(seed: int = 0) -> ExactPolynomial:
+    """The proper transform of the relative sextic after the two blowups."""
+    return relative_sextic(PolyRing.of(*toric.FTILDE_VARS, "theta", "tau"), seed)
+
+
+def _binary_form_at(x: ExactPolynomial, y: ExactPolynomial,
                     degree: int, seed: int, tag: str) -> ExactPolynomial:
     coeffs = seeded_coefficients(seed, tag, degree + 1)
-    total = ring.zero()
+    total = x.ring.zero()
     for i, cf in enumerate(coeffs):
         total = total + x ** i * y ** (degree - i) * cf
     return total
@@ -279,17 +258,12 @@ def _detect_lead(surface_eq: ExactPolynomial, excess_vec: tuple[int, ...],
         return None
     core_idx = [ring.index(v) for v in AMBIENT_VARS]
     combined = tuple(excess_vec[i] + ze_monos[0][i] for i in core_idx)
-    target = tuple(a - b for a, b in zip(combined, _pad_core("ze", 2)))
+    ze_squared = ambient_ring().exponents({"ze": 2})
+    target = tuple(a - b for a, b in zip(combined, ze_squared))
     for name in table.names():
         if table.vector(name) == target:
             return name
     return None
-
-
-def _pad_core(name: str, e: int) -> tuple[int, ...]:
-    out = [0] * len(AMBIENT_VARS)
-    out[AMBIENT_VARS.index(name)] = e
-    return tuple(out)
 
 
 EXCESS_MONOMIALS = {
@@ -341,9 +315,6 @@ class RelationSystem:
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.relations)
-
-    def degree(self, name: str) -> int:
-        return self.get(name).weighted_degree(dict(GENERATOR_DEGREES))
 
     def specialize(self, assignment: Mapping[str, object], ring: PolyRing) -> "RelationSystem":
         rels = tuple((n, rel.substitute(assignment, ring=ring))
@@ -503,7 +474,7 @@ def verify_format(fmt: RelationFormat, rels: RelationSystem) -> dict:
 
 def load_formats() -> dict[str, tuple[RelationFormat, RelationSystem]]:
     """The three bundled formats with their certificate tables."""
-    data = _fixture("formats.json")
+    data = load_fixture("formats.json")
     out = {}
     systems = {"standard": standard_relations(), "family": family_relations(),
                "lam_theta": lam_theta_relations()}
@@ -613,7 +584,7 @@ CHARTS = {
 }
 
 
-def chart_singularity(rels: RelationSystem, chart: ChartPlan, order: int = 10):
+def chart_singularity(rels: RelationSystem, chart: ChartPlan, order: int = DEFAULT_ORDER):
     """Classify the local germ of the surface at a coordinate point.
 
     The relations must already be fully specialized (numeric parameters, P

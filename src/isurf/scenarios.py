@@ -12,13 +12,15 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Callable
 
 from . import curves as cv
 from . import rings, toric, tsing, wps
 from .errors import NotDivisible, NotFactorable, UnknownScenario
-from .lattice import IntegerMatrix, gale_rays as lattice_gale_rays, kernel_basis
+from .lattice import (IntegerMatrix, gale_rays as lattice_gale_rays, kernel_basis,
+                      unimodular_normal_form)
 from .poly import PolyRing
 from .series import DEFAULT_ORDER
 
@@ -162,13 +164,13 @@ def _table2(params: Params) -> list[Check]:
     sweep_ok = True
     count = 0
     for sing in _all_t_types(200):
-        chain = tsing.TChain.from_singularity(sing)
+        chain = tsing.hj_expand(sing.order, sing.weight)
         d2 = tsing.delta_squared(tsing.codiscrepancy(chain))
-        if d2 != sing.d - chain.length - 1:
+        if d2 != sing.d - len(chain) - 1:
             sweep_ok = False
-        rev = tsing.recognize_tchain(list(reversed(chain.entries)))
-        if not sing.same_singularity(rev) or \
-                tsing.delta_squared(tsing.codiscrepancy(chain.reversed())) != d2:
+        rev = chain[::-1]
+        if not sing.same_singularity(tsing.recognize_tchain(rev)) or \
+                tsing.delta_squared(tsing.codiscrepancy(rev)) != d2:
             sweep_ok = False
         count += 1
     out.append(check(f"delta^2 = d - r - 1 sweep over {count} chains (order <= 200), "
@@ -189,7 +191,6 @@ def _all_t_types(bound: int):
         d = 1
         while d * n * n <= bound:
             for a in range(1, n):
-                from math import gcd
                 if gcd(a, n) == 1:
                     out.append(tsing.TSingularity(d, n, a))
             d += 1
@@ -269,11 +270,10 @@ def _gale(params: Params) -> list[Check]:
                      "reference", "extended grading matrix"))
     before = toric.gale_rays(toric.F_PRESENTATION)
     after = toric.gale_rays(inter)
+    same = unimodular_normal_form([before[v] for v in toric.F_VARS]) \
+        == unimodular_normal_form([after[v] for v in toric.F_VARS])
     out.append(check("old rays change by one unimodular transform under blowup",
-                     True, _unimodularly_equivalent(
-                         [before[v] for v in toric.F_VARS],
-                         [after[v] for v in toric.F_VARS]),
-                     "derived", "ray lattice comparison"))
+                     True, same, "derived", "ray lattice comparison"))
     out.append(check("kernel of [[1, 1]]", ((1, -1),),
                      kernel_basis(IntegerMatrix.of([[1, 1]])).rows, "direct",
                      "rank-one kernel"))
@@ -281,32 +281,6 @@ def _gale(params: Params) -> list[Check]:
                      kernel_basis(IntegerMatrix.of([[1, 0], [0, 1]])).rows,
                      "direct", "trivial kernel"))
     return out
-
-
-def _unimodularly_equivalent(before, after) -> bool:
-    from itertools import combinations
-    from .lattice import _det, _unimodular_inverse
-
-    d = len(before[0])
-    for subset in combinations(range(len(before)), d):
-        block = [list(before[i]) for i in subset]
-        if abs(_det(block)) != 1:
-            continue
-        target = [list(after[i]) for i in subset]
-        if abs(_det(target)) != 1:
-            continue
-        # T maps before -> after on the subset; check it extends to all rays
-        inv = _unimodular_inverse([[block[j][i] for j in range(d)] for i in range(d)])
-        ok = True
-        for b, a in zip(before, after):
-            coords = [sum(inv[r][c] * b[c] for c in range(d)) for r in range(d)]
-            image = [sum(coords[r] * target[r][c] for r in range(d)) for c in range(d)]
-            if tuple(image) != tuple(a):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 @scenario("ytilde-blowup", ("section3", "toric"),
@@ -321,7 +295,7 @@ def _ytilde(params: Params) -> list[Check]:
         {"t0": R6.var("c") ** 2 * R6.var("t0"), "s0": R6.var("c") * R6.var("s0"),
          "ze": R6.var("c") * R6.var("ze")},
         R6.var("c") ** 2)
-    expected_first = _first_blowup_equation(seed, R6)
+    expected_first = rings.relative_sextic(R6, seed)
     out.append(check("first strict transform matches the displayed equation",
                      True, first == expected_first, "reference",
                      "pull back and divide by c^2"))
@@ -346,10 +320,10 @@ def _ytilde(params: Params) -> list[Check]:
     out.append(check("cover variable column of the shifted grading",
                      (3, 9, 17, 25), ze_col, "reference",
                      "weighted-space weights"))
+    same = unimodular_normal_form(toric.FTILDE_PRESENTATION.weights.transpose().rows) \
+        == unimodular_normal_form(toric.SHIFTED_WEIGHTS.transpose().rows)
     out.append(check("shifted grading is a unimodular change of the bundled one",
-                     True, _gradings_equivalent(
-                         toric.FTILDE_PRESENTATION.weights, toric.SHIFTED_WEIGHTS),
-                     "derived", "integral change of degree coordinates"))
+                     True, same, "derived", "integral change of degree coordinates"))
     # collapse
     collapsed = toric.wps_collapse(bundled)
     W = collapsed.ring
@@ -365,27 +339,9 @@ def _ytilde(params: Params) -> list[Check]:
     return out
 
 
-def _first_blowup_equation(seed: int, R6: PolyRing):
-    t0, t1, s1, s0, ze, c = (R6.var(v) for v in ("t0", "t1", "s1", "s0", "ze", "c"))
-    theta, tau = R6.var("theta"), R6.var("tau")
-    arg = c ** 2 * t0
-    k1 = rings._binary_form_at(R6, arg, t1, 11, seed, "k11")
-    l1 = rings._binary_form_at(R6, arg, t1, 16, seed, "l16")
-    rhs = c * s0 ** 3 + c * t0 * k1 * s0 * s1 ** 4 \
-        + t0 * (c ** 2 * t0 * l1 + tau * t1 ** 17) * s1 ** 6
-    lhs = (ze - theta * t1 ** 3 * s0 * s1) * ze
-    return rhs - lhs
-
-
 def _strip_params(p):
     ring = PolyRing.of(*(v for v in p.ring.variables if v not in ("theta", "tau")))
     return p.substitute({"theta": 1, "tau": 1}, ring=ring)
-
-
-def _gradings_equivalent(a: IntegerMatrix, b: IntegerMatrix) -> bool:
-    return _unimodularly_equivalent(
-        [a.column(j) for j in range(a.ncols)],
-        [b.column(j) for j in range(b.ncols)])
 
 
 def _collapse_shape_ok(collapsed, W: PolyRing) -> bool:
@@ -620,9 +576,9 @@ def _wps51(params: Params) -> list[Check]:
 def _smoothing(params: Params) -> list[Check]:
     out = []
     formats = rings.load_formats()
-    for label in ("family_m1", "family_m2"):
-        fmt, rels = formats[label]
-        report = rings.verify_format(fmt, rels)
+    reports = {label: rings.verify_format(*formats[label])
+               for label in ("family_m1", "family_m2")}
+    for label, report in reports.items():
         out.append(check(f"{label} certificates", True,
                          all(c["ok"] for c in report["checks"]), "reference",
                          "Pfaffians and products of the deformed format"))
@@ -633,10 +589,7 @@ def _smoothing(params: Params) -> list[Check]:
     out.append(check("fifth product entry combines R11 with a multiple of R3",
                      ["R11", "R3"], names, "reference",
                      "correction term in the matrix product"))
-    union = set()
-    for label in ("family_m1", "family_m2"):
-        f, r = formats[label]
-        union |= set(rings.verify_format(f, r)["covered"])
+    union = set(reports["family_m1"]["covered"]) | set(reports["family_m2"]["covered"])
     out.append(check("the two formats cover all fourteen relations",
                      [f"R{i}" for i in range(1, 15)],
                      sorted(union, key=lambda s: int(s[1:])), "direct",

@@ -5,7 +5,7 @@ order (weight 1 if unlisted).  Degrees must be non-negative (InvalidInput), so
 a dropped term never comes back below the order and every product goes through
 one kernel, ``_product``, that never forms a dropped term pair (Brent & Kung,
 J. ACM 25, 1978).  ``solve_system`` runs Newton sweeps for a diagonal-unit
-Jacobian; ``series_eliminate`` is its one-relation case.
+Jacobian.
 """
 
 from __future__ import annotations
@@ -167,15 +167,6 @@ class TruncatedSeries:
 
     def __str__(self):
         return f"{self.poly} + O({self.order})"
-
-
-def series_eliminate(f: TruncatedSeries, var: str, order: int | None = None) -> TruncatedSeries:
-    """Solve f = 0 for ``var``; returns the series g with f(var=g) = 0 mod order.
-
-    Requires the linear coefficient of ``var`` to be a unit series in the
-    remaining variables (NotSolvable otherwise).
-    """
-    return TruncatedSeries(solve_system([f], [var], order)[var], order or f.order, f.weights)
 
 
 def solve_system(relations: Sequence[TruncatedSeries], variables: Sequence[str],

@@ -4,11 +4,11 @@ projective space."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from . import load_fixture
 from .errors import InconsistentRow, InvalidInput, NotHomogeneous, RankDeficient
 from .lattice import IntegerMatrix, gale_rays as _gale_rays
 from .poly import ExactPolynomial, PolyRing
@@ -42,18 +42,6 @@ class CoxPresentation:
             IntegerMatrix.of(weights),
             tuple(tuple(c) for c in irrelevant),
         )
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "vars": list(self.ring.variables),
-            "weights": [list(r) for r in self.weights.rows],
-            "irrelevant": [list(c) for c in self.irrelevant],
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "CoxPresentation":
-        data = json.loads(text)
-        return CoxPresentation.of(data["vars"], data["weights"], data["irrelevant"])
 
 
 def multidegree(f: ExactPolynomial, cox: CoxPresentation | IntegerMatrix) -> tuple[int, ...]:
@@ -112,13 +100,7 @@ def blowup_transform(f: ExactPolynomial, substitution: Mapping[str, ExactPolynom
 # bundled presentations (shipped as fixture data)
 
 
-def _load_toric_fixture() -> dict:
-    from importlib import resources
-
-    return json.loads(resources.files("isurf.fixtures").joinpath("toric.json").read_text())
-
-
-_TORIC = _load_toric_fixture()
+_TORIC = load_fixture("toric.json")
 
 F_PRESENTATION = CoxPresentation.of(**{
     "variables": _TORIC["base"]["vars"],

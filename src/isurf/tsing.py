@@ -10,7 +10,6 @@ intersections (``chart_germ``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -61,9 +60,6 @@ class TSingularity:
     def __str__(self):
         return f"1/{self.order}(1,{self.weight})"
 
-    def to_json(self) -> dict:
-        return {"d": self.d, "n": self.n, "a": self.a}
-
 
 @dataclass(frozen=True)
 class RationalDoublePoint:
@@ -73,9 +69,6 @@ class RationalDoublePoint:
 
     def __str__(self):
         return f"A_{self.r}"
-
-    def to_json(self) -> dict:
-        return {"rdp": f"A_{self.r}"}
 
 
 @dataclass(frozen=True)
@@ -159,57 +152,23 @@ def plane_quotient(n: int, wj: int, wk: int):
     return found if found is not None else Unrecognized(f"1/{n}(1,{q}) is not admissible")
 
 
-def tchain_from_singularity(sing: TSingularity) -> list[int]:
-    return hj_expand(sing.order, sing.weight)
-
-
-@dataclass(frozen=True)
-class TChain:
-    """A chain with its recognition result attached."""
-
-    entries: tuple[int, ...]
-
-    @staticmethod
-    def of(entries: Sequence[int]) -> "TChain":
-        return TChain(tuple(int(b) for b in entries))
-
-    @staticmethod
-    def from_singularity(sing: TSingularity) -> "TChain":
-        return TChain(tuple(tchain_from_singularity(sing)))
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    def kind(self):
-        return recognize_tchain(self.entries)
-
-    def reversed(self) -> "TChain":
-        return TChain(tuple(reversed(self.entries)))
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.entries))
-
-
 # ---------------------------------------------------------------------------
 # codiscrepancies
 
 
 @dataclass(frozen=True)
 class Codiscrepancy:
-    chain: TChain
+    entries: tuple[int, ...]
     coefficients: tuple[Fraction, ...]
 
 
-def codiscrepancy(chain: TChain | Sequence[int]) -> Codiscrepancy:
+def codiscrepancy(chain: Sequence[int]) -> Codiscrepancy:
     """Coefficients a_i with (K + sum a_i E_i) . E_j = 0 along the chain.
 
     The linear system b_i a_i - a_{i-1} - a_{i+1} = b_i - 2 is tridiagonal
     with negative-definite intersection matrix, hence uniquely solvable.
     """
-    if not isinstance(chain, TChain):
-        chain = TChain.of(chain)
-    b = chain.entries
+    b = tuple(chain)
     if any(x < 2 for x in b):
         raise InvalidInput("chain entries must be >= 2")
     r = len(b)
@@ -231,32 +190,30 @@ def codiscrepancy(chain: TChain | Sequence[int]) -> Codiscrepancy:
         if i + 1 < r:
             lhs -= coeffs[i + 1]
         assert lhs == b[i] - 2, "codiscrepancy system residual must vanish"
-    return Codiscrepancy(chain, tuple(coeffs))
+    return Codiscrepancy(b, tuple(coeffs))
 
 
 def delta_squared(cd: Codiscrepancy) -> Fraction:
     """Self-intersection of the codiscrepancy divisor on the resolution."""
-    b = cd.chain.entries
+    b = cd.entries
     a = cd.coefficients
     total = sum((ai * ai * -bi for ai, bi in zip(a, b)), Fraction(0))
     total += 2 * sum((a[i] * a[i + 1] for i in range(len(a) - 1)), Fraction(0))
     return total
 
 
-def ktilde_squared(sings: Sequence[TChain | Sequence[int]]) -> Fraction:
+def ktilde_squared(sings: Sequence[Sequence[int]]) -> Fraction:
     """1 + sum of codiscrepancy self-intersections over the chains.
 
     Cross-checked against sum_j (d_j - r_j) - 1 for proper T-chains.
     """
     total = Fraction(1)
     for chain in sings:
-        if not isinstance(chain, TChain):
-            chain = TChain.of(chain)
-        kind = chain.kind()
+        kind = recognize_tchain(chain)
         if not isinstance(kind, TSingularity):
-            raise InvalidInput(f"{list(chain.entries)} is not a proper T-chain")
+            raise InvalidInput(f"{list(chain)} is not a proper T-chain")
         d2 = delta_squared(codiscrepancy(chain))
-        assert d2 == kind.d - chain.length - 1, \
+        assert d2 == kind.d - len(chain) - 1, \
             "codiscrepancy square disagrees with d - r - 1"
         total += d2
     return total
@@ -446,13 +403,3 @@ SINGLE_SINGULARITY_TABLE = (
     {"index": 3, "d": 2, "type": TSingularity(2, 3, 1)},
     {"index": 5, "d": 1, "type": TSingularity(1, 5, 3)},
 )
-
-
-def classification_to_json(result) -> dict:
-    if isinstance(result, TSingularity):
-        return result.to_json()
-    if isinstance(result, RationalDoublePoint):
-        return result.to_json()
-    if isinstance(result, SmoothPoint):
-        return {"smooth": True}
-    return {"unrecognized": str(result)}

@@ -8,15 +8,16 @@ interpolating between the index-2 and index-3 degenerations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Sequence
 
+from . import load_fixture
 from .errors import InvalidInput
 from .poly import ExactPolynomial, PolyRing
 from .rings import seeded_form, weighted_monomials
+from .series import DEFAULT_ORDER
+from .toric import WPS_WEIGHTS
 from .tsing import chart_germ
 
 T_RING = PolyRing.of("t")
@@ -78,7 +79,7 @@ class ResolutionData:
 
 
 def bundled_resolution() -> ResolutionData:
-    data = json.loads(resources.files("isurf.fixtures").joinpath("resolution.json").read_text())
+    data = load_fixture("resolution.json")
     return ResolutionData(tuple(data["ambient_weights"]), int(data["socle"]),
                           tuple(data["L1"]), tuple(data["L2"]))
 
@@ -129,13 +130,12 @@ def footnote_series() -> HilbertSeries:
 # the degree-51 model in P(1, 3, 17, 25)
 
 
-S51_WEIGHTS = {"e": 1, "t1": 3, "s0": 17, "ze": 25}
-S51_RING = PolyRing.of("e", "t1", "s0", "ze")
+S51_RING = PolyRing.of(*WPS_WEIGHTS)
 
 
 def generic_p50(seed: int) -> ExactPolynomial:
     """Seeded general form of weighted degree 50 (every monomial present)."""
-    monos = weighted_monomials(50, names=S51_RING.variables, weights=S51_WEIGHTS)
+    monos = weighted_monomials(50, names=S51_RING.variables, weights=WPS_WEIGHTS)
     return seeded_form(S51_RING, monos, seed, "P50")
 
 
@@ -148,14 +148,14 @@ def s51_equation(theta, tau, seed: int = 0,
     return e * p + t1 ** 17 * Fraction(tau) + t1 ** 3 * s0 * ze * Fraction(theta) + s0 ** 3
 
 
-def s51_point_analysis(point: str, theta, tau, seed: int = 0, order: int = 10):
+def s51_point_analysis(point: str, theta, tau, seed: int = 0, order: int = DEFAULT_ORDER):
     """Local type of the degree-51 model at a coordinate point of the ambient.
 
     point is one of "e", "t1", "s0", "ze".  Returns a classification object,
     or the string "absent" when the surface misses the point.
     """
     local = [v for v in S51_RING.variables if v != point]
-    return chart_germ({"s51": s51_equation(theta, tau, seed)}, S51_WEIGHTS, point,
+    return chart_germ({"s51": s51_equation(theta, tau, seed)}, WPS_WEIGHTS, point,
                       (), "s51", local, order)
 
 
@@ -193,13 +193,13 @@ class TwoSingularityFamily:
         eq2 = R.var("z") ** 2 - R.var("y") ** 5 * nu - generic_f10(seed)
         return TwoSingularityFamily(mu, nu, eq1, eq2)
 
-    def germ_at_y(self, order: int = 10):
+    def germ_at_y(self, order: int = DEFAULT_ORDER):
         """Eliminate x0 with the first equation on the y-chart; classify the
         second in 1/2(1,1,1) on (x1, u, z)."""
         return chart_germ({"eq1": self.eq1, "eq2": self.eq2}, FAMILY_WEIGHTS, "y",
                           (("eq1", "x0"),), "eq2", ("x1", "u", "z"), order)
 
-    def germ_at_u(self, order: int = 10):
+    def germ_at_u(self, order: int = DEFAULT_ORDER):
         """Eliminate x1 with the second equation on the u-chart; classify the
         first in 1/3(1,2,2) on (x0, y, z)."""
         return chart_germ({"eq1": self.eq1, "eq2": self.eq2}, FAMILY_WEIGHTS, "u",

@@ -50,9 +50,9 @@ def test_criterion_02_codiscrepancies_and_sweep():
                 if gcd(a, n) != 1:
                     continue
                 sing = TSingularity(d, n, a)
-                chain = tsing.TChain.from_singularity(sing)
+                chain = tsing.hj_expand(sing.order, sing.weight)
                 d2 = tsing.delta_squared(tsing.codiscrepancy(chain))
-                ok = ok and d2 == sing.d - chain.length - 1
+                ok = ok and d2 == sing.d - len(chain) - 1
             d += 1
         n += 1
     elapsed = time.monotonic() - start

@@ -209,13 +209,3 @@ def test_examples_recognize_chains_and_contract():
 def test_unknown_recipe():
     with pytest.raises(UnknownRecipe):
         cv.build_example("IV-fiber")
-
-
-def test_dot_export_and_json_roundtrip():
-    cfg = small_config()
-    dot = cfg.to_dot()
-    assert '"Gamma"' in dot and '"B1" -- "C1"' in dot
-    import json
-    back = cv.config_from_dict(json.loads(cfg.to_json()))
-    assert back.curves == cfg.curves
-    assert back.incidence == cfg.incidence

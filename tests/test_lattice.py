@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from isurf.errors import NotPointed, RankDeficient
 from isurf.lattice import (IntegerMatrix, LatticeCone, extreme_rays, gale_rays,
-                           hermite_normal_form, hilbert_basis, kernel_basis)
+                           hermite_normal_form, hilbert_basis, kernel_basis,
+                           unimodular_normal_form)
 
 
 def test_kernel_examples():
@@ -184,6 +185,34 @@ def test_gale_rays_deterministic():
         assert abs(gcd_of(ray)) == 1
 
 
-def test_matrix_json_roundtrip():
-    m = IntegerMatrix.of([[1, -2], [3, 10 ** 30]])
-    assert IntegerMatrix.from_json(m.to_json()) == m
+def test_unimodular_normal_form_is_invariant_and_separating():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 200:
+        d = rng.randint(1, 3)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 2)]
+        try:
+            form = unimodular_normal_form(vectors)
+        except RankDeficient:
+            continue
+        # a random unimodular T: elementary row operations and a sign change
+        t = [[int(i == j) for j in range(d)] for i in range(d)]
+        for _ in range(4):
+            i, j = rng.randrange(d), rng.randrange(d)
+            if i != j:
+                k = rng.randint(-3, 3)
+                t[i] = [a + k * b for a, b in zip(t[i], t[j])]
+        t[0] = [-x for x in t[0]]
+        image = [tuple(sum(a * x for a, x in zip(row, v)) for row in t) for v in vectors]
+        assert unimodular_normal_form(image) == form
+        # doubling one nonzero vector leaves the unimodular class
+        i = next(i for i, v in enumerate(vectors) if any(v))
+        scaled = list(vectors)
+        scaled[i] = tuple(2 * x for x in vectors[i])
+        try:
+            assert unimodular_normal_form(scaled) != form
+        except RankDeficient:
+            pass
+        checked += 1
+    with pytest.raises(RankDeficient):
+        unimodular_normal_form([(2, 0), (0, 2)])

@@ -14,13 +14,6 @@ def test_bundled_presentations_validate():
     assert len(toric.FTILDE_PRESENTATION.irrelevant) == 9
 
 
-def test_cox_json_roundtrip():
-    text = toric.FTILDE_PRESENTATION.to_json()
-    back = toric.CoxPresentation.from_json(text)
-    assert back.weights == toric.FTILDE_PRESENTATION.weights
-    assert back.irrelevant == toric.FTILDE_PRESENTATION.irrelevant
-
-
 def test_multidegree_of_proper_transform():
     eq = rings.double_blowup_equation(seed=0)
     ring = PolyRing.of(*toric.FTILDE_VARS)
@@ -63,12 +56,14 @@ def test_blowup_transform_monomial_example():
 
 
 def test_ray_equivalence_checker_is_not_vacuous():
-    from isurf.scenarios import _unimodularly_equivalent
+    from isurf.lattice import unimodular_normal_form
 
     before = [(1, 0), (0, 1), (-1, -1)]
-    assert _unimodularly_equivalent(before, [(0, 1), (1, 0), (-1, -1)])
+    assert unimodular_normal_form(before) == \
+        unimodular_normal_form([(0, 1), (1, 0), (-1, -1)])
     # scaling one ray breaks lattice equivalence
-    assert not _unimodularly_equivalent(before, [(2, 0), (0, 1), (-1, -1)])
+    assert unimodular_normal_form(before) != \
+        unimodular_normal_form([(2, 0), (0, 1), (-1, -1)])
 
 
 def test_gale_ray_relations():

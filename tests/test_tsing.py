@@ -8,10 +8,10 @@ from isurf.errors import InvalidInput, TruncationTooShallow
 from isurf.poly import PolyRing
 from isurf.series import TruncatedSeries
 from isurf.tsing import (QuotientGerm, RationalDoublePoint, SmoothPoint,
-                         TChain, TSingularity, Unrecognized, classify_germ,
-                         classification_to_json, codiscrepancy, delta_squared,
-                         hj_expand, hj_value, index_two_chain, ktilde_squared,
-                         plane_quotient, recognize_tchain, tchain_from_singularity)
+                         TSingularity, Unrecognized, classify_germ,
+                         codiscrepancy, delta_squared, hj_expand, hj_value,
+                         index_two_chain, ktilde_squared, plane_quotient,
+                         recognize_tchain)
 
 
 def test_hj_expansion_examples():
@@ -61,7 +61,7 @@ def all_t_types(bound):
 
 def test_recognition_roundtrip_sweep():
     for sing in all_t_types(200):
-        chain = tchain_from_singularity(sing)
+        chain = hj_expand(sing.order, sing.weight)
         back = recognize_tchain(chain)
         assert back == sing, (sing, chain, back)
 
@@ -99,17 +99,17 @@ def test_delta_squared_examples_via_oracle():
 
 def test_codiscrepancy_coefficients_in_open_interval_sweep():
     for sing in all_t_types(200):
-        chain = TChain.from_singularity(sing)
+        chain = hj_expand(sing.order, sing.weight)
         cd = codiscrepancy(chain)
         assert all(0 < c < 1 for c in cd.coefficients)
-        assert delta_squared(cd) == sing.d - chain.length - 1
+        assert delta_squared(cd) == sing.d - len(chain) - 1
 
 
 def test_reversal_gives_conjugate_and_same_square():
     for sing in all_t_types(200):
-        chain = TChain.from_singularity(sing)
-        rev = chain.reversed()
-        kind = recognize_tchain(rev.entries)
+        chain = hj_expand(sing.order, sing.weight)
+        rev = chain[::-1]
+        kind = recognize_tchain(rev)
         assert kind == sing.conjugate()
         assert sing.same_singularity(kind)
         assert delta_squared(codiscrepancy(rev)) == delta_squared(codiscrepancy(chain))
@@ -150,7 +150,7 @@ def test_plane_quotient_cases():
     for d, n, a in [(1, 2, 1), (2, 3, 1), (1, 3, 2), (1, 5, 3), (3, 4, 1), (1, 7, 4)]:
         sing = TSingularity(d, n, a)
         assert plane_quotient(sing.order, 1, sing.weight) == sing
-        assert recognize_tchain(tchain_from_singularity(sing)) == sing
+        assert recognize_tchain(hj_expand(sing.order, sing.weight)) == sing
 
 
 # -- germs -------------------------------------------------------------------
@@ -262,9 +262,3 @@ def test_germ_recovers_disguised_normal_forms():
         got = classify_germ(germ)
         assert isinstance(got, TSingularity), (d, n, a, got)
         assert got.same_singularity(TSingularity(d, n, a)), (d, n, a, got)
-
-
-def test_classification_json():
-    assert classification_to_json(TSingularity(1, 5, 3)) == {"d": 1, "n": 5, "a": 3}
-    assert classification_to_json(RationalDoublePoint(2)) == {"rdp": "A_2"}
-    assert TChain.of([2, 5, 3]).to_json() == "[2, 5, 3]"

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from isurf import wps
+from isurf import toric, wps
 from isurf.tsing import TSingularity
 
 
@@ -72,9 +72,9 @@ def test_s51_point_analysis_cases():
 
 def test_s51_equation_degree():
     eq = wps.s51_equation(3, 2, seed=0)
-    assert eq.weighted_degree(wps.S51_WEIGHTS) == 51
+    assert eq.weighted_degree(toric.WPS_WEIGHTS) == 51
     p50 = wps.generic_p50(0)
-    assert p50.weighted_degree(wps.S51_WEIGHTS) == 50
+    assert p50.weighted_degree(toric.WPS_WEIGHTS) == 50
     # the germ hypotheses: these monomials must be present
     R = wps.S51_RING
     for mono in ({"t1": 11, "s0": 1}, {"ze": 2}, {"e": 1, "t1": 8, "ze": 1},
