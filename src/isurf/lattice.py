@@ -9,7 +9,6 @@ Contejean-Devie completion procedure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
@@ -118,46 +117,22 @@ def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix.of(rows)
 
 
-def _det(mat: list[list[int]]) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    n = len(mat)
-    m = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    assert det.denominator == 1
-    return int(det)
-
-
 def unimodular_normal_form(vectors: Sequence[Sequence[int]]) -> list[Vec]:
     """The vectors after the integral change of coordinates that maps the
     lexicographically first unimodular block among them to the standard basis.
 
     Two configurations differ by one unimodular transform exactly when their
-    normal forms agree.  RankDeficient if no block is unimodular.
+    normal forms agree.  A square block is unimodular exactly when its
+    Hermite normal form is the identity, and then U is its inverse.
+    RankDeficient if no block is unimodular.
     """
     d = len(vectors[0])
+    identity = IntegerMatrix.of([[int(i == j) for j in range(d)] for i in range(d)])
     for subset in combinations(range(len(vectors)), d):
-        block = [[vectors[i][k] for i in subset] for k in range(d)]
-        if abs(_det(block)) == 1:
-            inv = _unimodular_inverse(block)
-            return [tuple(sum(a * x for a, x in zip(row, v)) for row in inv)
-                    for v in vectors]
+        h, u = hermite_normal_form(IntegerMatrix.of([[vectors[i][k] for i in subset]
+                                                     for k in range(d)]))
+        if h == identity:
+            return [u.mul_vec(v) for v in vectors]
     raise RankDeficient("no unimodular block among the vectors")
 
 
@@ -185,25 +160,6 @@ def gale_rays(weights: IntegerMatrix) -> list[Vec]:
         if g not in (0, 1):
             raise InvalidInput(f"ray for column {i} is not primitive: {ray}")
     return rays
-
-
-def _unimodular_inverse(block: list[list[int]]) -> list[list[int]]:
-    """Inverse of a matrix with determinant +-1, over the integers."""
-    n = len(block)
-    aug = [[Fraction(block[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for k in range(n):
-        pivot = next(i for i in range(k, n) if aug[i][k] != 0)
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        inv = 1 / aug[k][k]
-        aug[k] = [x * inv for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    assert all(x.denominator == 1 for row in out for x in row)
-    return [[int(x) for x in row] for row in out]
 
 
 @dataclass(frozen=True)
@@ -296,7 +252,11 @@ def extreme_rays(cone: LatticeCone) -> list[Vec]:
     return sorted(found)
 
 
-def hilbert_basis(cone: LatticeCone, max_nodes: int = 50_000_000) -> list[Vec]:
+# nodes the Hilbert-basis box enumeration may visit before it gives up
+MAX_BOX_NODES = 50_000_000
+
+
+def hilbert_basis(cone: LatticeCone) -> list[Vec]:
     """Minimal generating set of the monoid cone ∩ Z^n, sorted canonically.
 
     Every minimal generator lies in the fundamental box spanned by the
@@ -318,7 +278,7 @@ def hilbert_basis(cone: LatticeCone, max_nodes: int = 50_000_000) -> list[Vec]:
         pos = sum(max(r[j], 0) for r in rays)
         lo.append(0 if j in cone.nonneg else neg)
         hi.append(pos)
-    candidates = _enumerate_box(cone, lo, hi, max_nodes)
+    candidates = _enumerate_box(cone, lo, hi)
     candidates.discard(tuple([0] * n))
 
     def decomposable(v: Vec) -> bool:
@@ -334,7 +294,7 @@ def hilbert_basis(cone: LatticeCone, max_nodes: int = 50_000_000) -> list[Vec]:
     return sorted(minimal, key=lambda v: (sum(v), v))
 
 
-def _enumerate_box(cone: LatticeCone, lo: list[int], hi: list[int], max_nodes: int) -> set[Vec]:
+def _enumerate_box(cone: LatticeCone, lo: list[int], hi: list[int]) -> set[Vec]:
     """All cone points within the coordinate box, by DFS with interval pruning."""
     eqs = [row for row in cone.equations.rows if any(row)]
     n = cone.rank
@@ -352,7 +312,7 @@ def _enumerate_box(cone: LatticeCone, lo: list[int], hi: list[int], max_nodes: i
     while stack:
         j, prefix, partial = stack.pop()
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > MAX_BOX_NODES:
             raise InvalidInput("hilbert basis box enumeration exceeded the node cap")
         if j == n:
             if all(p == 0 for p in partial):

@@ -5,6 +5,11 @@ listed in ``PolyRing.invertible`` may carry negative exponents; this is how
 rational-function coefficients in distinguished parameters are represented
 (every denominator that occurs is a monomial in those parameters).
 
+Products, powers and substitutions run through one kernel that never forms
+a term of weighted degree >= order (Brent & Kung, J. ACM 25, 1978).  Series
+pass their weights; exact operations pass no weights (every degree is 0) and
+order 1, so nothing drops.
+
 The canonical text form uses graded-lex term order (descending), "p/q"
 coefficients, explicit "^" powers and "*" products, and is what
 ``PolyRing.parse`` accepts back.
@@ -15,7 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import add, itemgetter, mul
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidInput, NotDivisible, ParseError, UndeclaredIdentifier
 
@@ -120,9 +126,9 @@ class ExactPolynomial:
                     raise ValueError(f"negative exponent on non-invertible variable {name}")
 
     @classmethod
-    def _closed(cls, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]) -> "ExactPolynomial":
+    def unchecked(cls, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]) -> "ExactPolynomial":
         """Result of an operation closed on valid terms (sums, products,
-        derivatives): its exponents need no check."""
+        derivatives, truncations): its exponents need no check."""
         p = object.__new__(cls)
         p.ring = ring
         p.terms = terms
@@ -178,12 +184,12 @@ class ExactPolynomial:
                 terms[exps] = s
             else:
                 terms.pop(exps, None)
-        return ExactPolynomial._closed(self.ring, terms)
+        return ExactPolynomial.unchecked(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial._closed(self.ring, {e: -c for e, c in self.terms.items()})
+        return ExactPolynomial.unchecked(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "ExactPolynomial":
         return self + (-self._coerce(other))
@@ -192,49 +198,23 @@ class ExactPolynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "ExactPolynomial":
-        if not isinstance(other, ExactPolynomial):
-            c = _coeff(other)
-            if c == 0:
-                return self.ring.zero()
-            return ExactPolynomial._closed(self.ring, {e: k * c for e, k in self.terms.items()})
-        if other.ring != self.ring:
-            raise ValueError("ring mismatch")
-        a, b = self.terms, other.terms
+        a, b = self.terms, self._coerce(other).terms
         if len(a) > len(b):
             a, b = b, a
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = terms.get(key, Fraction(0)) + ca * cb
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        return ExactPolynomial._closed(self.ring, terms)
+        return ExactPolynomial.unchecked(self.ring, product_terms(a, graded_terms(b, ()), (), 1))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ExactPolynomial":
-        """Binary powering that stops squaring at the top bit of n (Knuth,
-        TAOCP vol. 2, 4.6.3): n.bit_length() - 1 squarings and one product
-        per further set bit, so ``p ** 1`` is ``p`` itself."""
+        """Halving power (``power_terms``); ``p ** 1`` is ``p`` itself."""
         if n < 0:
             return self.monomial_inverse() ** (-n)
         if n == 0:
             return self.ring.one()
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        result = base
-        n >>= 1
-        while n:
-            base = base * base
-            if n & 1:
-                result = result * base
-            n >>= 1
-        return result
+        if n == 1:
+            return self
+        power = power_terms(graded_terms(self.terms, ()), n, (), 1, {})
+        return ExactPolynomial.unchecked(self.ring, {e: c for _, e, c in power})
 
     def monomial_inverse(self) -> "ExactPolynomial":
         """Inverse of a single-term polynomial (invertible variables only)."""
@@ -272,7 +252,7 @@ class ExactPolynomial:
                 terms[key] = s
             else:
                 terms.pop(key, None)
-        return ExactPolynomial._closed(self.ring, terms)
+        return ExactPolynomial.unchecked(self.ring, terms)
 
     def exact_divide(self, g: "ExactPolynomial") -> "ExactPolynomial":
         """Exact quotient q with q*g == self; raises NotDivisible otherwise.
@@ -323,46 +303,20 @@ class ExactPolynomial:
         themselves.  Negative exponents require the image to be a monomial.
         """
         target = ring if ring is not None else self.ring
-        images: dict[int, ExactPolynomial] = {}
 
         def image(i: int) -> ExactPolynomial:
-            if i not in images:
-                name = self.ring.variables[i]
-                if name in assignment:
-                    img = assignment[name]
-                    if not isinstance(img, ExactPolynomial):
-                        img = target.constant(img)
-                    elif img.ring != target:
-                        raise ValueError(f"image of {name} lies in the wrong ring")
-                    images[i] = img
-                else:
-                    images[i] = target.var(name)  # raises if missing from target
-            return images[i]
+            name = self.ring.variables[i]
+            if name not in assignment:
+                return target.var(name)  # raises if missing from target
+            img = assignment[name]
+            if not isinstance(img, ExactPolynomial):
+                return target.constant(img)
+            if img.ring != target:
+                raise ValueError(f"image of {name} lies in the wrong ring")
+            return img
 
-        result: dict[tuple[int, ...], Fraction] = {}
-        power_cache: dict[tuple[int, int], ExactPolynomial] = {}
-
-        def power(i: int, e: int) -> ExactPolynomial:
-            key = (i, e)
-            if key not in power_cache:
-                if e >= 0:
-                    power_cache[key] = image(i) ** e
-                else:
-                    power_cache[key] = image(i).monomial_inverse() ** (-e)
-            return power_cache[key]
-
-        for exps, c in self.terms.items():
-            term = target.constant(c)
-            for i, e in enumerate(exps):
-                if e != 0:
-                    term = term * power(i, e)
-            for key, k in term.terms.items():
-                s = result.get(key, 0) + k
-                if s:
-                    result[key] = s
-                else:
-                    del result[key]
-        return ExactPolynomial._closed(target, result)
+        terms = substitute_terms(self.terms, image, target.nvars, (), 1)
+        return ExactPolynomial.unchecked(target, terms)
 
     def evaluate(self, assignment: Mapping[str, Coeff]) -> Fraction:
         total = Fraction(0)
@@ -440,6 +394,82 @@ class ExactPolynomial:
 
     def __repr__(self) -> str:
         return f"<poly {self}>"
+
+
+# -- kernel: products, powers and substitutions below a weighted order ------
+
+
+def graded_terms(terms: Mapping[tuple[int, ...], Coeff], w: Sequence[int]) -> list:
+    """The terms as (weighted degree, exponents, coefficient), by ascending degree."""
+    return sorted(((sum(map(mul, w, e)), e, c) for e, c in terms.items()), key=itemgetter(0))
+
+
+def product_terms(a: Mapping[tuple[int, ...], Coeff], b: list, w: Sequence[int],
+                  order: int, out: dict | None = None) -> dict:
+    """Add the terms of a*b below the order into ``out``.  ``b`` comes from
+    graded_terms, so the inner loop stops at the first pair reaching the order."""
+    out = {} if out is None else out
+    get = out.get
+    for ea, ca in a.items():
+        room = order - sum(map(mul, w, ea))
+        for db, eb, cb in b:
+            if db >= room:
+                break
+            key = tuple(map(add, ea, eb))
+            s = get(key, 0) + ca * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def power_terms(base: list, n: int, w: Sequence[int], order: int, powers: dict) -> list:
+    """Graded terms of base**n below the order, n >= 1, by halving:
+    n.bit_length() - 1 squarings and one product by ``base`` per further set
+    bit.  ``powers`` keeps every power of this base met on the way, so one
+    base raised to several exponents shares its halvings."""
+    if n == 1:
+        return base
+    if n not in powers:
+        half = power_terms(base, n // 2, w, order, powers)
+        p = product_terms({e: c for _, e, c in half}, half, w, order)
+        if n & 1:
+            p = product_terms(p, base, w, order)
+        powers[n] = graded_terms(p, w)
+    return powers[n]
+
+
+def substitute_terms(terms: Mapping[tuple[int, ...], Coeff],
+                     image: Callable[[int], ExactPolynomial], nvars: int,
+                     w: Sequence[int], order: int) -> dict:
+    """The terms of the sum of c * prod image(i)**e_i below the order, added
+    into one dict; the images have ``nvars`` variables.  A negative exponent
+    raises the monomial inverse of the image.  A factor with a term of
+    negative weighted degree raises InvalidInput, since it would bring terms
+    dropped at the order back below it."""
+    bases: dict[tuple[int, bool], tuple[list, dict]] = {}
+
+    def power(i: int, e: int) -> list:
+        key = (i, e < 0)
+        if key not in bases:
+            img = image(i).monomial_inverse() if e < 0 else image(i)
+            base = graded_terms(img.terms, w)
+            if base and base[0][0] < 0:
+                raise InvalidInput(f"substituted factor {img} has negative weighted degree")
+            bases[key] = base, {}
+        base, powers = bases[key]
+        return power_terms(base, abs(e), w, order, powers)
+
+    zero = (0,) * nvars
+    result: dict[tuple[int, ...], Coeff] = {}
+    for exps, c in terms.items():
+        factors = [power(i, e) for i, e in enumerate(exps) if e]
+        term = {zero: c}
+        for factor in factors[:-1]:
+            term = product_terms(term, factor, w, order)
+        product_terms(term, factors[-1] if factors else [(0, zero, 1)], w, order, result)
+    return result
 
 
 class _Parser:

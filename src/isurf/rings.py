@@ -206,29 +206,21 @@ def factor_over_generators(vec: Sequence[int], table: GeneratorTable | None = No
     return go(tuple(vec), 0)
 
 
-def derive_relation(surface_eq: ExactPolynomial, excess: Mapping[str, int] | ExactPolynomial,
-                    table: GeneratorTable | None = None) -> ExactPolynomial:
-    """Multiply the surface equation by an excess monomial and rewrite every
-    term as a product of ring generators.
+def derive_relation(surface_eq: ExactPolynomial, excess: Mapping[str, int],
+                    table: GeneratorTable) -> ExactPolynomial:
+    """Multiply the surface equation by the excess monomial (variable ->
+    power) and rewrite every term as a product of ring generators.
 
     Terms divisible by the lead generator (the one matching excess times the
     ze^2 term) are bundled through it, reproducing the convention that most
     terms are wrapped into the general degree-10 element.
     """
-    table = table or expected_generator_table()
     ring = surface_eq.ring
-    if isinstance(excess, ExactPolynomial):
-        if len(excess.terms) != 1:
-            raise InvalidInput("excess must be a monomial")
-        (excess_vec_full, coeff), = excess.terms.items()
-        if coeff != 1:
-            raise InvalidInput("excess must be monic")
-    else:
-        excess_vec_full = ring.exponents(excess)
-    product = surface_eq * ExactPolynomial(ring, {excess_vec_full: Fraction(1)})
+    excess_vec = ring.exponents(excess)
+    product = surface_eq * ring.monomial(excess)
     core_idx = [ring.index(v) for v in AMBIENT_VARS]
     param_idx = [i for i in range(ring.nvars) if i not in core_idx]
-    lead = _detect_lead(surface_eq, excess_vec_full, table, ring)
+    lead = _detect_lead(surface_eq, excess_vec, table, ring)
     out_ring = generator_ring(*(ring.variables[i] for i in param_idx), with_p=False)
     out = out_ring.zero()
     lead_vec = table.vector(lead) if lead else None

@@ -2,55 +2,30 @@
 
 A ``TruncatedSeries`` is a polynomial modulo the terms of weighted degree >=
 order (weight 1 if unlisted).  Degrees must be non-negative (InvalidInput), so
-a dropped term never comes back below the order and every product goes through
-one kernel, ``_product``, that never forms a dropped term pair (Brent & Kung,
-J. ACM 25, 1978).  ``solve_system`` runs Newton sweeps for a diagonal-unit
-Jacobian.
+a dropped term never comes back below the order.  Products and substitutions
+are the ``poly`` kernel (``product_terms``, ``substitute_terms``) called with
+the series' weights and order, so a dropped term pair is never formed.
+``solve_system`` runs Newton sweeps for a diagonal-unit Jacobian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import InvalidInput, NotSolvable, TruncationTooShallow
-from .poly import ExactPolynomial, PolyRing
+from .poly import ExactPolynomial, PolyRing, graded_terms, product_terms, substitute_terms
 
 DEFAULT_ORDER = 10
 
 
-def _by_degree(terms: Mapping[tuple[int, ...], Fraction], w: Sequence[int]) -> list:
-    """The terms as (weighted degree, exponents, coefficient), by ascending degree."""
-    return sorted(((sum(map(mul, w, e)), e, c) for e, c in terms.items()), key=itemgetter(0))
-
-
 def _truncate_poly(p: ExactPolynomial, order: int, weights: Mapping[str, int]) -> ExactPolynomial:
-    terms = _by_degree(p.terms, [weights.get(name, 1) for name in p.ring.variables])
+    terms = graded_terms(p.terms, [weights.get(name, 1) for name in p.ring.variables])
     if terms and terms[0][0] < 0:
         raise InvalidInput(f"term of negative weighted degree {terms[0][0]} in a truncated series")
-    return ExactPolynomial._closed(p.ring, {e: c for d, e, c in terms if d < order})
-
-
-def _product(a: Mapping[tuple[int, ...], Fraction], b: list, w: Sequence[int],
-             order: int, out: dict | None = None) -> dict:
-    """Add the terms of a*b below the order into ``out``.  ``b`` comes from
-    _by_degree, so the inner loop stops at the first pair reaching the order."""
-    out = {} if out is None else out
-    get = out.get
-    for ea, ca in a.items():
-        room = order - sum(map(mul, w, ea))
-        for db, eb, cb in b:
-            if db >= room:
-                break
-            key = tuple(map(add, ea, eb))
-            s = get(key, 0) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
+    return ExactPolynomial.unchecked(p.ring, {e: c for d, e, c in terms if d < order})
 
 
 @dataclass(frozen=True)
@@ -80,30 +55,29 @@ class TruncatedSeries:
     def _wrap(self, poly: ExactPolynomial) -> "TruncatedSeries":
         return TruncatedSeries(poly, self.order, self.weights)
 
-    def _coerce(self, other) -> dict:
-        """Terms of ``other`` (series, polynomial or number) truncated like this series."""
+    def _coerce(self, other) -> ExactPolynomial:
+        """``other`` (series, polynomial or number) truncated like this series."""
         other = other.poly if isinstance(other, TruncatedSeries) else other
         if not isinstance(other, ExactPolynomial):
             other = self.ring.constant(other)
         elif other.ring != self.ring:
             raise ValueError("ring mismatch")
-        return self._wrap(other).poly.terms
+        return self._wrap(other).poly
 
     def __add__(self, other):
         other_poly = other.poly if isinstance(other, TruncatedSeries) else other
         return self._wrap(self.poly + other_poly)
 
     def __sub__(self, other):
-        other_poly = other.poly if isinstance(other, TruncatedSeries) else other
-        return self._wrap(self.poly - other_poly)
+        return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.poly.terms, self._coerce(other)
+        a, b = self.poly.terms, self._coerce(other).terms
         if len(a) > len(b):
             a, b = b, a
         w = self.weight_vector()
-        product = _product(a, _by_degree(b, w), w, self.order)
-        return self._wrap(ExactPolynomial._closed(self.ring, product))
+        product = product_terms(a, graded_terms(b, w), w, self.order)
+        return self._wrap(ExactPolynomial.unchecked(self.ring, product))
 
     def __neg__(self):
         return self._wrap(-self.poly)
@@ -120,35 +94,17 @@ class TruncatedSeries:
     def substitute(self, assignment: Mapping[str, ExactPolynomial]) -> "TruncatedSeries":
         """Replace variables by polynomials of this ring, modulo the order.  An
         image with a term below the weight of its variable raises InvalidInput."""
-        ring, order = self.ring, self.order
-        w = self.weight_vector()
-        cache: dict[tuple[int, int], list] = {}
+        ring, w = self.ring, self.weight_vector()
 
-        def power(i: int, e: int) -> list:
-            key = (i, e)
-            if key not in cache:
-                if e == 1:
-                    name = ring.variables[i]
-                    p = self._coerce(assignment[name] if name in assignment else ring.var(name))
-                else:
-                    half = power(i, e // 2)
-                    p = _product({x: c for _, x, c in half}, half, w, order)
-                    if e % 2:
-                        p = _product(p, power(i, 1), w, order)
-                cache[key] = _by_degree(p, w)
-                if e == 1 and cache[key] and cache[key][0][0] < w[i]:
-                    raise InvalidInput(f"image of {ring.variables[i]} has a term below its weight")
-            return cache[key]
+        def image(i: int) -> ExactPolynomial:
+            name = ring.variables[i]
+            img = self._coerce(assignment[name] if name in assignment else ring.var(name))
+            if any(sum(map(mul, w, e)) < w[i] for e in img.terms):
+                raise InvalidInput(f"image of {name} has a term below its weight")
+            return img
 
-        zero = (0,) * ring.nvars
-        result: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.poly.terms.items():
-            factors = [power(i, e) for i, e in enumerate(exps) if e]
-            term = {zero: c}
-            for factor in factors[:-1]:
-                term = _product(term, factor, w, order)
-            _product(term, factors[-1] if factors else [(0, zero, 1)], w, order, result)
-        return self._wrap(ExactPolynomial._closed(ring, result))
+        result = substitute_terms(self.poly.terms, image, ring.nvars, w, self.order)
+        return self._wrap(ExactPolynomial.unchecked(ring, result))
 
     def inverse(self) -> "TruncatedSeries":
         """Inverse of a unit series (nonzero constant term)."""

@@ -321,9 +321,9 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
 
 
 def _coefficient_of(eq: ExactPolynomial, fiber_powers: Mapping[str, int],
-                    t_ring: PolyRing | None) -> ExactPolynomial:
+                    t_ring: PolyRing) -> ExactPolynomial:
     """Coefficient of the exact (s0, s1, ze)-monomial given by fiber_powers,
-    cast into ``t_ring`` when provided."""
+    cast into ``t_ring``."""
     ring = eq.ring
     fiber = {"s0": 0, "s1": 0, "ze": 0}
     fiber.update(fiber_powers)
@@ -336,8 +336,6 @@ def _coefficient_of(eq: ExactPolynomial, fiber_powers: Mapping[str, int],
                 rest[i] = 0
             collected[tuple(rest)] = c
     partial = ExactPolynomial(ring, collected)
-    if t_ring is None:
-        return partial
     for name in ring.variables:
         if name not in t_ring.variables and partial.degree_in(name) != 0:
             raise InvalidInput(f"coefficient unexpectedly involves {name}")

@@ -5,17 +5,21 @@ even on success).  Criteria assert exact values; the stated time budgets are
 enforced with monotonic clocks.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from isurf import curves as cv
 from isurf import rings, toric, tsing, wps
 from isurf.poly import PolyRing
 from isurf.tsing import TSingularity
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def report(number: int, label: str, ok: bool):
@@ -239,7 +243,7 @@ def test_criterion_11_determinism_and_runtime():
            "--format", "json"]
     # two string-hash seeds, so no output depends on set or dict hash order
     first, second = (
-        subprocess.run(cmd, capture_output=True, text=True,
+        subprocess.run(cmd, capture_output=True,
                        env={**os.environ, "PYTHONHASHSEED": hash_seed})
         for hash_seed in ("0", "1"))
     elapsed = time.monotonic() - start
@@ -248,5 +252,8 @@ def test_criterion_11_determinism_and_runtime():
     data = json.loads(first.stdout)
     ok = ok and all(r["status"] == "pass" for r in data["scenarios"])
     ok = ok and elapsed < 300.0
+    # the same bytes as the report digest the benchmark stores for seed 0
+    stored = json.loads((ROOT / "perfbench" / "expected_reports.json").read_text())["0"]
+    ok = ok and hashlib.sha256(first.stdout).hexdigest() == stored
     report(11, "byte-identical JSON for two seeded full runs, both passing, "
-               "within the five-minute budget", ok)
+               "matching the stored digest, within the five-minute budget", ok)

@@ -16,7 +16,8 @@ def _is_private(name: str) -> bool:
 
 def private_uses(source: str) -> list[str]:
     """``line: module.name`` for each private name of an isurf module that the
-    source imports, or reads as an attribute of an isurf module it imported."""
+    source imports, or reads as an attribute of an isurf module it imported or
+    of a name it imported from one (such as a class)."""
     tree = ast.parse(source)
     modules: set[str] = set()
     found = []
@@ -32,6 +33,9 @@ def private_uses(source: str) -> list[str]:
                     modules.add(alias.asname or alias.name)
                 elif _is_private(alias.name):
                     found.append(f"{node.lineno}: {target}.{alias.name}")
+                else:
+                    # ``from .poly import ExactPolynomial``
+                    modules.add(alias.asname or alias.name)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "isurf":
@@ -52,5 +56,7 @@ def test_checker_sees_both_kinds_of_use():
     source = ("from . import rings as r\n"
               "from .lattice import _det, gale_rays\n"
               "x = r._binary_form_at\n"
-              "y = r.relative_sextic\n")
-    assert private_uses(source) == ["2: lattice._det", "3: r._binary_form_at"]
+              "y = r.relative_sextic\n"
+              "from .poly import ExactPolynomial as P\n"
+              "z = P._closed(ring, {}) + P.unchecked(ring, {})\n")
+    assert private_uses(source) == ["2: lattice._det", "3: r._binary_form_at", "6: P._closed"]

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isurf.errors import InvalidInput, NotSolvable, TruncationTooShallow
-from isurf.poly import ExactPolynomial, PolyRing
-from isurf.series import (TruncatedSeries, _by_degree, _product, _truncate_poly,
-                          solve_system)
+from isurf.poly import ExactPolynomial, PolyRing, graded_terms, product_terms
+from isurf.series import TruncatedSeries, _truncate_poly, solve_system
 
 S = PolyRing.of("x", "y")
 
@@ -77,9 +76,40 @@ def test_solve_system_two_variables():
         assert value.degree_in("a") == 0 and value.degree_in("b") == 0
 
 
-# -- the truncation-aware product against the schoolbook oracle ---------------
+# -- the truncation-aware kernel against schoolbook oracles --------------------
+#
+# ``a * b`` and ``poly.substitute`` run the same kernel as the series, so the
+# oracles are written out here: every pair of terms, and every term of the
+# substituted polynomial raised factor by factor.
 
 R3 = PolyRing.of("x", "y", "z")
+
+
+def _schoolbook(a, b):
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            terms[key] = terms.get(key, 0) + ca * cb
+    return a.ring.from_terms(terms)
+
+
+def _termwise_substitute(f, images):
+    total = f.ring.zero()
+    for exps, c in f.terms.items():
+        term = f.ring.constant(c)
+        for name, e in zip(f.ring.variables, exps):
+            image = images.get(name, f.ring.var(name))
+            for _ in range(abs(e)):
+                term = _schoolbook(term, image if e > 0 else image.monomial_inverse())
+        total = total + term
+    return total
+
+
+def test_oracles_are_not_vacuous():
+    assert _schoolbook(S.parse("x + y"), S.parse("x - y")) == S.parse("x^2 - y^2")
+    assert _termwise_substitute(S.parse("x^2*y + 3"), {"x": S.parse("1 + y")}) \
+        == S.parse("y^3 + 2*y^2 + y + 3")
 
 
 def _polys(max_terms=6, max_exp=4):
@@ -96,11 +126,12 @@ _WEIGHTS = st.one_of(st.just({}), st.fixed_dictionaries(
 @given(_polys(), _polys(), st.integers(1, 9), _WEIGHTS)
 def test_product_equals_truncated_schoolbook(a, b, order, weights):
     sa, sb = TruncatedSeries.of(a, order, weights), TruncatedSeries.of(b, order, weights)
-    expected = _truncate_poly(a * b, order, weights)
+    expected = _truncate_poly(_schoolbook(a, b), order, weights)
     assert (sa * sb).poly == expected and (sa * b).poly == expected
+    assert a * b == _schoolbook(a, b)
     # the kernel alone, without the truncation every new series applies
     w = sa.weight_vector()
-    kernel = _product(sa.poly.terms, _by_degree(sb.poly.terms, w), w, order)
+    kernel = product_terms(sa.poly.terms, graded_terms(sb.poly.terms, w), w, order)
     assert ExactPolynomial(R3, kernel) == expected
 
 
@@ -121,7 +152,9 @@ def test_substitute_equals_truncated_schoolbook(f, gx, gy, order, weights):
             series.substitute({"x": gx, "y": gy})
         return
     got = series.substitute({"x": gx, "y": gy})
-    assert got.poly == _truncate_poly(series.poly.substitute({"x": gx, "y": gy}), order, weights)
+    expected = _termwise_substitute(series.poly, {"x": gx, "y": gy})
+    assert got.poly == _truncate_poly(expected, order, weights)
+    assert f.substitute({"x": gx, "y": gy}) == _termwise_substitute(f, {"x": gx, "y": gy})
 
 
 @settings(max_examples=60, deadline=None)
@@ -191,3 +224,26 @@ def test_image_below_its_weight_is_rejected():
         solve_system([TruncatedSeries.of(S.parse("x - 1 - y"), 3)], ["x"])
     with pytest.raises(InvalidInput):
         TruncatedSeries.of(S.parse("x^2 + y"), 3).substitute({"x": S.parse("1 + y")})
+
+
+def test_negative_exponent_of_a_weight_zero_unit():
+    # the power takes the monomial inverse (it used to recurse without end)
+    ring = PolyRing.of("x", "t", invertible=["t"])
+    f, image = ring.parse("t^-1*x + x^2"), {"x": ring.parse("x + x^2")}
+    got = TruncatedSeries.of(f, 4, {"t": 0}).substitute(image)
+    assert str(got) == "2*x^3 + x^2 + x^2*t^-1 + x*t^-1 + O(4)"
+    assert got.poly == _truncate_poly(f.substitute(image), 4, {"t": 0})
+    assert got.poly == _truncate_poly(_termwise_substitute(f, image), 4, {"t": 0})
+    g = ring.parse("x^2*t^-3 + x*t^2")
+    image = {"x": ring.parse("x + x*t^-1"), "t": ring.parse("2*t")}
+    got = TruncatedSeries.of(g, 3, {"t": 0}).substitute(image)
+    assert got.poly == _truncate_poly(_termwise_substitute(g, image), 3, {"t": 0})
+
+
+def test_inverse_of_positive_degree_is_rejected():
+    # t^-1 has degree -1: times the x^4 that the image drops at order 4 it
+    # would give x^4*t^-1, of degree 3, which a truncated result would miss
+    ring = PolyRing.of("x", "t", invertible=["t"])
+    series = TruncatedSeries.of(ring.parse("x*t^-1"), 4)
+    with pytest.raises(InvalidInput):
+        series.substitute({"x": ring.parse("x + x^4")})
