@@ -400,7 +400,10 @@ class ExactPolynomial:
 
 
 def graded_terms(terms: Mapping[tuple[int, ...], Coeff], w: Sequence[int]) -> list:
-    """The terms as (weighted degree, exponents, coefficient), by ascending degree."""
+    """The terms as (weighted degree, exponents, coefficient), by ascending
+    degree; with no weights every degree is 0 and nothing needs sorting."""
+    if not w:
+        return [(0, e, c) for e, c in terms.items()]
     return sorted(((sum(map(mul, w, e)), e, c) for e, c in terms.items()), key=itemgetter(0))
 
 
@@ -416,7 +419,8 @@ def product_terms(a: Mapping[tuple[int, ...], Coeff], b: list, w: Sequence[int],
             if db >= room:
                 break
             key = tuple(map(add, ea, eb))
-            s = get(key, 0) + ca * cb
+            s = get(key)
+            s = ca * cb if s is None else s + ca * cb
             if s:
                 out[key] = s
             else:

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from isurf import rings
+from isurf import poly, rings
 from isurf.errors import (CertificateFailed, NotFactorable, NotInvertible,
                           NotLinear)
-from isurf.poly import ExactPolynomial
 from isurf.tsing import TSingularity
 
 
@@ -22,18 +21,24 @@ def test_canonical_generators_is_computed_once():
 
 
 def test_specialize_standard_never_multiplies_p_by_itself(monkeypatch):
-    p = rings.generic_degree_10(0).cast(rings.generator_ring(with_p=False))
+    plain = rings.generator_ring(with_p=False)
+    p = rings.generic_degree_10(0).cast(plain)
     assert len(p) == 153
     squares = []
-    schoolbook = ExactPolynomial.__mul__
+    kernel = poly.product_terms
 
-    def counted(self, other):
-        if self == p and other == p:
+    def counted(a, b, *rest):
+        # every product, ** and substitution runs through this kernel; b is graded
+        if a == p.terms and {e for _, e, _ in b} == p.terms.keys():
             squares.append(1)
-        return schoolbook(self, other)
+        return kernel(a, b, *rest)
 
-    monkeypatch.setattr(ExactPolynomial, "__mul__", counted)
-    monkeypatch.setattr(ExactPolynomial, "__rmul__", counted)
+    monkeypatch.setattr(poly, "product_terms", counted)
+    p_squared = rings.standard_relations().ring.parse("P^2")
+    assert p ** 2 == p * p and len(squares) == 2
+    assert p_squared.substitute({"P": p}, plain) == p * p
+    assert len(squares) == 4
+    squares.clear()
     rings.specialize_standard(3, 2, 0)
     assert squares == []
 
