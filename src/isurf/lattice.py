@@ -2,8 +2,8 @@
 
 Hermite normal form with transformation, saturated kernel bases with a
 deterministic sign convention, Gale-dual ray generators for grading
-matrices, and Hilbert bases of pointed rational cones via the
-Contejean-Devie completion procedure.
+matrices, and Hilbert bases of pointed rational cones: the lattice points of
+the box spanned by the extreme rays, less the decomposable ones.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials over Q, exact throughout.
 
-Coefficients are `fractions.Fraction`, terms are exponent tuples.  Variables
-listed in ``PolyRing.invertible`` may carry negative exponents; this is how
-rational-function coefficients in distinguished parameters are represented
-(every denominator that occurs is a monomial in those parameters).
+Coefficients are `int` until a division makes a proper fraction, then
+`fractions.Fraction`.  Every coefficient division is ``exact_quotient``, since
+``int / int`` is a float; it and the constructors store integral values as
+`int`.  Terms are exponent tuples.  Variables listed in ``PolyRing.invertible``
+may carry negative exponents; this is how rational-function coefficients in
+distinguished parameters are represented (every denominator that occurs is a
+monomial in those parameters).
 
 Products, powers and substitutions run through one kernel that never forms
 a term of weighted degree >= order (Brent & Kung, J. ACM 25, 1978).  Series
@@ -28,11 +31,19 @@ from .errors import InvalidInput, NotDivisible, ParseError, UndeclaredIdentifier
 Coeff = Union[Fraction, int]
 
 
-def _coeff(c) -> Fraction:
-    """A coefficient as a Fraction; only int and Fraction are exact inputs."""
-    if not isinstance(c, (int, Fraction)):
+def _coeff(c) -> Coeff:
+    """A coefficient as an int when integral (a bool too), else the Fraction;
+    only int and Fraction are exact inputs."""
+    if isinstance(c, int):
+        return int(c)
+    if not isinstance(c, Fraction):
         raise InvalidInput(f"coefficient {c!r} is not an int or a Fraction")
-    return Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def exact_quotient(a: Coeff, b: Coeff) -> Coeff:
+    """a / b exactly: an int when integral, else a Fraction."""
+    return _coeff(Fraction(a, b))
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -116,7 +127,7 @@ class ExactPolynomial:
 
     __slots__ = ("ring", "terms", "_hash")
 
-    def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Coeff]):
         self.ring = ring
         self.terms = terms
         self._hash = None
@@ -126,7 +137,7 @@ class ExactPolynomial:
                     raise ValueError(f"negative exponent on non-invertible variable {name}")
 
     @classmethod
-    def unchecked(cls, ring: PolyRing, terms: dict[tuple[int, ...], Fraction]) -> "ExactPolynomial":
+    def unchecked(cls, ring: PolyRing, terms: dict[tuple[int, ...], Coeff]) -> "ExactPolynomial":
         """Result of an operation closed on valid terms (sums, products,
         derivatives, truncations): its exponents need no check."""
         p = object.__new__(cls)
@@ -152,18 +163,18 @@ class ExactPolynomial:
             return 0
         return max(e[i] for e in self.terms)
 
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: tuple[int, ...]) -> Coeff:
+        return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
+    def constant_term(self) -> Coeff:
+        return self.terms.get((0,) * self.ring.nvars, 0)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], Coeff]:
         """Leading (exponent, coefficient) in descending graded-lex order."""
         exps = max(self.terms, key=_grlex_key)
         return exps, self.terms[exps]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     # -- arithmetic ------------------------------------------------------
@@ -179,7 +190,7 @@ class ExactPolynomial:
         other = self._coerce(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
+            s = terms.get(exps, 0) + c
             if s:
                 terms[exps] = s
             else:
@@ -221,7 +232,7 @@ class ExactPolynomial:
         if len(self.terms) != 1:
             raise NotDivisible(f"not a monomial: {self}")
         (exps, c), = self.terms.items()
-        return ExactPolynomial(self.ring, {tuple(-e for e in exps): 1 / c})
+        return ExactPolynomial(self.ring, {tuple(-e for e in exps): exact_quotient(1, c)})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExactPolynomial):
@@ -247,7 +258,7 @@ class ExactPolynomial:
             new = list(exps)
             new[i] = e - 1
             key = tuple(new)
-            s = terms.get(key, Fraction(0)) + c * e
+            s = terms.get(key, 0) + c * e
             if s:
                 terms[key] = s
             else:
@@ -276,7 +287,7 @@ class ExactPolynomial:
                 for i, e in enumerate(new):
                     if e < 0 and i not in invertible_idx:
                         raise NotDivisible(f"{self} is not divisible by {g}")
-                terms[new] = c / gc
+                terms[new] = exact_quotient(c, gc)
             return ExactPolynomial(self.ring, terms)
         # long division by leading terms; exactness required at every step
         quotient = self.ring.zero()
@@ -287,7 +298,7 @@ class ExactPolynomial:
             qe = tuple(a - b for a, b in zip(re_, glead_e))
             if any(e < 0 for e in qe):
                 raise NotDivisible(f"{self} is not divisible by {g}")
-            qt = ExactPolynomial(self.ring, {qe: rc / glead_c})
+            qt = ExactPolynomial(self.ring, {qe: exact_quotient(rc, glead_c)})
             quotient = quotient + qt
             rem = rem - qt * g
             if not rem.is_zero() and _grlex_key(rem.leading()[0]) >= _grlex_key(re_):
@@ -319,8 +330,8 @@ class ExactPolynomial:
         return ExactPolynomial.unchecked(target, terms)
 
     def evaluate(self, assignment: Mapping[str, Coeff]) -> Fraction:
-        total = Fraction(0)
-        values = [_coeff(assignment[name]) for name in self.ring.variables]
+        total = Fraction(0)  # Fraction values: an int ** -1 would be a float
+        values = [Fraction(_coeff(assignment[name])) for name in self.ring.variables]
         for exps, c in self.terms.items():
             v = c
             for x, e in zip(values, exps):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import load_fixture
@@ -545,7 +544,7 @@ def _clearing_monomial(p: ExactPolynomial, ring: PolyRing) -> ExactPolynomial:
     for exps in p.terms:
         for i, e in enumerate(exps):
             lows[i] = min(lows[i], e)
-    return ExactPolynomial(ring, {tuple(-x for x in lows): Fraction(1)})
+    return ExactPolynomial(ring, {tuple(-x for x in lows): 1})
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,12 @@ the series' weights and order, so a dropped term pair is never formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import InvalidInput, NotSolvable, TruncationTooShallow
-from .poly import ExactPolynomial, PolyRing, graded_terms, product_terms, substitute_terms
+from .poly import (Coeff, ExactPolynomial, PolyRing, exact_quotient, graded_terms,
+                   product_terms, substitute_terms)
 
 DEFAULT_ORDER = 10
 
@@ -88,7 +88,7 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Coeff:
         return self.poly.constant_term()
 
     def substitute(self, assignment: Mapping[str, ExactPolynomial]) -> "TruncatedSeries":
@@ -112,12 +112,13 @@ class TruncatedSeries:
         if c0 == 0:
             raise NotSolvable("series has no constant term, not a unit")
         # u = c0 (1 + m)  =>  1/u = (1/c0) sum (-m)^k
-        minus_m = -(self * (1 / c0) - 1)
+        inverse_c0 = exact_quotient(1, c0)
+        minus_m = -(self * inverse_c0 - 1)
         acc = powm = self._wrap(self.ring.one())
         for _ in range(self.order):
             powm = powm * minus_m
             if powm.is_zero():
-                return acc * (1 / c0)
+                return acc * inverse_c0
             acc = acc + powm
         raise NotSolvable("geometric series does not terminate: a weight-0 variable in the unit")
 

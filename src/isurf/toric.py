@@ -9,9 +9,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import load_fixture
-from .errors import InconsistentRow, InvalidInput, NotHomogeneous, RankDeficient
+from .errors import (CertificateFailed, InconsistentRow, InvalidInput, NotHomogeneous,
+                     RankDeficient)
 from .lattice import IntegerMatrix, gale_rays as _gale_rays
-from .poly import ExactPolynomial, PolyRing
+from .poly import Coeff, ExactPolynomial, PolyRing, exact_quotient
 
 
 @dataclass(frozen=True)
@@ -207,9 +208,9 @@ class NormalizedModel:
     ring: PolyRing
     k1: ExactPolynomial
     l1: ExactPolynomial
-    eps: Fraction
+    eps: Coeff
     theta: ExactPolynomial
-    tau: Fraction
+    tau: Coeff
     steps: tuple[str, ...]
 
     def equation(self) -> ExactPolynomial:
@@ -244,15 +245,16 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
     eq = model.equation().substitute(shift1)
     k = _coefficient_of(eq, {"s0": 1, "s1": 4}, t_ring)
     l = _coefficient_of(eq, {"s0": 0, "s1": 6}, t_ring)
-    assert _coefficient_of(eq, {"s0": 2, "s1": 2}, t_ring).is_zero()
+    if not _coefficient_of(eq, {"s0": 2, "s1": 2}, t_ring).is_zero():
+        raise CertificateFailed("the s0 shift left an s0^2 s1^2 term")
     steps.append("removed the s0^2 s1^2 term")
     # step 2: centre the singular fiber over t0 = 0
     alpha = k.coefficient(t_ring.exponents({"t1": 12}))
     beta = l.coefficient(t_ring.exponents({"t1": 18}))
     if alpha == 0 and beta == 0:
-        eps = Fraction(0)
+        eps = 0
     elif alpha != 0:
-        eps = -3 * beta / (2 * alpha)
+        eps = exact_quotient(-3 * beta, 2 * alpha)
     else:
         eps = None
     if eps is None or alpha != -3 * eps ** 2 or beta != 2 * eps ** 3:
@@ -291,7 +293,8 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
     check = out.equation()
     if formal:
         check = reduce_square(check, "theta", ext.constant(twelve_eps))
-    assert eq == check, "normalisation did not reach the displayed form"
+    if eq != check:
+        raise CertificateFailed("normalisation did not reach the displayed form", eq - check)
     return out
 
 
@@ -309,7 +312,7 @@ def reduce_square(p: ExactPolynomial, name: str, square_value: ExactPolynomial) 
     return out
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
+def _rational_sqrt(x: Coeff) -> Fraction | None:
     if x < 0:
         return None
     from math import isqrt

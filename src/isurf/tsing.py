@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
-from .errors import InvalidInput, TruncationTooShallow
+from .errors import CertificateFailed, InvalidInput, TruncationTooShallow
 from .poly import ExactPolynomial, PolyRing
 from .series import TruncatedSeries, solve_system
 
@@ -165,32 +165,25 @@ class Codiscrepancy:
 def codiscrepancy(chain: Sequence[int]) -> Codiscrepancy:
     """Coefficients a_i with (K + sum a_i E_i) . E_j = 0 along the chain.
 
-    The linear system b_i a_i - a_{i-1} - a_{i+1} = b_i - 2 is tridiagonal
-    with negative-definite intersection matrix, hence uniquely solvable.
+    They solve b_i a_i - a_{i-1} - a_{i+1} = b_i - 2 (a_0 = a_{r+1} = 0), and
+    a_i = (n - alpha_i - beta_i) / n, where alpha_i and beta_i are the
+    Hirzebruch-Jung numerators of [b_1..b_{i-1}] and [b_{i+1}..b_r] (1 when
+    empty) and n that of the whole chain.  The numerators n a_i are checked
+    against the system in integers.
     """
     b = tuple(chain)
-    if any(x < 2 for x in b):
+    if not b or any(x < 2 for x in b):
         raise InvalidInput("chain entries must be >= 2")
-    r = len(b)
-    # Thomas elimination: diagonal b_i, off-diagonal -1
-    diag = [Fraction(x) for x in b]
-    rhs = [Fraction(x - 2) for x in b]
-    for i in range(1, r):
-        diag[i] -= Fraction(1) / diag[i - 1]
-        rhs[i] += rhs[i - 1] / diag[i - 1]
-    coeffs = [Fraction(0)] * r
-    coeffs[r - 1] = rhs[r - 1] / diag[r - 1]
-    for i in range(r - 2, -1, -1):
-        coeffs[i] = (rhs[i] + coeffs[i + 1]) / diag[i]
-    # exact verification of the defining system
-    for i in range(r):
-        lhs = b[i] * coeffs[i]
-        if i > 0:
-            lhs -= coeffs[i - 1]
-        if i + 1 < r:
-            lhs -= coeffs[i + 1]
-        assert lhs == b[i] - 2, "codiscrepancy system residual must vanish"
-    return Codiscrepancy(b, tuple(coeffs))
+    alpha, beta = [0, 1], [0, 1]  # numerator recurrences from each end
+    for x, y in zip(b, reversed(b)):
+        alpha.append(x * alpha[-1] - alpha[-2])
+        beta.append(y * beta[-1] - beta[-2])
+    n = alpha[-1]
+    s = [n - x - y for x, y in zip(alpha, reversed(beta))]  # n a_i, s_0 = s_{r+1} = 0
+    for i, x in enumerate(b, 1):
+        if x * s[i] - s[i - 1] - s[i + 1] != (x - 2) * n:
+            raise CertificateFailed("codiscrepancy system residual must vanish")
+    return Codiscrepancy(b, tuple(Fraction(x, n) for x in s[1:-1]))
 
 
 def delta_squared(cd: Codiscrepancy) -> Fraction:
@@ -213,8 +206,8 @@ def ktilde_squared(sings: Sequence[Sequence[int]]) -> Fraction:
         if not isinstance(kind, TSingularity):
             raise InvalidInput(f"{list(chain)} is not a proper T-chain")
         d2 = delta_squared(codiscrepancy(chain))
-        assert d2 == kind.d - len(chain) - 1, \
-            "codiscrepancy square disagrees with d - r - 1"
+        if d2 != kind.d - len(chain) - 1:
+            raise CertificateFailed("codiscrepancy square disagrees with d - r - 1", d2)
         total += d2
     return total
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import load_fixture
 from .errors import InvalidInput
-from .poly import ExactPolynomial, PolyRing
+from .poly import Coeff, ExactPolynomial, PolyRing, exact_quotient
 from .rings import seeded_form, weighted_monomials
 from .series import DEFAULT_ORDER
 from .toric import WPS_WEIGHTS
@@ -44,7 +44,7 @@ class HilbertSeries:
         return (self.numerator * other.denominator()
                 == other.numerator * self.denominator())
 
-    def coefficients(self, upto: int) -> list[Fraction]:
+    def coefficients(self, upto: int) -> list[Coeff]:
         """Power-series coefficients of the rational function, degrees 0..upto."""
         den = self.denominator()
         num = {e[0]: c for e, c in self.numerator.terms.items()}
@@ -54,11 +54,11 @@ class HilbertSeries:
             raise InvalidInput("denominator has no constant term")
         out = []
         for k in range(upto + 1):
-            acc = num.get(k, Fraction(0))
+            acc = num.get(k, 0)
             for i in range(1, k + 1):
                 if i in d:
                     acc -= d[i] * out[k - i]
-            out.append(acc / d0)
+            out.append(exact_quotient(acc, d0))
         return out
 
 

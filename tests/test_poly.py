@@ -231,3 +231,51 @@ def test_power_makes_no_product_it_does_not_use(monkeypatch, n):
         assert products == [] and p ** 1 is p
     else:
         assert 0 < len(products) <= n.bit_length() - 1 + bin(n).count("1")
+
+
+# -- int coefficients until a division ------------------------------------------
+
+_INT_TERMS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                             st.integers(-6, 6), max_size=5)
+
+
+def _as_fractions(p):
+    """The same polynomial with every coefficient a Fraction."""
+    return ExactPolynomial(p.ring, {e: Fraction(c) for e, c in p.terms.items()})
+
+
+def _all_int(p):
+    return all(type(c) is int for c in p.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_INT_TERMS, _INT_TERMS, st.integers(0, 4))
+def test_int_products_and_powers_equal_the_fraction_oracle(a_terms, b_terms, n):
+    ring = PolyRing.of("a", "b")
+    a, b = ring.from_terms(a_terms), ring.from_terms(b_terms)
+    fa, fb = _as_fractions(a), _as_fractions(b)
+    assert a * b == _schoolbook(fa, fb) and _all_int(a * b)
+    assert a ** n == functools.reduce(_schoolbook, [fa] * n, ring.one()) and _all_int(a ** n)
+
+
+def test_integral_quotients_are_stored_as_int():
+    ring = PolyRing.of("x", "lam", invertible=("lam",))
+    assert _all_int(ring.parse("4/2*x + 3"))
+    assert _all_int(ring.parse("4*x^2 - 6*x").exact_divide(ring.parse("2*x")))
+    assert _all_int(ring.parse("-lam^2").monomial_inverse())
+    half = ring.parse("2*lam").monomial_inverse()
+    assert half.coefficient((0, -1)) == Fraction(1, 2)
+    assert poly.exact_quotient(6, 3) == 2 and type(poly.exact_quotient(6, 3)) is int
+    assert poly.exact_quotient(Fraction(3, 2), Fraction(1, 2)) == 3
+    assert poly.exact_quotient(1, 3) == Fraction(1, 3)
+    with pytest.raises(ZeroDivisionError):
+        poly.exact_quotient(1, 0)
+
+
+def test_bool_coefficient_is_an_int():
+    ring = PolyRing.of("x")
+    one = ring.constant(True)
+    assert type(one.constant_term()) is int and one.constant_term() == 1
+    assert str(one) == "1" and one == ring.one()
+    assert str(ring.from_terms({(1,): True})) == "x"
+    assert ring.constant(False).is_zero()

@@ -247,3 +247,62 @@ def test_inverse_of_positive_degree_is_rejected():
     series = TruncatedSeries.of(ring.parse("x*t^-1"), 4)
     with pytest.raises(InvalidInput):
         series.substitute({"x": ring.parse("x + x^4")})
+
+
+# -- int coefficients until a division, against the all-Fraction oracles ---------
+
+def _int_polys(max_terms=5, max_exp=3):
+    term = st.tuples(st.tuples(*[st.integers(0, max_exp)] * 3), st.integers(-5, 5))
+    return st.lists(term, max_size=max_terms).map(lambda ts: R3.from_terms(dict(ts)))
+
+
+def _as_fractions(p):
+    """The same polynomial with every coefficient a Fraction."""
+    return ExactPolynomial(p.ring, {e: Fraction(c) for e, c in p.terms.items()})
+
+
+def _all_int(p):
+    return all(type(c) is int for c in p.terms.values())
+
+
+def _schoolbook_inverse(u, order, weights):
+    """(1/c0) sum_k (1 - u/c0)^k by schoolbook products; every weight >= 1, so
+    the k-th power is zero below the order once k reaches it."""
+    scale = R3.constant(1 / u.constant_term())
+    minus_m = R3.one() - _schoolbook(u, scale)
+    total = power = R3.one()
+    for _ in range(order):
+        power = _truncate_poly(_schoolbook(power, minus_m), order, weights)
+        total = total + power
+    return _truncate_poly(_schoolbook(total, scale), order, weights)
+
+
+_POSITIVE_WEIGHTS = st.one_of(st.just({}), st.fixed_dictionaries(
+    {v: st.integers(1, 3) for v in R3.variables}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_polys(), _int_polys(), _int_polys(max_terms=3, max_exp=2),
+       st.integers(1, 8), _WEIGHTS)
+def test_int_series_products_and_substitutions_equal_the_fraction_oracle(a, b, g, order, weights):
+    fa, fb, fg = _as_fractions(a), _as_fractions(b), _as_fractions(g)
+    product = (TruncatedSeries.of(a, order, weights) * b).poly
+    assert product == _truncate_poly(_schoolbook(fa, fb), order, weights) and _all_int(product)
+    x, y, z = (R3.var(v) for v in R3.variables)
+    image = {"x": g * x, "y": g * y + z}
+    expected = _termwise_substitute(fa, {"x": fg * x, "y": fg * y + z})
+    substituted = a.substitute(image)
+    assert substituted == expected and _all_int(substituted)
+    if weights.get("y", 1) <= weights.get("z", 1):  # no image below its variable's weight
+        series = TruncatedSeries.of(a, order, weights).substitute(image).poly
+        assert series == _truncate_poly(expected, order, weights) and _all_int(series)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_polys(), st.integers(1, 8), _POSITIVE_WEIGHTS, st.sampled_from([1, -1, 2, -3]))
+def test_int_inverse_equals_the_fraction_oracle(m, order, weights, c0):
+    unit = m - m.constant_term() + c0
+    inverse = TruncatedSeries.of(unit, order, weights).inverse().poly
+    assert inverse == _schoolbook_inverse(_as_fractions(unit), order, weights)
+    if c0 in (1, -1):  # no division
+        assert _all_int(inverse)

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isurf.errors import InvalidInput, TruncationTooShallow
 from isurf.poly import PolyRing
@@ -72,6 +74,40 @@ def test_codiscrepancy_examples():
         Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))
     assert codiscrepancy([3, 5, 2]).coefficients == (
         Fraction(3, 5), Fraction(4, 5), Fraction(2, 5))
+
+
+def thomas_codiscrepancy(chain):
+    """The oracle: Thomas elimination of b_i a_i - a_{i-1} - a_{i+1} = b_i - 2
+    in Fractions (diagonal b_i, off-diagonal -1)."""
+    r = len(chain)
+    diag = [Fraction(x) for x in chain]
+    rhs = [Fraction(x - 2) for x in chain]
+    for i in range(1, r):
+        diag[i] -= 1 / diag[i - 1]
+        rhs[i] += rhs[i - 1] / diag[i - 1]
+    coeffs = [Fraction(0)] * r
+    coeffs[r - 1] = rhs[r - 1] / diag[r - 1]
+    for i in range(r - 2, -1, -1):
+        coeffs[i] = (rhs[i] + coeffs[i + 1]) / diag[i]
+    return tuple(coeffs)
+
+
+def test_thomas_oracle_solves_the_system():
+    chain = [4, 3, 2]
+    a = (0,) + thomas_codiscrepancy(chain) + (0,)
+    assert all(b * a[i] - a[i - 1] - a[i + 1] == b - 2 for i, b in enumerate(chain, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 9), min_size=1, max_size=50))
+def test_codiscrepancy_equals_the_thomas_oracle(chain):
+    assert codiscrepancy(chain).coefficients == thomas_codiscrepancy(chain)
+
+
+def test_codiscrepancy_rejects_bad_chains():
+    for chain in ([], [1, 3], [4, 0]):
+        with pytest.raises(InvalidInput):
+            codiscrepancy(chain)
 
 
 def quadratic_form_oracle(chain, coeffs):
