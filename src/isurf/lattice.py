@@ -2,15 +2,17 @@
 
 Hermite normal form with transformation, saturated kernel bases with a
 deterministic sign convention, Gale-dual ray generators for grading
-matrices, and Hilbert bases of pointed rational cones: the lattice points of
-the box spanned by the extreme rays, less the decomposable ones.
+matrices, and Hilbert bases of pointed rational cones: the extreme rays and
+the points of the half-open fundamental parallelepipeds of a placing
+triangulation, less the decomposable ones.  Integer arithmetic throughout.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotPointed, RankDeficient
@@ -186,7 +188,8 @@ class LatticeCone:
 
         Proportionality is encoded linearly: with p the first index where
         ray is nonzero, require ray[p]*(D_i v) - ray[i]*(D_p v) = 0 for all i
-        and (D_i v) = 0 where ray[i] = 0.
+        and (D_i v) = 0 where ray[i] = 0.  The sign is enforced by v >= 0
+        only when ray[p]*D_p has no negative entry; otherwise InvalidInput.
         """
         ray = tuple(int(x) for x in ray)
         if len(ray) != mapping.nrows:
@@ -194,15 +197,13 @@ class LatticeCone:
         if not any(ray):
             raise ValueError("ray must be nonzero")
         p = next(i for i, x in enumerate(ray) if x)
-        eqs = []
-        for i in range(mapping.nrows):
-            if i == p:
-                continue
-            row = tuple(ray[p] * a - ray[i] * b
-                        for a, b in zip(mapping.rows[i], mapping.rows[p]))
-            eqs.append(row)
-        return LatticeCone.nonnegative_solutions(IntegerMatrix.of(eqs)) if eqs else \
-            LatticeCone.nonnegative_solutions(IntegerMatrix(()))
+        if any(ray[p] * a < 0 for a in mapping.rows[p]):
+            raise InvalidInput(f"row {p} of the mapping times ray[{p}] has a negative entry, "
+                               "so v >= 0 does not keep mapping*v on the side of the ray")
+        eqs = [tuple(ray[p] * a - ray[i] * b for a, b in zip(mapping.rows[i], mapping.rows[p]))
+               for i in range(mapping.nrows) if i != p]
+        n = mapping.ncols
+        return LatticeCone(n, IntegerMatrix.of(eqs), tuple(range(n)))
 
     def contains(self, v: Sequence[int]) -> bool:
         v = tuple(v)
@@ -217,8 +218,13 @@ class LatticeCone:
         free = [i for i in range(self.rank) if i not in self.nonneg]
         constrained = list(self.nonneg)
         extra = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in constrained]
-        stacked = IntegerMatrix.of(list(self.equations.rows) + extra)
-        return kernel_basis(stacked).nrows == 0 if free else True
+        return _kernel(list(self.equations.rows) + extra, self.rank).nrows == 0 if free else True
+
+
+def _kernel(rows: Sequence[Sequence[int]], width: int) -> IntegerMatrix:
+    """kernel_basis of the rows, read as a matrix of the given width even
+    when there are none (then the kernel is all of Z^width)."""
+    return kernel_basis(IntegerMatrix.of(list(rows) or [(0,) * width]))
 
 
 def extreme_rays(cone: LatticeCone) -> list[Vec]:
@@ -227,18 +233,21 @@ def extreme_rays(cone: LatticeCone) -> list[Vec]:
 
     Every subset of coordinates is tried as the zero set of a face; a subset
     whose solution space is one-dimensional with consistent signs on the
-    constrained coordinates contributes its nonnegative generator.
+    constrained coordinates contributes its nonnegative generator.  Setting k
+    coordinates to zero lowers the dimension of ker(equations) by at most k,
+    so zero sets with fewer than dim ker - 1 coordinates are skipped.
     """
     n = cone.rank
     if n > 22:
         raise InvalidInput("extreme ray enumeration limited to rank <= 22")
 
     eqs = [row for row in cone.equations.rows if any(row)]
+    dim = n - IntegerMatrix.of(eqs).rank() if eqs else n
     found: set[Vec] = set()
-    for size in range(n):
+    for size in range(max(dim - 1, 0), n):
         for zeros in combinations(range(n), size):
             extra = [tuple(1 if j == i else 0 for j in range(n)) for i in zeros]
-            basis = kernel_basis(IntegerMatrix.of(eqs + extra))
+            basis = _kernel(eqs + extra, n)
             if basis.nrows != 1:
                 continue
             g = basis.rows[0]
@@ -247,23 +256,28 @@ def extreme_rays(cone: LatticeCone) -> list[Vec]:
                 found.add(g)
             elif signs and all(x < 0 for x in signs):
                 found.add(tuple(-x for x in g))
-            elif not signs and cone.nonneg:
-                continue
     return sorted(found)
 
 
-# nodes the Hilbert-basis box enumeration may visit before it gives up
-MAX_BOX_NODES = 50_000_000
+# summed index of the simplices of the triangulation (the number of
+# parallelepiped points) above which hilbert_basis gives up; its filter makes
+# about (index + rays)^2 membership tests.  Five-variable cones with
+# |coefficients| <= 7 stay below 800, the canonical cone has index 25.
+MAX_LATTICE_INDEX = 5_000
 
 
 def hilbert_basis(cone: LatticeCone) -> list[Vec]:
     """Minimal generating set of the monoid cone ∩ Z^n, sorted canonically.
 
-    Every minimal generator lies in the fundamental box spanned by the
-    extreme rays (its ray coordinates are < 1), so the basis is found by
-    enumerating lattice points of the box that satisfy the constraints and
-    filtering out decomposable ones.  Node-count overruns raise an explicit
-    error rather than truncating.
+    The extreme rays are written in a basis of the lattice L = span(rays) ∩
+    Z^n and triangulated by placing.  Every point of the monoid is a
+    nonnegative integer combination of the rays of one simplex plus a point
+    of that simplex's half-open fundamental parallelepiped (the points
+    sum lam_i r_i of L with 0 <= lam_i < 1, one per class of L/<r_i>), so
+    the rays and those points generate the monoid and contain its minimal
+    generators; the decomposable ones are filtered out over the whole cone
+    (Bruns & Koch 2001; Bruns, Ichim & Söger 2016).  An index sum above
+    MAX_LATTICE_INDEX raises an explicit error before any enumeration.
     """
     if not cone.is_pointed():
         raise NotPointed("cone contains a line")
@@ -271,14 +285,20 @@ def hilbert_basis(cone: LatticeCone) -> list[Vec]:
     rays = extreme_rays(cone)
     if not rays:
         return []
-    lo = []
-    hi = []
-    for j in range(n):
-        neg = sum(min(r[j], 0) for r in rays)
-        pos = sum(max(r[j], 0) for r in rays)
-        lo.append(0 if j in cone.nonneg else neg)
-        hi.append(pos)
-    candidates = _enumerate_box(cone, lo, hi)
+    lattice = _kernel(_kernel(rays, n).rows, n).rows
+    coords = [_coordinates(lattice, r) for r in rays]
+    simplices = []
+    for simplex in _placing_triangulation(coords):
+        h, _ = hermite_normal_form(IntegerMatrix.of([coords[i] for i in simplex]))
+        simplices.append((simplex, [h.rows[j][j] for j in range(len(simplex))]))
+    index = sum(prod(diagonal) for _, diagonal in simplices)
+    if index > MAX_LATTICE_INDEX:
+        raise InvalidInput(f"hilbert basis: the triangulation has index {index}, "
+                           f"above the cap {MAX_LATTICE_INDEX}")
+    candidates = set(rays)
+    for simplex, diagonal in simplices:
+        candidates.update(_parallelepiped(
+            [rays[i] for i in simplex], [coords[i] for i in simplex], diagonal))
     candidates.discard(tuple([0] * n))
 
     def decomposable(v: Vec) -> bool:
@@ -294,39 +314,75 @@ def hilbert_basis(cone: LatticeCone) -> list[Vec]:
     return sorted(minimal, key=lambda v: (sum(v), v))
 
 
-def _enumerate_box(cone: LatticeCone, lo: list[int], hi: list[int]) -> set[Vec]:
-    """All cone points within the coordinate box, by DFS with interval pruning."""
-    eqs = [row for row in cone.equations.rows if any(row)]
-    n = cone.rank
-    # suffix ranges of each linear form over the remaining box
-    suffix_min = [[0] * (n + 1) for _ in eqs]
-    suffix_max = [[0] * (n + 1) for _ in eqs]
-    for k, row in enumerate(eqs):
-        for j in range(n - 1, -1, -1):
-            a, b = row[j] * lo[j], row[j] * hi[j]
-            suffix_min[k][j] = suffix_min[k][j + 1] + min(a, b)
-            suffix_max[k][j] = suffix_max[k][j + 1] + max(a, b)
-    out: set[Vec] = set()
-    nodes = 0
-    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(0, (), tuple(0 for _ in eqs))]
-    while stack:
-        j, prefix, partial = stack.pop()
-        nodes += 1
-        if nodes > MAX_BOX_NODES:
-            raise InvalidInput("hilbert basis box enumeration exceeded the node cap")
-        if j == n:
-            if all(p == 0 for p in partial):
-                out.add(prefix)
+def _coordinates(basis: Sequence[Vec], v: Vec) -> Vec:
+    """c with sum_i c_i basis_i = v, for echelon rows with positive pivots
+    and v in the lattice they span."""
+    rest = list(v)
+    out = []
+    for row in basis:
+        p = next(j for j, x in enumerate(row) if x)
+        q = rest[p] // row[p]
+        rest = [a - q * b for a, b in zip(rest, row)]
+        out.append(q)
+    return tuple(out)
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _facet_normal(points: Sequence[Vec], facet: Sequence[int], apex: int) -> tuple[Vec, int]:
+    """Primitive normal of the hyperplane through the facet points, pointing
+    to the apex point, and the apex's height over it (points of full rank)."""
+    normal = _kernel([points[i] for i in facet], len(points[apex])).rows[0]
+    height = _dot(normal, points[apex])
+    if height < 0:
+        return tuple(-x for x in normal), -height
+    return normal, height
+
+
+def _placing_triangulation(points: Sequence[Vec]) -> list[tuple[int, ...]]:
+    """Simplices (sorted index tuples) of a placing triangulation of the cone
+    spanned by the points, which span Z^d rationally.
+
+    The first simplex takes the first independent points in order; each
+    further point is joined to every boundary facet it lies strictly beyond.
+    """
+    d = len(points[0])
+    first: list[int] = []
+    for i, p in enumerate(points):
+        if len(first) < d and IntegerMatrix.of([points[j] for j in first] + [p]).rank() > len(first):
+            first.append(i)
+    simplices = [tuple(first)]
+    for i, p in enumerate(points):
+        if i in first:
             continue
-        for v in range(lo[j], hi[j] + 1):
-            new_partial = tuple(p + row[j] * v for p, row in zip(partial, eqs))
-            ok = True
-            for k in range(len(eqs)):
-                rest_lo = suffix_min[k][j + 1]
-                rest_hi = suffix_max[k][j + 1]
-                if not (new_partial[k] + rest_lo <= 0 <= new_partial[k] + rest_hi):
-                    ok = False
-                    break
-            if ok:
-                stack.append((j + 1, prefix + (v,), new_partial))
+        shared = Counter(f for s in simplices for f in combinations(s, d - 1))
+        beyond = []
+        for s in simplices:
+            for k in range(d):
+                facet = s[:k] + s[k + 1:]
+                if shared[facet] == 1 and _dot(_facet_normal(points, facet, s[k])[0], p) < 0:
+                    beyond.append(tuple(sorted(facet + (i,))))
+        simplices += beyond
+    return simplices
+
+
+def _parallelepiped(rays: Sequence[Vec], coords: Sequence[Vec],
+                    diagonal: Sequence[int]) -> list[Vec]:
+    """The points sum lam_i rays_i with 0 <= lam_i < 1 in the lattice L, for
+    rays with L-coordinates coords, one per class of L/<rays>.
+
+    The classes are represented by the box of the Hermite normal form's
+    diagonal; lam_i of a class is <n_i, y>/h_i with n_i the normal of the
+    facet opposite ray i and h_i its height, so the point is
+    sum ((<n_i, y> mod h_i) * (D/h_i)) rays_i / D with D = lcm(h_i).
+    """
+    d = len(coords)
+    facets = [_facet_normal(coords, [j for j in range(d) if j != i], i) for i in range(d)]
+    denominator = lcm(*(h for _, h in facets))
+    out = []
+    for y in product(*(range(a) for a in diagonal)):
+        weights = [_dot(normal, y) % h * (denominator // h) for normal, h in facets]
+        out.append(tuple(_dot(weights, column) // denominator for column in zip(*rays)))
     return out

@@ -3,10 +3,11 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isurf.errors import NotPointed, RankDeficient
+from isurf import lattice, rings
+from isurf.errors import InvalidInput, NotPointed, RankDeficient
 from isurf.lattice import (IntegerMatrix, LatticeCone, extreme_rays, gale_rays,
                            hermite_normal_form, hilbert_basis, kernel_basis,
                            unimodular_normal_form)
@@ -118,6 +119,7 @@ def test_not_pointed_detection():
     pointed = LatticeCone(2, IntegerMatrix.of([[1, -1]]), (1,))
     assert pointed.is_pointed()
     assert hilbert_basis(pointed) == [(1, 1)]
+    assert not LatticeCone(2, IntegerMatrix(()), ()).is_pointed()
 
 
 def test_seven_variable_cone_full():
@@ -216,3 +218,205 @@ def test_unimodular_normal_form_is_invariant_and_separating():
         checked += 1
     with pytest.raises(RankDeficient):
         unimodular_normal_form([(2, 0), (0, 2)])
+
+
+# ---------------------------------------------------------------------------
+# oracles: extreme rays over every zero set, and the Hilbert basis from every
+# cone point of the box spanned by the extreme rays
+
+
+def rays_over_all_zero_sets(cone):
+    """Signed primitive generators of every one-dimensional solution space of
+    the equations with some coordinates set to zero."""
+    n = cone.rank
+    eqs = [row for row in cone.equations.rows if any(row)]
+    found = set()
+    for size in range(n):
+        for zeros in itertools.combinations(range(n), size):
+            extra = [tuple(int(j == i) for j in range(n)) for i in zeros]
+            basis = kernel_basis(IntegerMatrix.of(eqs + extra or [(0,) * n]))
+            if basis.nrows != 1:
+                continue
+            g = basis.rows[0]
+            signs = [g[i] for i in cone.nonneg if g[i]]
+            if signs and all(x > 0 for x in signs):
+                found.add(g)
+            elif signs and all(x < 0 for x in signs):
+                found.add(tuple(-x for x in g))
+    return sorted(found)
+
+
+def ray_box(cone, rays):
+    """Bounds of the box spanned by the rays, cut at 0 on constrained
+    coordinates; every minimal generator lies in it."""
+    lo = [0 if j in cone.nonneg else sum(min(r[j], 0) for r in rays) for j in range(cone.rank)]
+    hi = [sum(max(r[j], 0) for r in rays) for j in range(cone.rank)]
+    return lo, hi
+
+
+def enumerate_box(cone, lo, hi):
+    """All cone points within the coordinate box, by DFS with interval pruning."""
+    eqs = [row for row in cone.equations.rows if any(row)]
+    n = cone.rank
+    suffix_min = [[0] * (n + 1) for _ in eqs]
+    suffix_max = [[0] * (n + 1) for _ in eqs]
+    for k, row in enumerate(eqs):
+        for j in range(n - 1, -1, -1):
+            a, b = row[j] * lo[j], row[j] * hi[j]
+            suffix_min[k][j] = suffix_min[k][j + 1] + min(a, b)
+            suffix_max[k][j] = suffix_max[k][j + 1] + max(a, b)
+    out = set()
+    stack = [(0, (), tuple(0 for _ in eqs))]
+    while stack:
+        j, prefix, partial = stack.pop()
+        if j == n:
+            if not any(partial):
+                out.add(prefix)
+            continue
+        for v in range(lo[j], hi[j] + 1):
+            new_partial = tuple(p + row[j] * v for p, row in zip(partial, eqs))
+            if all(new_partial[k] + suffix_min[k][j + 1] <= 0 <= new_partial[k] + suffix_max[k][j + 1]
+                   for k in range(len(eqs))):
+                stack.append((j + 1, prefix + (v,), new_partial))
+    return out
+
+
+def box_hilbert_basis(cone):
+    rays = rays_over_all_zero_sets(cone)
+    if not rays:
+        return []
+    candidates = enumerate_box(cone, *ray_box(cone, rays)) - {(0,) * cone.rank}
+    minimal = [v for v in candidates
+               if not any(h != v and cone.contains(tuple(a - b for a, b in zip(v, h)))
+                          for h in candidates)]
+    return sorted(minimal, key=lambda v: (sum(v), v))
+
+
+def box_volume(cone, rays):
+    lo, hi = ray_box(cone, rays)
+    volume = 1
+    for a, b in zip(lo, hi):
+        volume *= b - a + 1
+    return volume
+
+
+@st.composite
+def small_cones(draw):
+    """Pointed cones in 3-5 variables cut out by 1-2 equations with
+    |coefficients| <= 4, nonnegative in all or only some coordinates, whose
+    ray box the oracle can walk."""
+    n = draw(st.integers(3, 5))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         min_size=1, max_size=2))
+    free = draw(st.one_of(st.just(set()), st.sets(st.integers(0, n - 1), min_size=1, max_size=2)))
+    nonneg = tuple(i for i in range(n) if i not in free)
+    cone = LatticeCone(n, IntegerMatrix.of(rows), nonneg)
+    assume(cone.is_pointed())
+    assume(box_volume(cone, rays_over_all_zero_sets(cone)) <= 20_000)
+    return cone
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_cones())
+def test_hilbert_basis_equals_box_oracle(cone):
+    assert hilbert_basis(cone) == box_hilbert_basis(cone)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_cones())
+def test_extreme_rays_equal_all_zero_sets_oracle(cone):
+    assert extreme_rays(cone) == rays_over_all_zero_sets(cone)
+
+
+def cone_dimension(rays):
+    return IntegerMatrix.of(rays).rank()
+
+
+@pytest.mark.parametrize("rows,dimension,basis", [
+    ([[1, 1, 0, 0], [0, 0, 2, -3]], 1, [(0, 0, 3, 2)]),
+    ([[2, 1, 0, 0, 0], [0, 0, 2, -3, 1]], 2, [(0, 0, 1, 1, 1), (0, 0, 0, 1, 3), (0, 0, 3, 2, 0)]),
+])
+def test_lower_dimensional_cone_in_the_kernel(rows, dimension, basis):
+    """x_0 = x_1 = 0 on the cone, so it spans less than ker(E); the
+    parallelepipeds live in span(rays) ∩ Z^n."""
+    cone = LatticeCone.nonnegative_solutions(IntegerMatrix.of(rows))
+    assert kernel_basis(cone.equations).nrows == dimension + 1
+    assert cone_dimension(extreme_rays(cone)) == dimension
+    assert hilbert_basis(cone) == basis == box_hilbert_basis(cone)
+
+
+@pytest.mark.parametrize("rows,nonneg", [
+    ([[1, 1, 1, -1, -1, -1]], (0, 1, 2, 3, 4, 5)),    # 9 rays in dimension 5
+    ([[2, 3, -1, -4]], (0, 1, 2, 3)),
+    ([[1, 0, 2, -2, -2], [-1, 1, -1, 1, 1]], (0, 1, 2, 3, 4)),
+    ([[1, 2, -3, 1]], (0, 2, 3)),                      # one free coordinate
+])
+def test_non_simplicial_cones_against_the_oracle(rows, nonneg):
+    cone = LatticeCone(len(rows[0]), IntegerMatrix.of(rows), nonneg)
+    rays = extreme_rays(cone)
+    assert len(rays) > cone_dimension(rays)
+    assert hilbert_basis(cone) == box_hilbert_basis(cone)
+
+
+@pytest.mark.parametrize("a", [(-4, -6, -7, 1, 2), (5, -1, -2, 7, 2),
+                               (3, 7, 3, -2, -1), (3, 3, -3, -2, -7)])
+def test_exact_algebra_shaped_cones_against_the_oracle(a):
+    """Five variables, mixed signs, |a_i| <= 7 and six extreme rays."""
+    cone = LatticeCone.nonnegative_solutions(IntegerMatrix.of([a]))
+    assert len(extreme_rays(cone)) == 6
+    assert hilbert_basis(cone) == box_hilbert_basis(cone)
+
+
+def canonical_cone():
+    return LatticeCone.ray_preimage(rings.AMBIENT_GRADING, rings.CANONICAL_RAY)
+
+
+def count_contains(monkeypatch):
+    calls = []
+    inner = LatticeCone.contains
+
+    def counted(self, v):
+        calls.append(v)
+        return inner(self, v)
+
+    monkeypatch.setattr(LatticeCone, "contains", counted)
+    return calls
+
+
+def test_canonical_cone_filters_at_most_28_candidates(monkeypatch):
+    """One simplex of index 25: 24 nonzero parallelepiped points and the 4
+    rays, so the filter makes at most 28 * 27 membership tests."""
+    cone = canonical_cone()
+    assert len(extreme_rays(cone)) == 4 == cone_dimension(extreme_rays(cone))
+    calls = count_contains(monkeypatch)
+    assert len(hilbert_basis(cone)) == 9
+    assert 0 < len(calls) <= 28 * 27
+
+
+def test_index_cap_raises_before_any_enumeration(monkeypatch):
+    cone = canonical_cone()
+    hilbert_basis(cone)
+    monkeypatch.setattr(lattice, "MAX_LATTICE_INDEX", 24)
+    calls = count_contains(monkeypatch)
+    with pytest.raises(InvalidInput, match="index 25"):
+        hilbert_basis(cone)
+    assert calls == []
+    monkeypatch.setattr(lattice, "MAX_LATTICE_INDEX", 25)
+    assert len(hilbert_basis(cone)) == 9
+
+
+def test_ray_preimage_of_a_one_row_mapping():
+    cone = LatticeCone.ray_preimage(IntegerMatrix.of([[1, 2]]), (3,))
+    assert cone.rank == 2
+    assert hilbert_basis(cone) == [(0, 1), (1, 0)]
+    flipped = LatticeCone.ray_preimage(IntegerMatrix.of([[-1, -2]]), (-3,))
+    assert hilbert_basis(flipped) == [(0, 1), (1, 0)]
+
+
+def test_ray_preimage_rejects_a_sign_it_cannot_enforce():
+    # v = (2, 1) >= 0 maps to 0 and v = (1, 1) to -1, the wrong side of 3
+    with pytest.raises(InvalidInput, match="negative entry"):
+        LatticeCone.ray_preimage(IntegerMatrix.of([[1, -2]]), (3,))
+    with pytest.raises(InvalidInput, match="negative entry"):
+        LatticeCone.ray_preimage(IntegerMatrix.of([[0, 1], [1, 2]]), (-1, 4))
+    assert LatticeCone.ray_preimage(IntegerMatrix.of([[0, 1], [1, -2]]), (1, 4)).rank == 2
