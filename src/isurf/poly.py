@@ -9,9 +9,8 @@ distinguished parameters are represented (every denominator that occurs is a
 monomial in those parameters).
 
 Products, powers and substitutions run through one kernel that never forms
-a term of weighted degree >= order (Brent & Kung, J. ACM 25, 1978).  Series
-pass their weights; exact operations pass no weights (every degree is 0) and
-order 1, so nothing drops.
+a term of total degree >= order (Brent & Kung, J. ACM 25, 1978).  Series
+pass their order; exact operations pass order None, so nothing drops.
 
 The canonical text form uses graded-lex term order (descending), "p/q"
 coefficients, explicit "^" powers and "*" products, and is what
@@ -23,8 +22,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, itemgetter, mul
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from math import inf
+from operator import add, itemgetter
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import InvalidInput, NotDivisible, ParseError, UndeclaredIdentifier
 
@@ -212,7 +212,7 @@ class ExactPolynomial:
         a, b = self.terms, self._coerce(other).terms
         if len(a) > len(b):
             a, b = b, a
-        return ExactPolynomial.unchecked(self.ring, product_terms(a, graded_terms(b, ()), (), 1))
+        return ExactPolynomial.unchecked(self.ring, product_terms(a, graded_terms(b), None))
 
     __rmul__ = __mul__
 
@@ -224,7 +224,7 @@ class ExactPolynomial:
             return self.ring.one()
         if n == 1:
             return self
-        power = power_terms(graded_terms(self.terms, ()), n, (), 1, {})
+        power = power_terms(graded_terms(self.terms), n, None, {})
         return ExactPolynomial.unchecked(self.ring, {e: c for _, e, c in power})
 
     def monomial_inverse(self) -> "ExactPolynomial":
@@ -326,7 +326,7 @@ class ExactPolynomial:
                 raise ValueError(f"image of {name} lies in the wrong ring")
             return img
 
-        terms = substitute_terms(self.terms, image, target.nvars, (), 1)
+        terms = substitute_terms(self.terms, image, target.nvars, None)
         return ExactPolynomial.unchecked(target, terms)
 
     def evaluate(self, assignment: Mapping[str, Coeff]) -> Fraction:
@@ -407,25 +407,23 @@ class ExactPolynomial:
         return f"<poly {self}>"
 
 
-# -- kernel: products, powers and substitutions below a weighted order ------
+# -- kernel: products, powers and substitutions below a total-degree order ---
 
 
-def graded_terms(terms: Mapping[tuple[int, ...], Coeff], w: Sequence[int]) -> list:
-    """The terms as (weighted degree, exponents, coefficient), by ascending
-    degree; with no weights every degree is 0 and nothing needs sorting."""
-    if not w:
-        return [(0, e, c) for e, c in terms.items()]
-    return sorted(((sum(map(mul, w, e)), e, c) for e, c in terms.items()), key=itemgetter(0))
+def graded_terms(terms: Mapping[tuple[int, ...], Coeff]) -> list:
+    """The terms as (total degree, exponents, coefficient), by ascending degree."""
+    return sorted(((sum(e), e, c) for e, c in terms.items()), key=itemgetter(0))
 
 
-def product_terms(a: Mapping[tuple[int, ...], Coeff], b: list, w: Sequence[int],
-                  order: int, out: dict | None = None) -> dict:
-    """Add the terms of a*b below the order into ``out``.  ``b`` comes from
-    graded_terms, so the inner loop stops at the first pair reaching the order."""
+def product_terms(a: Mapping[tuple[int, ...], Coeff], b: list, order: int | None,
+                  out: dict | None = None) -> dict:
+    """Add the terms of a*b of degree below the order (all of them for order
+    None) into ``out``.  ``b`` comes from graded_terms, so the inner loop stops
+    at the first pair reaching the order."""
     out = {} if out is None else out
     get = out.get
     for ea, ca in a.items():
-        room = order - sum(map(mul, w, ea))
+        room = inf if order is None else order - sum(ea)
         for db, eb, cb in b:
             if db >= room:
                 break
@@ -439,7 +437,7 @@ def product_terms(a: Mapping[tuple[int, ...], Coeff], b: list, w: Sequence[int],
     return out
 
 
-def power_terms(base: list, n: int, w: Sequence[int], order: int, powers: dict) -> list:
+def power_terms(base: list, n: int, order: int | None, powers: dict) -> list:
     """Graded terms of base**n below the order, n >= 1, by halving:
     n.bit_length() - 1 squarings and one product by ``base`` per further set
     bit.  ``powers`` keeps every power of this base met on the way, so one
@@ -447,34 +445,29 @@ def power_terms(base: list, n: int, w: Sequence[int], order: int, powers: dict) 
     if n == 1:
         return base
     if n not in powers:
-        half = power_terms(base, n // 2, w, order, powers)
-        p = product_terms({e: c for _, e, c in half}, half, w, order)
+        half = power_terms(base, n // 2, order, powers)
+        p = product_terms({e: c for _, e, c in half}, half, order)
         if n & 1:
-            p = product_terms(p, base, w, order)
-        powers[n] = graded_terms(p, w)
+            p = product_terms(p, base, order)
+        powers[n] = graded_terms(p)
     return powers[n]
 
 
 def substitute_terms(terms: Mapping[tuple[int, ...], Coeff],
                      image: Callable[[int], ExactPolynomial], nvars: int,
-                     w: Sequence[int], order: int) -> dict:
+                     order: int | None) -> dict:
     """The terms of the sum of c * prod image(i)**e_i below the order, added
     into one dict; the images have ``nvars`` variables.  A negative exponent
-    raises the monomial inverse of the image.  A factor with a term of
-    negative weighted degree raises InvalidInput, since it would bring terms
-    dropped at the order back below it."""
+    raises the monomial inverse of the image."""
     bases: dict[tuple[int, bool], tuple[list, dict]] = {}
 
     def power(i: int, e: int) -> list:
         key = (i, e < 0)
         if key not in bases:
             img = image(i).monomial_inverse() if e < 0 else image(i)
-            base = graded_terms(img.terms, w)
-            if base and base[0][0] < 0:
-                raise InvalidInput(f"substituted factor {img} has negative weighted degree")
-            bases[key] = base, {}
+            bases[key] = graded_terms(img.terms), {}
         base, powers = bases[key]
-        return power_terms(base, abs(e), w, order, powers)
+        return power_terms(base, abs(e), order, powers)
 
     zero = (0,) * nvars
     result: dict[tuple[int, ...], Coeff] = {}
@@ -482,8 +475,8 @@ def substitute_terms(terms: Mapping[tuple[int, ...], Coeff],
         factors = [power(i, e) for i, e in enumerate(exps) if e]
         term = {zero: c}
         for factor in factors[:-1]:
-            term = product_terms(term, factor, w, order)
-        product_terms(term, factors[-1] if factors else [(0, zero, 1)], w, order, result)
+            term = product_terms(term, factor, order)
+        product_terms(term, factors[-1] if factors else [(0, zero, 1)], order, result)
     return result
 
 

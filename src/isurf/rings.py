@@ -31,7 +31,8 @@ AMBIENT_GRADING = IntegerMatrix.of(_GEN["grading"])
 CANONICAL_RAY = tuple(_GEN["ray"])
 GENERATOR_ORDER = tuple(entry[0] for entry in _GEN["generators"])
 GENERATOR_VECTORS = {entry[0]: tuple(entry[1]) for entry in _GEN["generators"]}
-GENERATOR_DEGREES = {k: int(v) for k, v in _REL["generator_degrees"].items()}
+# the generators' canonical degrees, and P, the general degree-10 element of the relations
+GENERATOR_DEGREES = {**{name: int(deg) for name, _, deg in _GEN["generators"]}, "P": 10}
 
 
 def ambient_ring(*params: str) -> PolyRing:
@@ -294,9 +295,8 @@ class RelationSystem:
     relations: tuple[tuple[str, ExactPolynomial], ...]
 
     def __post_init__(self):
-        weights = dict(GENERATOR_DEGREES)
         for name, rel in self.relations:
-            rel.weighted_degree(weights)  # raises NotHomogeneous
+            rel.weighted_degree(GENERATOR_DEGREES)  # raises NotHomogeneous
 
     def get(self, name: str) -> ExactPolynomial:
         for n, rel in self.relations:

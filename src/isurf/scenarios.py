@@ -430,9 +430,8 @@ def _derive(params: Params) -> list[Check]:
     same_p = all(p_parts[n] == p_parts["R11"] for n in p_parts)
     out.append(check("one general degree-10 element shared by all five", True,
                      same_p, "derived", "common bundled element"))
-    weights = dict(rings.GENERATOR_DEGREES)
     out.append(check("degree of the first derived relation", 11,
-                     derived["R11"].weighted_degree(weights), "direct",
+                     derived["R11"].weighted_degree(rings.GENERATOR_DEGREES), "direct",
                      "degree bookkeeping"))
     amb = rings.ambient_ring("theta", "tau")
     assign = {n: table.monomial(n, amb) for n in table.names()}
@@ -624,9 +623,8 @@ def _smoothing(params: Params) -> list[Check]:
     out.append(check("cleared relation equals the hypersurface equation "
                      "term for term", True, poly10 == display, "reference",
                      "displayed degree-10 equation (tau powers restored)"))
-    deg_w = dict(rings.GENERATOR_DEGREES)
     out.append(check("the hypersurface equation is homogeneous of degree 10",
-                     10, poly10.weighted_degree(deg_w), "direct",
+                     10, poly10.weighted_degree(rings.GENERATOR_DEGREES), "direct",
                      "degree bookkeeping"))
     leftovers_ok = True
     for name in ("R11", "R12", "R13", "R14"):

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import CertificateFailed, InvalidInput, TruncationTooShallow
@@ -187,12 +188,13 @@ def codiscrepancy(chain: Sequence[int]) -> Codiscrepancy:
 
 
 def delta_squared(cd: Codiscrepancy) -> Fraction:
-    """Self-intersection of the codiscrepancy divisor on the resolution."""
-    b = cd.entries
-    a = cd.coefficients
-    total = sum((ai * ai * -bi for ai, bi in zip(a, b)), Fraction(0))
-    total += 2 * sum((a[i] * a[i + 1] for i in range(len(a) - 1)), Fraction(0))
-    return total
+    """Self-intersection of the codiscrepancy divisor on the resolution,
+    -sum b_i a_i^2 + 2 sum a_i a_{i+1}, summed as n^2 times itself in integers
+    over the common denominator n of the a_i."""
+    n = lcm(*(a.denominator for a in cd.coefficients))
+    s = [a.numerator * (n // a.denominator) for a in cd.coefficients]
+    total = 2 * sum(map(mul, s, s[1:])) - sum(x * x * b for x, b in zip(s, cd.entries))
+    return Fraction(total, n * n)
 
 
 def ktilde_squared(sings: Sequence[Sequence[int]]) -> Fraction:
@@ -274,7 +276,7 @@ def classify_germ(germ: QuotientGerm):
             return plane_quotient(n, *(w for j, w in enumerate(germ.action) if j != i))
     if n > 1 and germ.invariance_class != 0:
         return Unrecognized("equation is not invariant")
-    if f.order <= 2 * max(f.weight_vector()):
+    if f.order <= 2:
         raise TruncationTooShallow(f"order {f.order} drops the quadratic part of the germ")
     for i in range(3):
         for j in range(i + 1, 3):
@@ -368,14 +370,14 @@ def chart_germ(equations: Mapping[str, ExactPolynomial], weights: Mapping[str, i
     at = {name: equations[name].substitute({chart: 1}) for name in used}
     if any(f.constant_term() != 0 for f in at.values()):
         return "absent"
-    solution = solve_system([TruncatedSeries.of(at[name], order) for name, _ in eliminate],
-                            [var for _, var in eliminate], order)
-    value = TruncatedSeries.of(at[germ], order).substitute(solution)
+    solution = solve_system([TruncatedSeries(at[name], order) for name, _ in eliminate],
+                            [var for _, var in eliminate])
+    value = TruncatedSeries(at[germ], order).substitute(solution)
     local_ring = PolyRing.of(*local)
     restricted = value.poly.substitute({v: local_ring.var(v) for v in local}, ring=local_ring)
     n = weights[chart]
     return classify_germ(QuotientGerm(n, tuple(weights[v] % n for v in local),
-                                      TruncatedSeries.of(restricted, order)))
+                                      TruncatedSeries(restricted, order)))
 
 
 # ---------------------------------------------------------------------------

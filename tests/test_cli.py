@@ -1,9 +1,16 @@
+import hashlib
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from isurf.cli import main
+
+STORED_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected_reports.json").read_text())
 
 
 def run_cli(*args):
@@ -108,3 +115,11 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: cannot write")
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("seed", sorted(STORED_DIGESTS, key=int))
+def test_all_json_report_matches_the_stored_digest(seed, capsys):
+    # the sha256 of ``isurf --all --seed s --format json`` stdout, one per stored seed
+    assert main(["--all", "--seed", seed, "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == STORED_DIGESTS[seed]

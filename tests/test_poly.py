@@ -164,6 +164,15 @@ def test_negative_exponents_are_checked_where_terms_come_in():
         ring.parse("x*lam^-1").cast(PolyRing.of("x", "lam"))
 
 
+def test_substitute_raises_a_negative_power_by_the_monomial_inverse():
+    ring = PolyRing.of("x", "t", invertible=("t",))
+    g = ring.parse("x^2*t^-3 + x*t^2")
+    got = g.substitute({"x": ring.parse("x + x*t^-1"), "t": ring.parse("2*t")})
+    assert got == ring.parse("1/8*x^2*t^-3 + 1/4*x^2*t^-4 + 1/8*x^2*t^-5 + 4*x*t^2 + 4*x*t")
+    with pytest.raises(NotDivisible):
+        g.substitute({"t": ring.parse("t + 1")})
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None])
 def test_floats_and_other_non_exact_coefficients_are_rejected(bad):
     ring = PolyRing.of("x", "y")

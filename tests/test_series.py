@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -8,19 +7,19 @@ from hypothesis import strategies as st
 
 from isurf.errors import InvalidInput, NotSolvable, TruncationTooShallow
 from isurf.poly import ExactPolynomial, PolyRing, graded_terms, product_terms
-from isurf.series import TruncatedSeries, _truncate_poly, solve_system
+from isurf.series import TruncatedSeries, solve_system
 
 S = PolyRing.of("x", "y")
 
 
 def test_eliminate_simple():
-    g = solve_system([TruncatedSeries.of(S.parse("x - y^2"), 10)], ["x"])["x"]
+    g = solve_system([TruncatedSeries(S.parse("x - y^2"), 10)], ["x"])["x"]
     assert g == S.parse("y^2")
 
 
 def test_eliminate_not_solvable_without_linear_unit():
     with pytest.raises(NotSolvable):
-        solve_system([TruncatedSeries.of(S.parse("x^2 - y"), 10)], ["x"])
+        solve_system([TruncatedSeries(S.parse("x^2 - y"), 10)], ["x"])
 
 
 def test_eliminate_backsubstitution_vanishes():
@@ -36,7 +35,7 @@ def test_eliminate_backsubstitution_vanishes():
             noise[exps] = Fraction(rng.randint(-4, 4))
         f = ring.var("x") * rng.randint(1, 5) + ring.from_terms(noise) \
             + ring.var("y") * rng.randint(-3, 3)
-        series = TruncatedSeries.of(f, 8)
+        series = TruncatedSeries(f, 8)
         try:
             g = solve_system([series], ["x"])["x"]
         except NotSolvable:
@@ -46,29 +45,22 @@ def test_eliminate_backsubstitution_vanishes():
 
 
 def test_truncation_drops_high_order():
-    s = TruncatedSeries.of(S.parse("x + y^5"), 4)
+    s = TruncatedSeries(S.parse("x + y^5"), 4)
     assert s.poly == S.parse("x")
     t = s * s
     assert t.poly == S.parse("x^2")
 
 
-def test_weighted_truncation():
-    s = TruncatedSeries.of(S.parse("x*y + y^3"), 5, weights={"x": 3, "y": 1})
-    assert s.poly == S.parse("x*y + y^3")
-    s2 = TruncatedSeries.of(S.parse("x*y^2 + y^3"), 5, weights={"x": 3, "y": 1})
-    assert s2.poly == S.parse("y^3")
-
-
 def test_inverse_of_unit_series():
-    u = TruncatedSeries.of(S.parse("2 + x + y^2"), 7)
+    u = TruncatedSeries(S.parse("2 + x + y^2"), 7)
     inv = u.inverse()
     assert (u * inv.poly).poly == S.one()
 
 
 def test_solve_system_two_variables():
     ring = PolyRing.of("a", "b", "s")
-    r1 = TruncatedSeries.of(ring.parse("a - s^2 + b*s"), 8)
-    r2 = TruncatedSeries.of(ring.parse("b + a*s - s^3"), 8)
+    r1 = TruncatedSeries(ring.parse("a - s^2 + b*s"), 8)
+    r2 = TruncatedSeries(ring.parse("b + a*s - s^3"), 8)
     sol = solve_system([r1, r2], ["a", "b"])
     for r in (r1, r2):
         assert r.substitute(sol).is_zero()
@@ -106,6 +98,10 @@ def _termwise_substitute(f, images):
     return total
 
 
+def _truncate(p, order):
+    return p.ring.from_terms({e: c for e, c in p.terms.items() if sum(e) < order})
+
+
 def test_oracles_are_not_vacuous():
     assert _schoolbook(S.parse("x + y"), S.parse("x - y")) == S.parse("x^2 - y^2")
     assert _termwise_substitute(S.parse("x^2*y + 3"), {"x": S.parse("1 + y")}) \
@@ -118,57 +114,40 @@ def _polys(max_terms=6, max_exp=4):
     return st.lists(term, max_size=max_terms).map(lambda ts: R3.from_terms(dict(ts)))
 
 
-_WEIGHTS = st.one_of(st.just({}), st.fixed_dictionaries(
-    {v: st.integers(0, 3) for v in R3.variables}))
-
-
 @settings(max_examples=80, deadline=None)
-@given(_polys(), _polys(), st.integers(1, 9), _WEIGHTS)
-def test_product_equals_truncated_schoolbook(a, b, order, weights):
-    sa, sb = TruncatedSeries.of(a, order, weights), TruncatedSeries.of(b, order, weights)
-    expected = _truncate_poly(_schoolbook(a, b), order, weights)
+@given(_polys(), _polys(), st.integers(1, 9))
+def test_product_equals_truncated_schoolbook(a, b, order):
+    sa, sb = TruncatedSeries(a, order), TruncatedSeries(b, order)
+    expected = _truncate(_schoolbook(a, b), order)
     assert (sa * sb).poly == expected and (sa * b).poly == expected
     assert a * b == _schoolbook(a, b)
     # the kernel alone, without the truncation every new series applies
-    w = sa.weight_vector()
-    kernel = product_terms(sa.poly.terms, graded_terms(sb.poly.terms, w), w, order)
+    kernel = product_terms(sa.poly.terms, graded_terms(sb.poly.terms), order)
     assert ExactPolynomial(R3, kernel) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(_polys(max_exp=3), _polys(max_terms=3, max_exp=2), _polys(max_terms=3, max_exp=2),
-       st.integers(1, 8), _WEIGHTS)
-def test_substitute_equals_truncated_schoolbook(f, gx, gy, order, weights):
-    series = TruncatedSeries.of(f, order, weights)
-    w = series.weight_vector()
-
-    def below_weight(g, v):
-        return any(sum(map(mul, w, exps)) < weights.get(v, 1)
-                   for exps in _truncate_poly(g, order, weights).terms)
-
-    if any(series.poly.degree_in(v) and below_weight(g, v) for g, v in ((gx, "x"), (gy, "y"))):
-        # an image below its variable's weight would bring dropped terms back
+       st.integers(1, 8))
+def test_substitute_equals_truncated_schoolbook(f, gx, gy, order):
+    series = TruncatedSeries(f, order)
+    if any(series.poly.degree_in(v) and g.constant_term() for g, v in ((gx, "x"), (gy, "y"))):
+        # an image with a constant term would bring dropped terms back
         with pytest.raises(InvalidInput):
             series.substitute({"x": gx, "y": gy})
         return
     got = series.substitute({"x": gx, "y": gy})
     expected = _termwise_substitute(series.poly, {"x": gx, "y": gy})
-    assert got.poly == _truncate_poly(expected, order, weights)
+    assert got.poly == _truncate(expected, order)
     assert f.substitute({"x": gx, "y": gy}) == _termwise_substitute(f, {"x": gx, "y": gy})
 
 
 @settings(max_examples=60, deadline=None)
-@given(_polys(max_terms=5, max_exp=3), st.integers(1, 8), _WEIGHTS,
+@given(_polys(max_terms=5, max_exp=3), st.integers(1, 8),
        st.fractions(min_value=1, max_value=5, max_denominator=4))
-def test_inverse_times_unit_is_one(m, order, weights, c0):
-    unit = TruncatedSeries.of(m - m.constant_term() + c0, order, weights)
-    try:
-        inverse = unit.inverse()
-    except NotSolvable:
-        # only a weight-0 variable keeps the geometric series from ending
-        assert any(weights.get(v, 1) == 0 for v in R3.variables)
-        return
-    assert (unit * inverse).poly == R3.one()
+def test_inverse_times_unit_is_one(m, order, c0):
+    unit = TruncatedSeries(m - m.constant_term() + c0, order)
+    assert (unit * unit.inverse()).poly == R3.one()
 
 
 @st.composite
@@ -195,7 +174,7 @@ def _linear_unit_systems(draw):
 @given(_linear_unit_systems(), st.integers(1, 7))
 def test_solve_system_residual_vanishes_mod_order(system, order):
     relations, unknowns = system
-    series = [TruncatedSeries.of(r, order) for r in relations]
+    series = [TruncatedSeries(r, order) for r in relations]
     if order == 1:
         with pytest.raises(TruncationTooShallow):
             solve_system(series, unknowns)
@@ -207,46 +186,53 @@ def test_solve_system_residual_vanishes_mod_order(system, order):
         assert all(value.degree_in(v) == 0 for v in unknowns)
 
 
-def test_negative_weighted_degree_is_rejected():
-    with pytest.raises(InvalidInput):
-        TruncatedSeries.of(S.parse("x + y"), 5, weights={"x": -1})
+def test_invertible_variables_are_rejected():
+    # t^-1 has degree -1: times the x^4 that the image x + x^4 drops at order
+    # 4 it would give x^4*t^-1, of degree 3, which a truncated result would miss
     laurent = PolyRing.of("x", "t", invertible=["t"])
-    with pytest.raises(InvalidInput):
-        TruncatedSeries.of(laurent.parse("x + x*t^-2"), 5)
-    series = TruncatedSeries.of(laurent.parse("x + t"), 5)
-    with pytest.raises(InvalidInput):
-        series.substitute({"x": laurent.parse("t^-1")})
+    for f in ("x*t^-1", "x + t"):
+        with pytest.raises(InvalidInput):
+            TruncatedSeries(laurent.parse(f), 4)
 
 
 def test_image_below_its_weight_is_rejected():
     # x = 1 + y has a constant term: x^3*y, dropped at order 3, would give y
     with pytest.raises(InvalidInput):
-        solve_system([TruncatedSeries.of(S.parse("x - 1 - y"), 3)], ["x"])
+        solve_system([TruncatedSeries(S.parse("x - 1 - y"), 3)], ["x"])
     with pytest.raises(InvalidInput):
-        TruncatedSeries.of(S.parse("x^2 + y"), 3).substitute({"x": S.parse("1 + y")})
+        TruncatedSeries(S.parse("x^2 + y"), 3).substitute({"x": S.parse("1 + y")})
 
 
-def test_negative_exponent_of_a_weight_zero_unit():
-    # the power takes the monomial inverse (it used to recurse without end)
-    ring = PolyRing.of("x", "t", invertible=["t"])
-    f, image = ring.parse("t^-1*x + x^2"), {"x": ring.parse("x + x^2")}
-    got = TruncatedSeries.of(f, 4, {"t": 0}).substitute(image)
-    assert str(got) == "2*x^3 + x^2 + x^2*t^-1 + x*t^-1 + O(4)"
-    assert got.poly == _truncate_poly(f.substitute(image), 4, {"t": 0})
-    assert got.poly == _truncate_poly(_termwise_substitute(f, image), 4, {"t": 0})
-    g = ring.parse("x^2*t^-3 + x*t^2")
-    image = {"x": ring.parse("x + x*t^-1"), "t": ring.parse("2*t")}
-    got = TruncatedSeries.of(g, 3, {"t": 0}).substitute(image)
-    assert got.poly == _truncate_poly(_termwise_substitute(g, image), 3, {"t": 0})
+# -- series of different orders do not mix -------------------------------------
+#
+# At O(2) the y^3 of x + y^3 is unknown, so nothing built from it is known to
+# O(10); answering at either order alone would be wrong or depend on the order
+# of the operands.
+
+S10, S2 = TruncatedSeries(S.parse("1 + x"), 10), TruncatedSeries(S.parse("x + y^3"), 2)
 
 
-def test_inverse_of_positive_degree_is_rejected():
-    # t^-1 has degree -1: times the x^4 that the image drops at order 4 it
-    # would give x^4*t^-1, of degree 3, which a truncated result would miss
-    ring = PolyRing.of("x", "t", invertible=["t"])
-    series = TruncatedSeries.of(ring.parse("x*t^-1"), 4)
-    with pytest.raises(InvalidInput):
-        series.substitute({"x": ring.parse("x + x^4")})
+def test_sum_of_different_orders_is_rejected():
+    for a, b in ((S10, S2), (S2, S10)):
+        with pytest.raises(ValueError, match="order"):
+            a + b
+        with pytest.raises(ValueError, match="order"):
+            a - b
+
+
+def test_product_of_different_orders_is_rejected():
+    for a, b in ((S10, S2), (S2, S10)):
+        with pytest.raises(ValueError, match="order"):
+            a * b
+
+
+def test_solve_system_of_different_orders_is_rejected():
+    # x = y^2 + O(2) reads as x = 0, which would give z = y^3 "to order 10"
+    ring = PolyRing.of("z", "x", "y")
+    relations = [TruncatedSeries(ring.parse("z - x - y^3"), 10),
+                 TruncatedSeries(ring.parse("x - y^2"), 2)]
+    with pytest.raises(ValueError, match="order"):
+        solve_system(relations, ["z", "x"])
 
 
 # -- int coefficients until a division, against the all-Fraction oracles ---------
@@ -265,44 +251,38 @@ def _all_int(p):
     return all(type(c) is int for c in p.terms.values())
 
 
-def _schoolbook_inverse(u, order, weights):
-    """(1/c0) sum_k (1 - u/c0)^k by schoolbook products; every weight >= 1, so
-    the k-th power is zero below the order once k reaches it."""
+def _schoolbook_inverse(u, order):
+    """(1/c0) sum_k (1 - u/c0)^k by schoolbook products; the k-th power is zero
+    below the order once k reaches it."""
     scale = R3.constant(1 / u.constant_term())
     minus_m = R3.one() - _schoolbook(u, scale)
     total = power = R3.one()
     for _ in range(order):
-        power = _truncate_poly(_schoolbook(power, minus_m), order, weights)
+        power = _truncate(_schoolbook(power, minus_m), order)
         total = total + power
-    return _truncate_poly(_schoolbook(total, scale), order, weights)
-
-
-_POSITIVE_WEIGHTS = st.one_of(st.just({}), st.fixed_dictionaries(
-    {v: st.integers(1, 3) for v in R3.variables}))
+    return _truncate(_schoolbook(total, scale), order)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_int_polys(), _int_polys(), _int_polys(max_terms=3, max_exp=2),
-       st.integers(1, 8), _WEIGHTS)
-def test_int_series_products_and_substitutions_equal_the_fraction_oracle(a, b, g, order, weights):
+@given(_int_polys(), _int_polys(), _int_polys(max_terms=3, max_exp=2), st.integers(1, 8))
+def test_int_series_products_and_substitutions_equal_the_fraction_oracle(a, b, g, order):
     fa, fb, fg = _as_fractions(a), _as_fractions(b), _as_fractions(g)
-    product = (TruncatedSeries.of(a, order, weights) * b).poly
-    assert product == _truncate_poly(_schoolbook(fa, fb), order, weights) and _all_int(product)
+    product = (TruncatedSeries(a, order) * b).poly
+    assert product == _truncate(_schoolbook(fa, fb), order) and _all_int(product)
     x, y, z = (R3.var(v) for v in R3.variables)
     image = {"x": g * x, "y": g * y + z}
     expected = _termwise_substitute(fa, {"x": fg * x, "y": fg * y + z})
     substituted = a.substitute(image)
     assert substituted == expected and _all_int(substituted)
-    if weights.get("y", 1) <= weights.get("z", 1):  # no image below its variable's weight
-        series = TruncatedSeries.of(a, order, weights).substitute(image).poly
-        assert series == _truncate_poly(expected, order, weights) and _all_int(series)
+    series = TruncatedSeries(a, order).substitute(image).poly
+    assert series == _truncate(expected, order) and _all_int(series)
 
 
 @settings(max_examples=60, deadline=None)
-@given(_int_polys(), st.integers(1, 8), _POSITIVE_WEIGHTS, st.sampled_from([1, -1, 2, -3]))
-def test_int_inverse_equals_the_fraction_oracle(m, order, weights, c0):
+@given(_int_polys(), st.integers(1, 8), st.sampled_from([1, -1, 2, -3]))
+def test_int_inverse_equals_the_fraction_oracle(m, order, c0):
     unit = m - m.constant_term() + c0
-    inverse = TruncatedSeries.of(unit, order, weights).inverse().poly
-    assert inverse == _schoolbook_inverse(_as_fractions(unit), order, weights)
+    inverse = TruncatedSeries(unit, order).inverse().poly
+    assert inverse == _schoolbook_inverse(_as_fractions(unit), order)
     if c0 in (1, -1):  # no division
         assert _all_int(inverse)
