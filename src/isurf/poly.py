@@ -2,15 +2,18 @@
 
 Coefficients are `int` until a division makes a proper fraction, then
 `fractions.Fraction`.  Every coefficient division is ``exact_quotient``, since
-``int / int`` is a float; it and the constructors store integral values as
-`int`.  Terms are exponent tuples.  Variables listed in ``PolyRing.invertible``
+``int / int`` is a float; it, the constructors and the kernel's products
+store integral values as `int`.  Terms are exponent tuples.  Variables listed in ``PolyRing.invertible``
 may carry negative exponents; this is how rational-function coefficients in
 distinguished parameters are represented (every denominator that occurs is a
 monomial in those parameters).
 
 Products, powers and substitutions run through one kernel that never forms
 a term of total degree >= order (Brent & Kung, J. ACM 25, 1978).  Series
-pass their order; exact operations pass order None, so nothing drops.
+pass their order; exact operations pass order None, so nothing drops.  Its
+pair loop sees only ints: each operand is cleared once to integer numerators
+over the lcm of its denominators, and each output term is divided once, as in
+FLINT's ``fmpq_poly`` (Hart, ICMS 2010).  An all-int operand is used as it is.
 
 The canonical text form uses graded-lex term order (descending), "p/q"
 coefficients, explicit "^" powers and "*" products, and is what
@@ -22,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf
+from math import inf, lcm, prod
 from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
@@ -209,10 +212,8 @@ class ExactPolynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "ExactPolynomial":
-        a, b = self.terms, self._coerce(other).terms
-        if len(a) > len(b):
-            a, b = b, a
-        return ExactPolynomial.unchecked(self.ring, product_terms(a, graded_terms(b), None))
+        product = multiply_terms(self.terms, self._coerce(other).terms, None)
+        return ExactPolynomial.unchecked(self.ring, product)
 
     __rmul__ = __mul__
 
@@ -224,8 +225,9 @@ class ExactPolynomial:
             return self.ring.one()
         if n == 1:
             return self
-        power = power_terms(graded_terms(self.terms), n, None, {})
-        return ExactPolynomial.unchecked(self.ring, {e: c for _, e, c in power})
+        base, d = cleared(self.terms)
+        power = power_terms(graded_terms(base), n, None, {})
+        return ExactPolynomial.unchecked(self.ring, divided({e: c for _, e, c in power}, d ** n))
 
     def monomial_inverse(self) -> "ExactPolynomial":
         """Inverse of a single-term polynomial (invertible variables only)."""
@@ -415,11 +417,37 @@ def graded_terms(terms: Mapping[tuple[int, ...], Coeff]) -> list:
     return sorted(((sum(e), e, c) for e, c in terms.items()), key=itemgetter(0))
 
 
-def product_terms(a: Mapping[tuple[int, ...], Coeff], b: list, order: int | None,
+def cleared(terms: Mapping[tuple[int, ...], Coeff]) -> tuple[Mapping, int]:
+    """(numerators, d): integer terms with terms == numerators / d, d the lcm
+    of the denominators.  All-int terms come back as they are, with d = 1."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    if d == 1:
+        return terms, 1
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+def divided(terms: dict, d: int) -> dict:
+    """The integer terms divided by d, one ``exact_quotient`` each."""
+    if d == 1:
+        return terms
+    return {e: exact_quotient(c, d) for e, c in terms.items()}
+
+
+def multiply_terms(a: Mapping[tuple[int, ...], Coeff], b: Mapping[tuple[int, ...], Coeff],
+                   order: int | None) -> dict:
+    """The terms of a*b below the order: the pair loop runs on the cleared
+    factors (the shorter one outside), then each term is divided once."""
+    if len(a) > len(b):
+        a, b = b, a
+    (a, da), (b, db) = cleared(a), cleared(b)
+    return divided(product_terms(a, graded_terms(b), order), da * db)
+
+
+def product_terms(a: Mapping[tuple[int, ...], int], b: list, order: int | None,
                   out: dict | None = None) -> dict:
     """Add the terms of a*b of degree below the order (all of them for order
     None) into ``out``.  ``b`` comes from graded_terms, so the inner loop stops
-    at the first pair reaching the order."""
+    at the first pair reaching the order.  Callers pass ints (``cleared``)."""
     out = {} if out is None else out
     get = out.get
     for ea, ca in a.items():
@@ -456,28 +484,36 @@ def power_terms(base: list, n: int, order: int | None, powers: dict) -> list:
 def substitute_terms(terms: Mapping[tuple[int, ...], Coeff],
                      image: Callable[[int], ExactPolynomial], nvars: int,
                      order: int | None) -> dict:
-    """The terms of the sum of c * prod image(i)**e_i below the order, added
-    into one dict; the images have ``nvars`` variables.  A negative exponent
-    raises the monomial inverse of the image."""
-    bases: dict[tuple[int, bool], tuple[list, dict]] = {}
+    """The terms of the sum of c * prod image(i)**e_i below the order; the
+    images have ``nvars`` variables, and a negative exponent raises the monomial
+    inverse.  With images cleared to N_i / d_i and L the lcm of the terms'
+    D = c.denominator * prod d_i**|e_i|, one int dict sums c.numerator * L/D *
+    prod N_i**e_i, and is divided by L at the end."""
+    bases: dict[tuple[int, bool], tuple[list, int, dict]] = {}
 
-    def power(i: int, e: int) -> list:
+    def power(i: int, e: int) -> tuple[list, int]:
         key = (i, e < 0)
         if key not in bases:
             img = image(i).monomial_inverse() if e < 0 else image(i)
-            bases[key] = graded_terms(img.terms), {}
-        base, powers = bases[key]
-        return power_terms(base, abs(e), order, powers)
+            numerators, d = cleared(img.terms)
+            bases[key] = graded_terms(numerators), d, {}
+        base, d, powers = bases[key]
+        return power_terms(base, abs(e), order, powers), d ** abs(e)
 
-    zero = (0,) * nvars
-    result: dict[tuple[int, ...], Coeff] = {}
+    plan = []
     for exps, c in terms.items():
         factors = [power(i, e) for i, e in enumerate(exps) if e]
-        term = {zero: c}
+        den = c.denominator * prod(d for _, d in factors)
+        plan.append((c.numerator, den, [f for f, _ in factors]))
+    common = lcm(*(den for _, den, _ in plan))
+    zero = (0,) * nvars
+    result: dict[tuple[int, ...], int] = {}
+    for num, den, factors in plan:
+        term = {zero: num * (common // den)}
         for factor in factors[:-1]:
             term = product_terms(term, factor, order)
         product_terms(term, factors[-1] if factors else [(0, zero, 1)], order, result)
-    return result
+    return divided(result, common)
 
 
 class _Parser:

@@ -381,14 +381,17 @@ def weighted_monomials(degree: int, names: Sequence[str] = GENERATOR_ORDER[:-1],
     default), in a deterministic order."""
     weights = weights or GENERATOR_DEGREES
     names = list(names)
+    if not names:
+        return [] if degree else [{}]
     out: list[dict[str, int]] = []
 
     def go(i: int, remaining: int, acc: dict[str, int]):
-        if i == len(names):
-            if remaining == 0:
-                out.append(dict(acc))
-            return
         w = weights[names[i]]
+        if i == len(names) - 1:  # the last exponent is what remains, if w divides it
+            e, r = divmod(remaining, w)
+            if r == 0 and e >= 0:
+                out.append({**acc, names[i]: e} if e else dict(acc))
+            return
         for e in range(remaining // w + 1):
             if e:
                 acc[names[i]] = e

@@ -483,6 +483,34 @@ def _is_type(cls, d, n, a) -> bool:
         cls.same_singularity(tsing.TSingularity(d, n, a))
 
 
+# the germ cases (description, ..., predicate) of wps51 and family-munu
+GENERAL_THETA, GENERAL_TAU = Fraction(3), Fraction(2)
+WPS51_GERMS = (
+    ("index-5 point, general parameters", "ze", GENERAL_THETA, GENERAL_TAU,
+     lambda c: _is_type(c, 1, 5, 3)),
+    ("index-17 point avoided", "s0", GENERAL_THETA, GENERAL_TAU,
+     lambda c: c == "absent"),
+    ("index-3 point absent for nonzero tau", "t1", GENERAL_THETA, GENERAL_TAU,
+     lambda c: c == "absent"),
+    ("index-3 point for tau = 0", "t1", GENERAL_THETA, Fraction(0),
+     lambda c: _is_type(c, 1, 3, 2)),
+    ("index-3 point for tau = theta = 0", "t1", Fraction(0), Fraction(0),
+     lambda c: _is_type(c, 2, 3, 1)),
+)
+FAMILY_GERMS = (
+    ("mu, nu general: base point off the surface", 1, 1, "y",
+     lambda c: c == "absent"),
+    ("mu general, nu = 0: one index-2 point", 1, 0, "y",
+     lambda c: _is_type(c, 1, 2, 1)),
+    ("mu = 0: index-3 point at the u-chart", 0, 1, "u",
+     lambda c: _is_type(c, 2, 3, 1)),
+    ("mu = nu = 0: index-2 point persists", 0, 0, "y",
+     lambda c: _is_type(c, 1, 2, 1)),
+    ("mu = nu = 0: index-3 point persists", 0, 0, "u",
+     lambda c: _is_type(c, 2, 3, 1)),
+)
+
+
 @scenario("fixed-part", ("section3", "rings"),
           "the base curve of the canonical system and its degenerations")
 def _fixed_part(params: Params) -> list[Check]:
@@ -543,26 +571,13 @@ def _wps51(params: Params) -> list[Check]:
                      [str(c) for c in inv.series.coefficients(3)], "derived",
                      "weighted series expansion"))
     seed = params.seed
-    general_theta, general_tau = Fraction(3), Fraction(2)
-    cases = [
-        ("index-5 point, general parameters", "ze", general_theta, general_tau,
-         lambda c: _is_type(c, 1, 5, 3)),
-        ("index-17 point avoided", "s0", general_theta, general_tau,
-         lambda c: c == "absent"),
-        ("index-3 point absent for nonzero tau", "t1", general_theta, general_tau,
-         lambda c: c == "absent"),
-        ("index-3 point for tau = 0", "t1", general_theta, Fraction(0),
-         lambda c: _is_type(c, 1, 3, 2)),
-        ("index-3 point for tau = theta = 0", "t1", Fraction(0), Fraction(0),
-         lambda c: _is_type(c, 2, 3, 1)),
-    ]
-    for desc, point, th, ta, pred in cases:
+    for desc, point, th, ta, pred in WPS51_GERMS:
         got = wps.s51_point_analysis(point, th, ta, seed, params.order)
         out.append(check(f"{desc} [{got}]", True, pred(got), "reference",
                          "coordinate point analysis"))
     if params.get("theta") is not None or params.get("tau") is not None:
-        th = params.get("theta", general_theta)
-        ta = params.get("tau", general_tau)
+        th = params.get("theta", GENERAL_THETA)
+        ta = params.get("tau", GENERAL_TAU)
         got = wps.s51_point_analysis("t1", th, ta, seed, params.order)
         out.append(check(f"index-3 point at the requested parameters [{got}]",
                          "reported", "reported", "direct",
@@ -692,19 +707,7 @@ def _family(params: Params) -> list[Check]:
     seed = params.seed
     mu = params.get("mu")
     nu = params.get("nu")
-    cases = [
-        ("mu, nu general: base point off the surface", 1, 1, "y",
-         lambda c: c == "absent"),
-        ("mu general, nu = 0: one index-2 point", 1, 0, "y",
-         lambda c: _is_type(c, 1, 2, 1)),
-        ("mu = 0: index-3 point at the u-chart", 0, 1, "u",
-         lambda c: _is_type(c, 2, 3, 1)),
-        ("mu = nu = 0: index-2 point persists", 0, 0, "y",
-         lambda c: _is_type(c, 1, 2, 1)),
-        ("mu = nu = 0: index-3 point persists", 0, 0, "u",
-         lambda c: _is_type(c, 2, 3, 1)),
-    ]
-    for desc, m, n, chart, pred in cases:
+    for desc, m, n, chart, pred in FAMILY_GERMS:
         fam = wps.TwoSingularityFamily.of(m, n, seed)
         got = fam.germ_at_y(params.order) if chart == "y" else fam.germ_at_u(params.order)
         out.append(check(f"{desc} [{got}]", True, pred(got), "reference",

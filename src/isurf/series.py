@@ -4,7 +4,7 @@ A ``TruncatedSeries`` is a polynomial modulo the terms of total degree >=
 order.  Its variables are ordinary (a ring with invertible variables raises
 InvalidInput), so no term below the order comes from one dropped above it.
 Series of different orders do not mix (ValueError).  Products and
-substitutions are the ``poly`` kernel (``product_terms``, ``substitute_terms``)
+substitutions are the ``poly`` kernel (``multiply_terms``, ``substitute_terms``)
 called with the series' order, so a dropped term pair is never formed.
 ``solve_system`` runs Newton sweeps for a diagonal-unit Jacobian.
 """
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InvalidInput, NotSolvable, TruncationTooShallow
-from .poly import (Coeff, ExactPolynomial, PolyRing, exact_quotient, graded_terms,
-                   product_terms, substitute_terms)
+from .poly import (Coeff, ExactPolynomial, PolyRing, exact_quotient, multiply_terms,
+                   substitute_terms)
 
 DEFAULT_ORDER = 10
 
@@ -62,10 +62,7 @@ class TruncatedSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.poly.terms, self._coerce(other).terms
-        if len(a) > len(b):
-            a, b = b, a
-        product = product_terms(a, graded_terms(b), self.order)
+        product = multiply_terms(self.poly.terms, self._coerce(other).terms, self.order)
         return self._wrap(ExactPolynomial.unchecked(self.ring, product))
 
     def __neg__(self):

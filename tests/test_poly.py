@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isurf import poly
+from isurf import poly, wps
 from isurf.errors import InvalidInput, NotDivisible, ParseError, UndeclaredIdentifier
 from isurf.poly import ExactPolynomial, PolyRing
+from isurf.series import TruncatedSeries
+from isurf.tsing import TSingularity
 
 R3 = PolyRing.of("x0", "x1", "y")
 
@@ -274,11 +276,37 @@ def test_integral_quotients_are_stored_as_int():
     assert _all_int(ring.parse("-lam^2").monomial_inverse())
     half = ring.parse("2*lam").monomial_inverse()
     assert half.coefficient((0, -1)) == Fraction(1, 2)
+    halved = ring.parse("4*x*lam - 6") * Fraction(1, 2)
+    assert halved == ring.parse("2*x*lam - 3") and _all_int(halved)
+    plane = PolyRing.of("x", "y")
+    square = TruncatedSeries(plane.parse("1/2*x + 1/2"), 4) * plane.parse("2*x - 2")
+    assert square.poly == plane.parse("x^2 - 1") and _all_int(square.poly)
     assert poly.exact_quotient(6, 3) == 2 and type(poly.exact_quotient(6, 3)) is int
     assert poly.exact_quotient(Fraction(3, 2), Fraction(1, 2)) == 3
     assert poly.exact_quotient(1, 3) == Fraction(1, 3)
     with pytest.raises(ZeroDivisionError):
         poly.exact_quotient(1, 0)
+
+
+def test_the_pair_loop_multiplies_only_ints(monkeypatch):
+    seen = []
+    kernel = poly.product_terms
+
+    def checked(a, b, *rest):
+        out = rest[1].values() if len(rest) > 1 else ()
+        seen.extend(type(c) for c in [*a.values(), *(c for _, _, c in b), *out])
+        return kernel(a, b, *rest)
+
+    monkeypatch.setattr(poly, "product_terms", checked)
+    germ = wps.TwoSingularityFamily.of(0, 1, 0).germ_at_u(12)
+    assert germ.same_singularity(TSingularity(2, 3, 1))
+    ring = PolyRing.of("x", "lam", invertible=("lam",))
+    f = ring.parse("x^3*lam^-2 - 2/3*x*lam + 5/2")
+    images = {"x": ring.parse("1/2*x + 3/5*lam"), "lam": ring.parse("7/4*lam")}
+    point = {"x": Fraction(2, 3), "lam": Fraction(-5, 2)}
+    values = {name: g.evaluate(point) for name, g in images.items()}
+    assert f.substitute(images).evaluate(point) == f.evaluate(values)
+    assert seen and set(seen) == {int}
 
 
 def test_bool_coefficient_is_an_int():

@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from isurf import toric, wps
+from isurf import scenarios, toric, wps
 from isurf.tsing import TSingularity
 
 
@@ -68,6 +68,18 @@ def test_s51_point_analysis_cases():
     assert tau0.same_singularity(TSingularity(1, 3, 2))
     both0 = wps.s51_point_analysis("t1", 0, 0)
     assert both0.same_singularity(TSingularity(2, 3, 1))
+
+
+def test_germ_cases_hold_at_order_12():
+    """The scenarios' germ tables at the order where denominators are largest."""
+    for seed in range(5):
+        for desc, point, theta, tau, pred in scenarios.WPS51_GERMS:
+            got = wps.s51_point_analysis(point, theta, tau, seed, 12)
+            assert pred(got), (seed, desc, got)
+        for desc, mu, nu, chart, pred in scenarios.FAMILY_GERMS:
+            fam = wps.TwoSingularityFamily.of(mu, nu, seed)
+            got = fam.germ_at_y(12) if chart == "y" else fam.germ_at_u(12)
+            assert pred(got), (seed, desc, got)
 
 
 def test_s51_equation_degree():
