@@ -195,7 +195,7 @@ class ExactPolynomial:
         for exps, c in other.terms.items():
             s = terms.get(exps, 0) + c
             if s:
-                terms[exps] = s
+                terms[exps] = _coeff(s)
             else:
                 terms.pop(exps, None)
         return ExactPolynomial.unchecked(self.ring, terms)
@@ -255,16 +255,9 @@ class ExactPolynomial:
         terms = {}
         for exps, c in self.terms.items():
             e = exps[i]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            key = tuple(new)
-            s = terms.get(key, 0) + c * e
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
+            if e:
+                # distinct terms differentiate to distinct terms: nothing to collect
+                terms[exps[:i] + (e - 1,) + exps[i + 1:]] = _coeff(c * e)
         return ExactPolynomial.unchecked(self.ring, terms)
 
     def exact_divide(self, g: "ExactPolynomial") -> "ExactPolynomial":

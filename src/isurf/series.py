@@ -6,7 +6,11 @@ InvalidInput), so no term below the order comes from one dropped above it.
 Series of different orders do not mix (ValueError).  Products and
 substitutions are the ``poly`` kernel (``multiply_terms``, ``substitute_terms``)
 called with the series' order, so a dropped term pair is never formed.
-``solve_system`` runs Newton sweeps for a diagonal-unit Jacobian.
+``solve_system`` eliminates variables by chord sweeps: each correction
+divides a residual by the constant unit of its relation, so nothing is
+differentiated or inverted.  A sweep gains at least one order, so order
+sweeps reach the order, and the sweep whose residuals are all zero is the
+certificate.
 """
 
 from __future__ import annotations
@@ -117,9 +121,15 @@ def solve_system(relations: Sequence[TruncatedSeries],
                  variables: Sequence[str]) -> dict[str, ExactPolynomial]:
     """Solve relations[i] = 0 for variables[i] jointly, as series in the rest.
 
-    Each relation must be a unit times its variable plus higher-order terms
-    (diagonal-unit Jacobian at the origin); Gauss-Seidel Newton sweeps then
-    converge order by order.  Relations of different orders raise ValueError.
+    Each relation must be a nonzero constant unit u_i times its variable plus
+    higher-order terms; relations of different orders raise ValueError.  The
+    Gauss-Seidel chord sweeps set variables[i] -= residual_i / u_i (Newton's
+    step with the Jacobian frozen at its constant diagonal), which raises the
+    valuation of every error by at least one per sweep: order - 1 corrections
+    reach the order, and a last sweep in which every residual is zero is the
+    certificate.  A system the sweeps cannot solve within the cap (say, one
+    with constant coupling between the variables) raises NotSolvable; it never
+    returns a series that does not solve it.
     """
     if len(relations) != len(variables):
         raise ValueError("need one relation per variable")
@@ -130,21 +140,22 @@ def solve_system(relations: Sequence[TruncatedSeries],
         raise ValueError(f"relations of different orders {sorted({r.order for r in relations})}")
     if order <= 1:
         raise TruncationTooShallow(f"order {order} drops the linear terms of the relations")
+    inverse_units = []
     for r, v in zip(relations, variables):
-        if r.poly.coefficients_in(v).get(1, ring.zero()).constant_term() == 0:
+        unit = r.poly.coefficient(ring.exponents({v: 1}))
+        if unit == 0:
             raise NotSolvable(f"relation is not linear-unit in {v}")
+        inverse_units.append(exact_quotient(1, unit))
     # solutions only ever involve the unsolved variables: every residual is
     # computed with the full current assignment substituted in
     sol = {v: ring.zero() for v in variables}
-    derivs = [r.derivative(v) for r, v in zip(relations, variables)]
     for _ in range(order + 2):
         done = True
-        for i, v in enumerate(variables):
-            res = relations[i].substitute(sol)
-            if res.is_zero():
-                continue
-            done = False
-            sol[v] = sol[v] - (res * derivs[i].substitute(sol).inverse()).poly
+        for r, v, inverse_unit in zip(relations, variables, inverse_units):
+            res = r.substitute(sol)
+            if not res.is_zero():
+                done = False
+                sol[v] = sol[v] - (res * inverse_unit).poly
         if done:
             return sol
     raise NotSolvable("system iteration did not converge")

@@ -1,4 +1,4 @@
-"""Skew-symmetric matrices of polynomials: Pfaffians and determinants."""
+"""Skew-symmetric matrices of polynomials: Pfaffians and sub-Pfaffians."""
 
 from __future__ import annotations
 
@@ -101,31 +101,3 @@ class SkewMatrix:
             sum((self.entry(i, j) * vector[j] for j in range(self.size)), self.ring.zero())
             for i in range(self.size)
         ]
-
-    def to_rows(self) -> list[list[ExactPolynomial]]:
-        return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
-
-
-def determinant(rows: Sequence[Sequence[ExactPolynomial]], ring: PolyRing) -> ExactPolynomial:
-    """Fraction-free (Bareiss) determinant of a square polynomial matrix."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for swap in range(k + 1, n):
-                if not m[swap][k].is_zero():
-                    m[k], m[swap] = m[swap], m[k]
-                    sign = -sign
-                    break
-            else:
-                return ring.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_divide(prev)
-        prev = m[k][k]
-    return m[n - 1][n - 1] * sign

@@ -17,7 +17,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import CertificateFailed, InvalidInput, TruncationTooShallow
-from .poly import ExactPolynomial, PolyRing
+from .poly import Coeff, ExactPolynomial, PolyRing
 from .series import TruncatedSeries, solve_system
 
 
@@ -256,13 +256,14 @@ def classify_germ(germ: QuotientGerm):
     A linear term makes the germ a smooth sheet over the plane of the other
     two variables, so the point is the plane quotient there.  Otherwise looks
     for a pair of variables whose degree-two part has an invertible
-    two-by-two Hessian, Newton-solves the critical point as a series in the
-    third variable, and reads the multiplicity k of the residual there; the
-    quotient type is then 1/(k n) n (1, k a - 1) with a the normalised weight
-    of the residual variable.  Unrecognized results mean "not matched at this
-    truncation order", never a proof of absence.  An order that drops the
-    degree-two part, or a residual that vanishes to the order, raises
-    TruncationTooShallow.
+    two-by-two Hessian, solves the critical point as a series in the third
+    variable (``solve_system`` on the Hessian-adjugate combinations of the
+    two partial derivatives), and reads the multiplicity k of the residual
+    there; the quotient type is then 1/(k n) n (1, k a - 1) with a the
+    normalised weight of the residual variable.  Unrecognized results mean
+    "not matched at this truncation order", never a proof of absence.  An
+    order that drops the degree-two part, or a residual that vanishes to the
+    order, raises TruncationTooShallow.
     """
     f = germ.equation
     n = germ.order
@@ -298,10 +299,9 @@ def _classify_with_pair(germ: QuotientGerm, i: int, j: int):
         v[i], v[j], v[k_index] = a, b, c
         return tuple(v)
 
-    a2 = f.poly.coefficient(e(2, 0, 0))
-    b2 = f.poly.coefficient(e(1, 1, 0))
-    c2 = f.poly.coefficient(e(0, 2, 0))
-    if 4 * a2 * c2 - b2 * b2 == 0:
+    hxx, hxy, hyy = (2 * f.poly.coefficient(e(2, 0, 0)), f.poly.coefficient(e(1, 1, 0)),
+                     2 * f.poly.coefficient(e(0, 2, 0)))
+    if hxx * hyy - hxy * hxy == 0:
         return None
     if n > 1:
         wi, wj, wk = germ.action[i], germ.action[j], germ.action[k_index]
@@ -309,9 +309,7 @@ def _classify_with_pair(germ: QuotientGerm, i: int, j: int):
             return None
         if gcd(wi % n, n) != 1:
             return None
-    residual = _critical_residual(f, names[i], names[j])
-    if residual is None:
-        return None
+    residual = _critical_residual(f, names[i], names[j], hxx, hxy, hyy)
     if residual.is_zero():
         raise TruncationTooShallow(
             f"residual in {names[k_index]} vanishes to order {f.order}")
@@ -329,30 +327,17 @@ def _classify_with_pair(germ: QuotientGerm, i: int, j: int):
     return TSingularity(d, n, a)
 
 
-def _critical_residual(f: TruncatedSeries, x: str, y: str) -> ExactPolynomial | None:
+def _critical_residual(f: TruncatedSeries, x: str, y: str,
+                       hxx: Coeff, hxy: Coeff, hyy: Coeff) -> ExactPolynomial:
     """f at its critical point in (x, y), a series in the remaining variable.
 
-    Solves f_x = f_y = 0 by a two-variable Newton iteration (the constant
-    Hessian is invertible by choice of pair); returns None if the iteration
-    fails, which only happens for inadmissible pairs.
+    (hxx, hxy, hyy) is the invertible constant Hessian of f in (x, y).  Its
+    adjugate combines f_x = f_y = 0 into two relations that are det*x and
+    det*y plus higher terms, which ``solve_system`` solves.
     """
     fx, fy = f.derivative(x), f.derivative(y)
-    hxx, hxy, hyy = fx.derivative(x), fx.derivative(y), fy.derivative(y)
-    gx = gy = f.ring.zero()
-    for _ in range(f.order + 2):
-        sub = {x: gx, y: gy}
-        rx, ry = fx.substitute(sub), fy.substitute(sub)
-        if rx.is_zero() and ry.is_zero():
-            return f.substitute(sub).poly
-        a, b, c = hxx.substitute(sub), hxy.substitute(sub), hyy.substitute(sub)
-        det = a * c - b * b
-        if det.constant_term() == 0:
-            return None
-        det_inv = det.inverse()
-        # [gx, gy] -= H^{-1} [rx, ry] with H = [[a, b], [b, c]]
-        gx = gx - ((c * rx - b * ry) * det_inv).poly
-        gy = gy - ((a * ry - b * rx) * det_inv).poly
-    return None
+    critical = solve_system([fx * hyy - fy * hxy, fy * hxx - fx * hxy], [x, y])
+    return f.substitute(critical).poly
 
 
 def chart_germ(equations: Mapping[str, ExactPolynomial], weights: Mapping[str, int],

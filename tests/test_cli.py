@@ -123,3 +123,21 @@ def test_all_json_report_matches_the_stored_digest(seed, capsys):
     assert main(["--all", "--seed", seed, "--format", "json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == STORED_DIGESTS[seed]
+
+
+ORDER_14_DIGESTS = {
+    "cor-pfaffian": "884843b9cf717ed828124f5154672942e1443a85134f7ec74f861d1710c0542a",
+    "lemma-smoothing": "0ae3edb7e5130a90d19356eb3864c5fcfc5ab70217c5f3051b8b65670b72acd5",
+    "family-munu": "c17ad808096ef30854914dc468c5250a34382f2188880501aaf072ecad745b21",
+    "wps51": "147795f1e2b12757848d398a7fc2cc5ad03c97fcc445ba29e7e92f0e868c7232",
+}
+
+
+@pytest.mark.parametrize("scenario", ORDER_14_DIGESTS)
+def test_germ_scenario_at_order_14_matches_the_stored_digest(scenario, capsys):
+    # the stored --all digests run at order 10; the series solves take more
+    # sweeps at a higher order, so the germ scenarios are pinned at 14 too
+    args = ["--scenario", scenario, "--seed", "1", "--order", "14", "--format", "json"]
+    assert main(args) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ORDER_14_DIGESTS[scenario]

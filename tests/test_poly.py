@@ -288,6 +288,14 @@ def test_integral_quotients_are_stored_as_int():
         poly.exact_quotient(1, 0)
 
 
+def test_integral_sums_and_derivatives_are_stored_as_int():
+    ring = PolyRing.of("x", "y")
+    doubled = ring.parse("1/2*x") + ring.parse("1/2*x")
+    assert doubled == ring.var("x") and type(doubled.coefficient((1, 0))) is int
+    slope = ring.parse("3/2*x^2").derivative("x")
+    assert slope == ring.parse("3*x") and type(slope.coefficient((1, 0))) is int
+
+
 def test_the_pair_loop_multiplies_only_ints(monkeypatch):
     seen = []
     kernel = poly.product_terms

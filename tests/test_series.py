@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,33 @@ def test_solve_system_two_variables():
         assert r.substitute(sol).is_zero()
     for value in sol.values():
         assert value.degree_in("a") == 0 and value.degree_in("b") == 0
+
+
+def test_constant_coupling_is_not_solvable():
+    # each relation is linear-unit in its variable, but the constant coupling
+    # of a and b keeps a degree-one residual after every sweep
+    ring = PolyRing.of("a", "b", "s")
+    relations = [TruncatedSeries(ring.parse(r), 6) for r in ("a + 2*b + s", "b + 2*a")]
+    with pytest.raises(NotSolvable):
+        solve_system(relations, ["a", "b"])
+
+
+def test_chord_sweeps_gain_one_order_each(monkeypatch):
+    # x = y + x^2 is solved by the Catalan series; each chord sweep x <- y + x^2
+    # fixes one more coefficient, so order 16 takes 15 corrections and then
+    # the certifying sweep, the most sweeps a system can need
+    ring = PolyRing.of("x", "y")
+    sweeps = []
+    substitute = TruncatedSeries.substitute
+
+    def counted(series, assignment):
+        sweeps.append(assignment)
+        return substitute(series, assignment)
+
+    monkeypatch.setattr(TruncatedSeries, "substitute", counted)
+    x = solve_system([TruncatedSeries(ring.parse("x - y - x^2"), 16)], ["x"])["x"]
+    assert len(sweeps) == 16
+    assert x == ring.from_terms({(0, k): comb(2 * k - 2, k - 1) // k for k in range(1, 16)})
 
 
 # -- the truncation-aware kernel against schoolbook oracles --------------------

@@ -2,7 +2,7 @@ import itertools
 import random
 
 from isurf.poly import PolyRing
-from isurf.skew import SkewMatrix, determinant
+from isurf.skew import SkewMatrix
 
 K = PolyRing.of("a", "b", "c", "d", "e", "f")
 
@@ -30,6 +30,33 @@ def permutation_determinant(rows, ring):
             term = term * rows[i][perm[i]]
         total = total + term
     return total
+
+
+def dense_rows(m):
+    return [[m.entry(i, j) for j in range(m.size)] for i in range(m.size)]
+
+
+def determinant(rows, ring):
+    """Fraction-free (Bareiss) determinant of a square polynomial matrix."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = ring.one()
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for swap in range(k + 1, n):
+                if not m[swap][k].is_zero():
+                    m[k], m[swap] = m[swap], m[k]
+                    sign = -sign
+                    break
+            else:
+                return ring.zero()
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                m[i][j] = num.exact_divide(prev)
+        prev = m[k][k]
+    return m[n - 1][n - 1] * sign
 
 
 def test_classical_four_by_four():
@@ -69,16 +96,16 @@ def test_pfaffian_squared_is_determinant_random():
                     upper[(i, j)] = ring.constant(rng.randint(-4, 4))
             m = SkewMatrix(ring, n, upper)
             pf = m.pfaffian()
-            det_fast = determinant(m.to_rows(), ring)
+            det_fast = determinant(dense_rows(m), ring)
             assert pf * pf == det_fast
             if n <= 6:
-                det_oracle = permutation_determinant(m.to_rows(), ring)
+                det_oracle = permutation_determinant(dense_rows(m), ring)
                 assert det_fast == det_oracle
 
 
 def test_pfaffian_squared_polynomial_entries():
     m = SkewMatrix.from_upper_rows(K, [["a", "b", "c"], ["d", "e"], ["f"]])
-    assert m.pfaffian() ** 2 == determinant(m.to_rows(), K)
+    assert m.pfaffian() ** 2 == determinant(dense_rows(m), K)
 
 
 def test_multiply_vector():

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isurf import tsing
 from isurf.errors import InvalidInput, TruncationTooShallow
 from isurf.poly import PolyRing
 from isurf.series import TruncatedSeries
@@ -313,3 +315,69 @@ def test_germ_recovers_disguised_normal_forms():
         got = classify_germ(germ)
         assert isinstance(got, TSingularity), (d, n, a, got)
         assert got.same_singularity(TSingularity(d, n, a)), (d, n, a, got)
+
+
+# -- the critical point against a Newton oracle --------------------------------
+
+
+def newton_critical_residual(f, x, y):
+    """Oracle: f at its critical point in (x, y) by a two-variable Newton
+    iteration that substitutes and inverts the full Hessian on every step."""
+    fx, fy = f.derivative(x), f.derivative(y)
+    hxx, hxy, hyy = fx.derivative(x), fx.derivative(y), fy.derivative(y)
+    gx = gy = f.ring.zero()
+    for _ in range(f.order + 2):
+        sub = {x: gx, y: gy}
+        rx, ry = fx.substitute(sub), fy.substitute(sub)
+        if rx.is_zero() and ry.is_zero():
+            return f.substitute(sub).poly
+        a, b, c = hxx.substitute(sub), hxy.substitute(sub), hyy.substitute(sub)
+        det_inv = (a * c - b * b).inverse()
+        # [gx, gy] -= H^{-1} [rx, ry] with H = [[a, b], [b, c]]
+        gx = gx - ((c * rx - b * ry) * det_inv).poly
+        gy = gy - ((a * ry - b * rx) * det_inv).poly
+    raise AssertionError("Newton iteration did not converge")
+
+
+_XYZ = PolyRing.of("x", "y", "z")
+_NONZERO = st.integers(-4, 4).filter(bool)
+
+
+@st.composite
+def _hyperbolic_germs(draw):
+    """f = a x^2 + b x y + c y^2 + higher terms with 4ac - b^2 != 0: either
+    a = c = 0 (f_x alone is not linear-unit in x) or all of a, b, c nonzero."""
+    if draw(st.booleans()):
+        a, b, c = 0, draw(_NONZERO), 0
+    else:
+        a, b, c = draw(st.tuples(_NONZERO, _NONZERO, _NONZERO)
+                       .filter(lambda abc: 4 * abc[0] * abc[2] != abc[1] ** 2))
+    order = draw(st.integers(3, 8))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 4)).filter(
+        lambda e: (sum(e) == 2 and e[2] > 0) or sum(e) >= 3)
+    coeff = st.builds(Fraction, _NONZERO, st.sampled_from([1, 1, 2, 3]))
+    terms = draw(st.dictionaries(exps, coeff, max_size=6))
+    terms.update({(2, 0, 0): a, (1, 1, 0): b, (0, 2, 0): c})
+    return TruncatedSeries(_XYZ.from_terms(terms), order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_hyperbolic_germs())
+def test_critical_residual_equals_the_newton_oracle(f):
+    # spy on the residual that classify_germ computes (a hypothesis test
+    # cannot take the function-scoped monkeypatch fixture)
+    seen = []
+    solve = tsing._critical_residual
+
+    def spied(g, x, y, *hessian):
+        seen.append((x, y, solve(g, x, y, *hessian)))
+        return seen[-1][2]
+
+    tsing._critical_residual = spied
+    try:
+        with contextlib.suppress(TruncationTooShallow):
+            classify_germ(QuotientGerm(1, (0, 0, 0), f))
+    finally:
+        tsing._critical_residual = solve
+    assert [(x, y) for x, y, _ in seen] == [("x", "y")]
+    assert seen[0][2] == newton_critical_residual(f, "x", "y")
