@@ -16,7 +16,7 @@ from .errors import UnknownScenario
 from .scenarios import Params, list_scenarios, run
 from .series import DEFAULT_ORDER
 
-PARAM_NAMES = ("theta", "tau", "lam", "mu", "nu")
+PARAM_NAMES = ("theta", "tau", "mu", "nu")
 
 
 def build_parser() -> argparse.ArgumentParser:

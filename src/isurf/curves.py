@@ -247,7 +247,6 @@ def replay_script(cfg: CurveConfiguration, script: Sequence[Mapping]) -> dict:
     "final": configuration}.  Illegal steps raise IllegalStep.
     """
     current = cfg
-    log = []
     for step in script:
         op = step.get("op")
         if op == "blow_down":
@@ -255,23 +254,20 @@ def replay_script(cfg: CurveConfiguration, script: Sequence[Mapping]) -> dict:
                 current = current.blow_down(step["curve"])
             except (NotContractible, KeyError) as exc:
                 raise IllegalStep(f"blow_down {step.get('curve')}: {exc}") from exc
-            log.append(f"blow_down {step['curve']}")
         elif op == "set_minimal":
             current = replace(current, minimal_model=True)
-            log.append("set_minimal")
         elif op == "check":
             violations = current.check_rules()
-            log.append(f"check: {len(violations)} violation(s)")
             if violations:
                 return {"verdict": "contradiction", "violations": violations,
-                        "final": current, "log": log}
+                        "final": current}
         else:
             raise IllegalStep(f"unknown op {op!r}")
     violations = current.check_rules()
     if violations:
         return {"verdict": "contradiction", "violations": violations,
-                "final": current, "log": log}
-    return {"verdict": "survives", "violations": [], "final": current, "log": log}
+                "final": current}
+    return {"verdict": "survives", "violations": [], "final": current}
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +304,12 @@ def build_example(recipe: str) -> dict:
         for a, b in zip(curve_names, curve_names[1:]):
             if cfg.pairing(a, b) != 1:
                 raise InvalidInput(f"chain {chain_name} is not a chain in the graph")
-        chains[chain_name] = {"curves": list(curve_names), "entries": entries,
-                              "type": recognize_tchain(entries)}
+        chains[chain_name] = {"entries": entries, "type": recognize_tchain(entries)}
     return {
         "configuration": cfg,
         "chains": chains,
         "script": entry["script"],
         "expected_final": entry["expected_final"],
-        "blowups": int(entry["blowups"]),
         "connectors": list(entry.get("connectors", ())),
     }
 

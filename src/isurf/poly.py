@@ -103,8 +103,8 @@ class PolyRing:
     def monomial(self, powers: Mapping[str, int], coeff: Coeff = 1) -> "ExactPolynomial":
         return self.from_terms({self.exponents(powers): coeff})
 
-    def extend(self, *names: str, invertible: Iterable[str] = ()) -> "PolyRing":
-        return PolyRing(self.variables + tuple(names), self.invertible | frozenset(invertible))
+    def extend(self, *names: str) -> "PolyRing":
+        return PolyRing(self.variables + tuple(names), self.invertible)
 
     def with_invertible(self, *names: str) -> "PolyRing":
         return PolyRing(self.variables, self.invertible | frozenset(names))
@@ -323,16 +323,6 @@ class ExactPolynomial:
 
         terms = substitute_terms(self.terms, image, target.nvars, None)
         return ExactPolynomial.unchecked(target, terms)
-
-    def evaluate(self, assignment: Mapping[str, Coeff]) -> Fraction:
-        total = Fraction(0)  # Fraction values: an int ** -1 would be a float
-        values = [Fraction(_coeff(assignment[name])) for name in self.ring.variables]
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(values, exps):
-                v *= x ** e
-            total += v
-        return total
 
     def cast(self, ring: PolyRing) -> "ExactPolynomial":
         """Reinterpret in another ring containing the same-named variables."""

@@ -366,11 +366,11 @@ def verify_binomials(table: GeneratorTable,
     return report
 
 
-def generic_degree_10(seed: int, params: Sequence[str] = ()) -> ExactPolynomial:
+def generic_degree_10(seed: int) -> ExactPolynomial:
     """A seeded 'general' element of degree 10: every monomial in the eight
     generators appears with a nonzero integer coefficient, the z^2 one with
     coefficient -1 (the sign convention produced by derive_relation)."""
-    ring = generator_ring(*params, with_p=False)
+    ring = generator_ring(with_p=False)
     form = seeded_form(ring, weighted_monomials(10), seed, "P10")
     return form - ring.monomial({"z": 2}, form.coefficient(ring.exponents({"z": 2})) + 1)
 
@@ -492,7 +492,6 @@ def load_formats() -> dict[str, tuple[RelationFormat, RelationSystem]]:
 
 @dataclass(frozen=True)
 class Elimination:
-    substitutions: dict[str, ExactPolynomial]
     identities: tuple[str, ...]
     residuals: tuple[tuple[str, ExactPolynomial, ExactPolynomial], ...]
     # (name, clearing monomial, cleared residual polynomial)
@@ -531,7 +530,6 @@ def smoothing_eliminate(rels: RelationSystem, invertible: Sequence[str],
         subs[var] = solution
     identities = []
     residuals = []
-    planned = {rel_name for rel_name, _ in plan}
     for name in rels.names():
         value = rels.get(name).cast(ring).substitute(subs)
         if value.is_zero():
@@ -539,7 +537,7 @@ def smoothing_eliminate(rels: RelationSystem, invertible: Sequence[str],
             continue
         clear = _clearing_monomial(value, ring)
         residuals.append((name, clear, value * clear))
-    return Elimination(subs, tuple(identities), tuple(residuals))
+    return Elimination(tuple(identities), tuple(residuals))
 
 
 def _clearing_monomial(p: ExactPolynomial, ring: PolyRing) -> ExactPolynomial:
@@ -591,12 +589,11 @@ def chart_singularity(rels: RelationSystem, chart: ChartPlan, order: int = DEFAU
                       chart.eliminate, chart.germ_relation, chart.local_vars, order)
 
 
-def specialize_standard(theta, tau, seed: int = 0,
-                        p_value: ExactPolynomial | None = None) -> RelationSystem:
+def specialize_standard(theta, tau, seed: int = 0) -> RelationSystem:
     """The fourteen relations with numeric parameters and P expanded."""
     rels = standard_relations()
     plain = generator_ring(with_p=False)
-    p = p_value if p_value is not None else generic_degree_10(seed).cast(plain)
+    p = generic_degree_10(seed).cast(plain)
     assignment = {"theta": plain.constant(theta), "tau": plain.constant(tau), "P": p}
     return rels.specialize(assignment, plain)
 

@@ -35,25 +35,11 @@ class Params:
         return self.values.get(name, default)
 
 
-@dataclass
-class Check:
-    desc: str
-    expected: str
-    actual: str
-    provenance: str
-    anchor: str
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-    def as_dict(self) -> dict:
-        return {"desc": self.desc, "expected": self.expected, "actual": self.actual,
-                "provenance": self.provenance, "anchor": self.anchor, "ok": self.ok}
-
-
-def check(desc, expected, actual, provenance, anchor) -> Check:
-    return Check(desc, str(expected), str(actual), provenance, anchor)
+def check(desc, expected, actual, provenance, anchor) -> dict:
+    """One report entry; expected and actual compare in canonical text form."""
+    expected, actual = str(expected), str(actual)
+    return {"desc": desc, "expected": expected, "actual": actual,
+            "provenance": provenance, "anchor": anchor, "ok": expected == actual}
 
 
 @dataclass(frozen=True)
@@ -61,7 +47,7 @@ class Scenario:
     name: str
     tags: tuple[str, ...]
     anchor: str
-    runner: Callable[[Params], list[Check]]
+    runner: Callable[[Params], list[dict]]
 
 
 _REGISTRY: dict[str, Scenario] = {}
@@ -99,17 +85,17 @@ def run(name: str, params: Params | None = None, timing: bool = False) -> dict:
     status = "pass"
     try:
         checks = _REGISTRY[name].runner(params)
-        if not all(c.ok for c in checks):
+        if not all(c["ok"] for c in checks):
             status = "fail"
     except Exception as exc:  # surfaced in the report, nonzero exit
-        checks = [Check("scenario execution", "no exception",
+        checks = [check("scenario execution", "no exception",
                         f"{type(exc).__name__}: {exc} (at {_raised_at(exc)})",
                         "direct", "runner")]
         status = "error"
     report = {
         "scenario": name,
         "status": status,
-        "checks": [c.as_dict() for c in checks],
+        "checks": checks,
         "seed": params.seed,
     }
     if timing:
@@ -123,7 +109,7 @@ def run(name: str, params: Params | None = None, timing: bool = False) -> dict:
 
 @scenario("table1", ("section2", "tsing"),
           "continued-fraction strings of the one-singularity table")
-def _table1(params: Params) -> list[Check]:
+def _table1(params: Params) -> list[dict]:
     out = []
     rows = [((4, 1), [4], "index-2 row, d=1"),
             ((18, 5), [4, 3, 2], "index-3 row"),
@@ -153,7 +139,7 @@ def _table1(params: Params) -> list[Check]:
 
 @scenario("table2", ("section5", "tsing"),
           "codiscrepancy coefficients of the three singularities")
-def _table2(params: Params) -> list[Check]:
+def _table2(params: Params) -> list[dict]:
     out = []
     rows = [([4], ["1/2"]), ([4, 3, 2], ["2/3", "2/3", "1/3"]),
             ([3, 5, 2], ["3/5", "4/5", "2/5"])]
@@ -204,7 +190,7 @@ def _all_t_types(bound: int):
 
 @scenario("weierstrass", ("section3", "toric"),
           "normal form of the relative sextic with a singular fiber over t0=0")
-def _weierstrass(params: Params) -> list[Check]:
+def _weierstrass(params: Params) -> list[dict]:
     out = []
     T = PolyRing.of("t0", "t1")
     R5 = PolyRing.of(*toric.F_VARS)
@@ -248,7 +234,7 @@ def _weierstrass(params: Params) -> list[Check]:
 
 @scenario("gale-rays", ("section3", "toric", "lattice"),
           "ray relations dual to the grading rows")
-def _gale(params: Params) -> list[Check]:
+def _gale(params: Params) -> list[dict]:
     out = []
     rays = toric.gale_rays(toric.FTILDE_PRESENTATION)
     vc = tuple(2 * a + b + c for a, b, c in zip(rays["t0"], rays["s0"], rays["ze"]))
@@ -285,7 +271,7 @@ def _gale(params: Params) -> list[Check]:
 
 @scenario("ytilde-blowup", ("section3", "toric"),
           "strict transforms, multidegrees and the weighted-space collapse")
-def _ytilde(params: Params) -> list[Check]:
+def _ytilde(params: Params) -> list[dict]:
     out = []
     seed = params.seed
     parent = rings.parent_equation(seed)
@@ -363,7 +349,7 @@ def _collapse_shape_ok(collapsed, W: PolyRing) -> bool:
 
 @scenario("generators", ("section3", "rings", "lattice"),
           "minimal monoid generators of the graded cone")
-def _generators(params: Params) -> list[Check]:
+def _generators(params: Params) -> list[dict]:
     out = []
     table = rings.canonical_generators()
     out.append(check("number of generators", 9, len(table.entries), "reference",
@@ -383,7 +369,7 @@ def _generators(params: Params) -> list[Check]:
 
 @scenario("binomials", ("section3", "rings"),
           "the ten binomial relations vanish on the generator monomials")
-def _binomials(params: Params) -> list[Check]:
+def _binomials(params: Params) -> list[dict]:
     out = []
     table = rings.canonical_generators()
     report = rings.verify_binomials(table, rings.standard_relations())
@@ -399,27 +385,18 @@ def _binomials(params: Params) -> list[Check]:
 
 @scenario("derive-r11", ("section3", "rings"),
           "excess-monomial rewriting of the surface equation")
-def _derive(params: Params) -> list[Check]:
+def _derive(params: Params) -> list[dict]:
     out = []
     table = rings.expected_generator_table()
     F = rings.ambient_surface_equation(params.seed)
     derived = {name: rings.derive_relation(F, excess, table)
                for name, excess in rings.EXCESS_MONOMIALS.items()}
     ring = derived["R11"].ring
-    th, ta = ring.var("theta"), ring.var("tau")
-    gen = {v: ring.var(v) for v in rings.GENERATOR_ORDER}
-    shapes = {
-        "R11": ("x0", th * gen["x1"] ** 2 * gen["u1"] * gen["z"]
-                + ta * gen["x1"] ** 2 * gen["w"] ** 3 + gen["u0"] * gen["t"]),
-        "R12": ("x1", th * gen["y"] * gen["u1"] * gen["z"]
-                + ta * gen["y"] * gen["w"] ** 3 + gen["u1"] * gen["t"]),
-        "R13": ("y", th * gen["w"] * gen["u1"] * gen["z"]
-                + ta * gen["w"] ** 4 + gen["u1"] ** 3),
-        "R14": ("u0", th * gen["x1"] * gen["u1"] ** 2 * gen["z"]
-                + ta * gen["x1"] * gen["u1"] * gen["w"] ** 3 + gen["t"] ** 2),
-        "R15": ("t", th * gen["u1"] ** 3 * gen["z"]
-                + ta * gen["u1"] ** 2 * gen["w"] ** 3 + gen["g"]),
-    }
+    std = rings.standard_relations()
+    # the standard relations display R11-R14 as lead*P plus these terms; they have no R15
+    shapes = {name: (lead, std.get(name).substitute({"P": ring.zero()}, ring=ring))
+              for name, lead in (("R11", "x0"), ("R12", "x1"), ("R13", "y"), ("R14", "u0"))}
+    shapes["R15"] = ("t", ring.parse("theta*u1^3*z + tau*u1^2*w^3 + g"))
     p_parts = {}
     for name, (lead, expected_rest) in shapes.items():
         p_part, rest = rings.split_by_lead(derived[name], lead)
@@ -457,7 +434,7 @@ def _derive(params: Params) -> list[Check]:
 
 @scenario("cor-pfaffian", ("section3", "rings"),
           "the rank-six skew format certifies all fourteen relations")
-def _cor_pfaffian(params: Params) -> list[Check]:
+def _cor_pfaffian(params: Params) -> list[dict]:
     out = []
     fmt, rels = rings.load_formats()["rank6"]
     report = rings.verify_format(fmt, rels)
@@ -468,8 +445,8 @@ def _cor_pfaffian(params: Params) -> list[Check]:
                      [f"R{i}" for i in range(1, 15)],
                      sorted(report["covered"], key=lambda s: int(s[1:])),
                      "direct", "certificate coverage"))
-    theta = params.get("theta", Fraction(3))
-    tau = params.get("tau", Fraction(2))
+    theta = params.get("theta", GENERAL_THETA)
+    tau = params.get("tau", GENERAL_TAU)
     specialized = rings.specialize_standard(theta, tau, params.seed)
     cls = rings.chart_singularity(specialized, rings.CHARTS["Uz"], params.order)
     out.append(check("germ at the index-5 chart for general parameters",
@@ -513,7 +490,7 @@ FAMILY_GERMS = (
 
 @scenario("fixed-part", ("section3", "rings"),
           "the base curve of the canonical system and its degenerations")
-def _fixed_part(params: Params) -> list[Check]:
+def _fixed_part(params: Params) -> list[dict]:
     out = []
     rels = rings.standard_relations()
     ring = rels.ring
@@ -538,7 +515,7 @@ def _fixed_part(params: Params) -> list[Check]:
 
 @scenario("hilbert-series", ("section3", "rings"),
           "the resolution data reproduces the canonical Hilbert series")
-def _hilbert(params: Params) -> list[Check]:
+def _hilbert(params: Params) -> list[dict]:
     out = []
     res = wps.bundled_resolution()
     out.append(check("Betti list sizes", (14, 35), (len(res.l1), len(res.l2)),
@@ -560,7 +537,7 @@ def _hilbert(params: Params) -> list[Check]:
 
 @scenario("wps51", ("section3", "wps"),
           "the degree-51 model in P(1,3,17,25)")
-def _wps51(params: Params) -> list[Check]:
+def _wps51(params: Params) -> list[dict]:
     out = []
     inv = wps.wps_hypersurface_invariants(51, (1, 3, 17, 25))
     out.append(check("canonical degree by adjunction", 5, inv.canonical_degree,
@@ -587,7 +564,7 @@ def _wps51(params: Params) -> list[Check]:
 
 @scenario("lemma-smoothing", ("section4", "rings"),
           "the rank-five formats and the one-parameter smoothing")
-def _smoothing(params: Params) -> list[Check]:
+def _smoothing(params: Params) -> list[dict]:
     out = []
     formats = rings.load_formats()
     reports = {label: rings.verify_format(*formats[label])
@@ -649,9 +626,7 @@ def _smoothing(params: Params) -> list[Check]:
                      leftovers_ok, "derived", "principal ideal membership"))
     # the lam*theta = 0 family at theta = 0, lam invertible
     lt = rings.lam_theta_relations()
-    lt0 = rings.RelationSystem(
-        lt.ring, tuple((n, r.substitute({"theta": lt.ring.zero()}))
-                       for n, r in lt.relations))
+    lt0 = lt.specialize({"theta": lt.ring.zero()}, lt.ring)
     elim2 = rings.smoothing_eliminate(
         lt0, ["lam"], [("R2", "u0"), ("R3", "u1"), ("R6", "t")])
     res2 = {n: (c, p) for n, c, p in elim2.residuals}
@@ -669,8 +644,8 @@ def _smoothing(params: Params) -> list[Check]:
                      "certificates of the constrained format"))
     # charts of the constrained family at lam = 0
     seed = params.seed
-    nodal_member = rings.specialize_standard(params.get("theta", Fraction(3)),
-                                       Fraction(0), seed)
+    nodal_member = rings.specialize_standard(params.get("theta", GENERAL_THETA),
+                                             Fraction(0), seed)
     cls1 = rings.chart_singularity(nodal_member, rings.CHARTS["Pw"], params.order)
     out.append(check("extra point for tau = 0, theta general", True,
                      _is_type(cls1, 1, 3, 2), "reference",
@@ -702,7 +677,7 @@ def _in_principal_ideal(value, generator) -> bool:
 
 @scenario("family-munu", ("section5", "wps"),
           "the two-parameter family interpolating the index-2 and index-3 points")
-def _family(params: Params) -> list[Check]:
+def _family(params: Params) -> list[dict]:
     out = []
     seed = params.seed
     mu = params.get("mu")
@@ -724,7 +699,7 @@ def _family(params: Params) -> list[Check]:
 
 @scenario("prop-no-5-2", ("section5", "curves"),
           "no surface carries both the index-5 and the index-2 point")
-def _no52(params: Params) -> list[Check]:
+def _no52(params: Params) -> list[dict]:
     out = []
     profiles = cv.enumerate_gamma_profiles(
         [[3, 5, 2], [4]], (Fraction(1, 10), Fraction(3, 10)),
@@ -758,7 +733,7 @@ def _no52(params: Params) -> list[Check]:
 
 @scenario("examples-figures", ("section5", "curves"),
           "the catalogued constructions carry the claimed strings")
-def _examples(params: Params) -> list[Check]:
+def _examples(params: Params) -> list[dict]:
     out = []
     expects = {
         "III-fiber": {"index5": (1, 5, 3), "index3": (2, 3, 1), "blowups": 4,

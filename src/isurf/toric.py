@@ -211,7 +211,6 @@ class NormalizedModel:
     eps: Coeff
     theta: ExactPolynomial
     tau: Coeff
-    steps: tuple[str, ...]
 
     def equation(self) -> ExactPolynomial:
         R = self.ring
@@ -236,7 +235,6 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
     """
     R = model.ring
     t_ring = model.k.ring
-    steps = []
     s0, s1 = R.var("s0"), R.var("s1")
     if model.equation().coefficient(R.exponents({"s0": 3})) == 0:
         raise InvalidInput("the s0^3 coefficient must be nonzero")
@@ -247,7 +245,6 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
     l = _coefficient_of(eq, {"s0": 0, "s1": 6}, t_ring)
     if not _coefficient_of(eq, {"s0": 2, "s1": 2}, t_ring).is_zero():
         raise CertificateFailed("the s0 shift left an s0^2 s1^2 term")
-    steps.append("removed the s0^2 s1^2 term")
     # step 2: centre the singular fiber over t0 = 0
     alpha = k.coefficient(t_ring.exponents({"t1": 12}))
     beta = l.coefficient(t_ring.exponents({"t1": 18}))
@@ -262,7 +259,6 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
             "fiber over t0=0 is not singular: no eps with alpha=-3eps^2, beta=2eps^3")
     shift2 = {"s0": s0 + R.var("t1") ** 6 * s1 ** 2 * eps}
     eq = eq.substitute(shift2)
-    steps.append(f"centred the node with eps = {eps}")
     # step 3: shift the cover variable; displayed parameter theta^2 = 12 eps
     twelve_eps = 12 * eps
     root = _rational_sqrt(twelve_eps)
@@ -275,20 +271,18 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
         theta = ext.var("theta")
         eq = eq.cast(ext)
         formal = True
-        steps.append("theta is formal with rewrite rule theta^2 = 12*eps")
     ze = ext.var("ze")
     half = theta * ext.var("t1") ** 3 * ext.var("s0") * ext.var("s1") * Fraction(1, 2)
     eq = eq.substitute({"ze": ze - half})
     if formal:
         eq = reduce_square(eq, "theta", ext.constant(twelve_eps))
-    steps.append("moved the t1^6 s0^2 s1^2 term into the cover variable")
     # read off k1, l1, tau from the final equation
     kk = _coefficient_of(eq, {"s0": 1, "s1": 4}, t_ring)
     ll = _coefficient_of(eq, {"s0": 0, "s1": 6}, t_ring)
     k1 = kk.exact_divide(t_ring.var("t0"))
     tau = ll.coefficient(t_ring.exponents({"t0": 1, "t1": 17}))
     l1 = (ll - t_ring.monomial({"t0": 1, "t1": 17}, tau)).exact_divide(t_ring.var("t0") ** 2)
-    out = NormalizedModel(ext, k1, l1, eps, theta, tau, tuple(steps))
+    out = NormalizedModel(ext, k1, l1, eps, theta, tau)
     # exact verification: the transformed equation is the displayed normal form
     check = out.equation()
     if formal:

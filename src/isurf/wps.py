@@ -23,8 +23,8 @@ from .tsing import chart_germ
 T_RING = PolyRing.of("t")
 
 
-def _t(power: int, coeff=1) -> ExactPolynomial:
-    return T_RING.monomial({"t": power}, coeff)
+def _t(power: int) -> ExactPolynomial:
+    return T_RING.monomial({"t": power})
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,6 @@ def hilbert_series_from_resolution(res: ResolutionData) -> HilbertSeries:
 
 @dataclass(frozen=True)
 class HypersurfaceInvariants:
-    degree: int
-    weights: tuple[int, ...]
     canonical_degree: int
     k_squared: Fraction
     series: HilbertSeries
@@ -118,7 +116,7 @@ def wps_hypersurface_invariants(degree: int, weights: Sequence[int]) -> Hypersur
         prod *= w
     k2 = Fraction(degree * can * can, prod)
     series = HilbertSeries(T_RING.one() - _t(degree), weights)
-    return HypersurfaceInvariants(degree, weights, can, k2, series)
+    return HypersurfaceInvariants(can, k2, series)
 
 
 def footnote_series() -> HilbertSeries:
@@ -139,11 +137,10 @@ def generic_p50(seed: int) -> ExactPolynomial:
     return seeded_form(S51_RING, monos, seed, "P50")
 
 
-def s51_equation(theta, tau, seed: int = 0,
-                 p50: ExactPolynomial | None = None) -> ExactPolynomial:
+def s51_equation(theta, tau, seed: int = 0) -> ExactPolynomial:
     """e*P50 + tau*t1^17 + theta*t1^3*s0*ze + s0^3, weighted degree 51."""
     R = S51_RING
-    p = p50 if p50 is not None else generic_p50(seed)
+    p = generic_p50(seed)
     e, t1, s0, ze = (R.var(v) for v in ("e", "t1", "s0", "ze"))
     return e * p + t1 ** 17 * Fraction(tau) + t1 ** 3 * s0 * ze * Fraction(theta) + s0 ** 3
 
@@ -180,18 +177,15 @@ def generic_f10(seed: int) -> ExactPolynomial:
 class TwoSingularityFamily:
     """x0 y = x1^3 + mu u  and  z^2 = nu y^5 + f10(x0, x1, y, u)."""
 
-    mu: Fraction
-    nu: Fraction
     eq1: ExactPolynomial
     eq2: ExactPolynomial
 
     @staticmethod
     def of(mu, nu, seed: int = 0) -> "TwoSingularityFamily":
         R = FAMILY_RING
-        mu, nu = Fraction(mu), Fraction(nu)
         eq1 = R.var("x0") * R.var("y") - R.var("x1") ** 3 - R.var("u") * mu
         eq2 = R.var("z") ** 2 - R.var("y") ** 5 * nu - generic_f10(seed)
-        return TwoSingularityFamily(mu, nu, eq1, eq2)
+        return TwoSingularityFamily(eq1, eq2)
 
     def germ_at_y(self, order: int = DEFAULT_ORDER):
         """Eliminate x0 with the first equation on the y-chart; classify the

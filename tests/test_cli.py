@@ -72,6 +72,9 @@ def test_unknown_scenario_and_bad_params():
     assert code == 2 and "unknown scenario" in err
     code, _, err = run_cli("--scenario", "table1", "--param", "zeta=1")
     assert code == 2
+    code, out, err = run_cli("--scenario", "table1", "--param", "lam=1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "unknown parameter 'lam'" in err
     code, _, err = run_cli("--scenario", "table1", "--param", "theta")
     assert code == 2
     code, _, _ = run_cli()

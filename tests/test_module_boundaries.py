@@ -1,4 +1,5 @@
-"""No isurf module uses a private (``_``-prefixed) name of another isurf module."""
+"""No isurf module uses a private (``_``-prefixed) name of another isurf module,
+and every defaulted parameter of a package function is passed by some caller."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,90 @@ def test_checker_sees_both_kinds_of_use():
               "from .poly import ExactPolynomial as P\n"
               "z = P._closed(ring, {}) + P.unchecked(ring, {})\n")
     assert private_uses(source) == ["2: lattice._det", "3: r._binary_form_at", "6: P._closed"]
+
+
+PERFBENCH = sorted(p for p in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")
+                   if not p.name.startswith("test_"))
+
+
+def _defaulted_parameters(tree: ast.Module, module: str):
+    """(callee name, label, positional index or None, name) per parameter with
+    a default; a method's index skips ``self``/``cls``, and ``__init__`` is
+    called by its class's name."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                skip = 1 if cls and not static else 0
+                callee = cls if cls and child.name == "__init__" else child.name
+                label = f"{module}.{cls + '.' if cls else ''}{child.name}"
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    out.append((callee, label, i - skip, arg.arg))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        out.append((callee, label, None, arg.arg))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def unused_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter of a package
+    function that no call in the package or in ``callers`` passes, by position
+    or by keyword.  Calls match by the called name; a call through ``*`` or
+    ``**`` passes everything."""
+    passed: dict[str, tuple[int, set[str], bool]] = {}
+    for source in [*package.values(), *callers]:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            most, keywords, everything = passed.get(name, (0, set(), False))
+            everything |= any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            keywords |= {k.arg for k in node.keywords}
+            passed[name] = (max(most, len(node.args)), keywords, everything)
+    found = []
+    for module, source in package.items():
+        for callee, label, index, param in _defaulted_parameters(ast.parse(source), module):
+            most, keywords, everything = passed.get(callee, (0, set(), False))
+            if not (everything or param in keywords or (index is not None and most > index)):
+                found.append(f"{label}({param})")
+    return sorted(found)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    package = {p.stem: p.read_text() for p in MODULES}
+    assert unused_defaults(package, [p.read_text() for p in PERFBENCH]) == []
+
+
+def test_checker_sees_positional_keyword_and_star_passes():
+    package = {"m": ("def f(a, b=1, c=2, *, d=3):\n"
+                     "    g(1)\n"
+                     "def g(x, y=0):\n"
+                     "    return h(*x)\n"
+                     "def h(z=0):\n"
+                     "    return z\n"
+                     "class K:\n"
+                     "    def __init__(self, p=0, q=1):\n"
+                     "        f(1, 2, d=4)\n"
+                     "    def m(self, r=0):\n"
+                     "        K(5)\n"),
+               "n": "f(0)\nK().m(**{})\n"}
+    assert unused_defaults(package, []) == ["m.K.__init__(q)", "m.f(c)", "m.g(y)"]
+    assert unused_defaults(package, ["g(1, 2)\nf(1, c=3)\nK(q=1)\n"]) == []
