@@ -25,7 +25,6 @@ class Curve:
     pa: int = 0
     roles: frozenset[str] = field(default_factory=frozenset)
     codisc: Fraction | None = None
-    chain: str | None = None
 
     def k_degree(self) -> int:
         return 2 * self.pa - 2 - self.self_int
@@ -181,7 +180,6 @@ def config_from_dict(data: Mapping) -> CurveConfiguration:
         name=c["name"], self_int=int(c["self"]), pa=int(c.get("pa", 0)),
         roles=frozenset(c.get("roles", ())),
         codisc=None if c.get("codisc") in (None, "") else Fraction(c["codisc"]),
-        chain=c.get("chain"),
     ) for c in data["curves"])
     incidence = tuple((a, b, int(m)) for a, b, m in data["incidence"])
     return CurveConfiguration(

@@ -14,6 +14,9 @@ pass their order; exact operations pass order None, so nothing drops.  Its
 pair loop sees only ints: each operand is cleared once to integer numerators
 over the lcm of its denominators, and each output term is divided once, as in
 FLINT's ``fmpq_poly`` (Hart, ICMS 2010).  An all-int operand is used as it is.
+A substitution multiplies only by images of several terms: an image of one
+term (an unassigned variable, a monomial, a Laurent inverse) folds into the
+substituted term's exponent and coefficient, its denominator carried along.
 
 The canonical text form uses graded-lex term order (descending), "p/q"
 coefficients, explicit "^" powers and "*" products, and is what
@@ -25,7 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import inf, lcm, prod
+from math import inf, lcm
 from operator import add, itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
@@ -471,31 +474,62 @@ def substitute_terms(terms: Mapping[tuple[int, ...], Coeff],
     images have ``nvars`` variables, and a negative exponent raises the monomial
     inverse.  With images cleared to N_i / d_i and L the lcm of the terms'
     D = c.denominator * prod d_i**|e_i|, one int dict sums c.numerator * L/D *
-    prod N_i**e_i, and is divided by L at the end."""
+    prod N_i**e_i, and is divided by L at the end.  A one-term N_i = n * x^m
+    folds into the term's seed (|e_i| * m into its exponent, n**|e_i| into its
+    numerator), so only images of several terms form products; a seed already
+    of degree >= order, or with a zero image, is dropped before any product."""
     bases: dict[tuple[int, bool], tuple[list, int, dict]] = {}
+    powers_of: dict[tuple[int, int], tuple] = {}
+    zero = (0,) * nvars
 
-    def power(i: int, e: int) -> tuple[list, int]:
+    def power(i: int, e: int) -> tuple:
+        """(exponent, numerator, None, d**|e|) of image(i)**e when the image has
+        at most one term, else (None, 1, its graded numerators, d**|e|)."""
         key = (i, e < 0)
         if key not in bases:
             img = image(i).monomial_inverse() if e < 0 else image(i)
             numerators, d = cleared(img.terms)
             bases[key] = graded_terms(numerators), d, {}
         base, d, powers = bases[key]
-        return power_terms(base, abs(e), order, powers), d ** abs(e)
+        k = abs(e)
+        if not base:  # the zero image: every term it enters vanishes
+            return zero, 0, None, 1
+        if len(base) > 1:
+            return None, 1, power_terms(base, k, order, powers), d ** k
+        (_, m, n), = base
+        return tuple(x * k for x in m), n ** k, None, d ** k
 
     plan = []
     for exps, c in terms.items():
-        factors = [power(i, e) for i, e in enumerate(exps) if e]
-        den = c.denominator * prod(d for _, d in factors)
-        plan.append((c.numerator, den, [f for f, _ in factors]))
-    common = lcm(*(den for _, den, _ in plan))
-    zero = (0,) * nvars
+        seed, num, den, factors = zero, c.numerator, c.denominator, []
+        for i, e in enumerate(exps):
+            if e:
+                if (i, e) not in powers_of:
+                    powers_of[i, e] = power(i, e)
+                m, n, factor, d = powers_of[i, e]
+                num *= n
+                den *= d
+                if factor is None:
+                    seed = tuple(map(add, seed, m))
+                else:
+                    factors.append(factor)
+        if num and (order is None or sum(seed) < order):
+            plan.append((seed, num, den, factors))
+    common = lcm(*(den for _, _, den, _ in plan))
     result: dict[tuple[int, ...], int] = {}
-    for num, den, factors in plan:
-        term = {zero: num * (common // den)}
+    for seed, num, den, factors in plan:
+        num *= common // den
+        if not factors:
+            s = result.get(seed, 0) + num
+            if s:
+                result[seed] = s
+            else:
+                del result[seed]
+            continue
+        term = {seed: num}
         for factor in factors[:-1]:
             term = product_terms(term, factor, order)
-        product_terms(term, factors[-1] if factors else [(0, zero, 1)], order, result)
+        product_terms(term, factors[-1], order, result)
     return divided(result, common)
 
 

@@ -13,12 +13,9 @@ def small_config(**flags):
     return cv.CurveConfiguration(
         curves=(
             cv.Curve("Gamma", -1, roles=frozenset({"eps-exceptional"})),
-            cv.Curve("C1", -2, codisc=Fraction(2, 5), chain="delta1",
-                     roles=frozenset({"f-exceptional"})),
-            cv.Curve("B1", -5, codisc=Fraction(4, 5), chain="delta1",
-                     roles=frozenset({"f-exceptional"})),
-            cv.Curve("A1", -3, codisc=Fraction(3, 5), chain="delta1",
-                     roles=frozenset({"f-exceptional"})),
+            cv.Curve("C1", -2, codisc=Fraction(2, 5), roles=frozenset({"f-exceptional"})),
+            cv.Curve("B1", -5, codisc=Fraction(4, 5), roles=frozenset({"f-exceptional"})),
+            cv.Curve("A1", -3, codisc=Fraction(3, 5), roles=frozenset({"f-exceptional"})),
         ),
         incidence=(("Gamma", "C1", 1), ("Gamma", "B1", 1),
                    ("B1", "C1", 1), ("A1", "B1", 1)),

@@ -1,7 +1,9 @@
-"""No isurf module uses a private (``_``-prefixed) name of another isurf module,
-and every defaulted parameter of a package function is passed by some caller."""
+"""No isurf module uses a private (``_``-prefixed) name of another isurf module
+or imports anything outside the standard library, and every defaulted
+parameter of a package function is passed by some caller."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,33 @@ def test_checker_sees_both_kinds_of_use():
               "from .poly import ExactPolynomial as P\n"
               "z = P._closed(ring, {}) + P.unchecked(ring, {})\n")
     assert private_uses(source) == ["2: lattice._det", "3: r._binary_form_at", "6: P._closed"]
+
+
+def imported_roots(source: str) -> set[str]:
+    """The top-level names of the modules the source imports by absolute name."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_package_imports_only_the_standard_library(path):
+    # sympy is a test oracle (tests/test_sympy_oracle.py), not a dependency
+    assert imported_roots(path.read_text()) - {"isurf"} <= sys.stdlib_module_names
+
+
+def test_import_checker_sees_plain_dotted_and_from_imports():
+    source = ("import sympy.polys as sp\n"
+              "def f():\n"
+              "    from sympy import QQ\n"
+              "import fractions, os.path\n"
+              "from . import poly\n"
+              "from .errors import ParseError\n")
+    assert imported_roots(source) == {"sympy", "fractions", "os"}
 
 
 PERFBENCH = sorted(p for p in (Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")

@@ -225,10 +225,7 @@ def test_power_equals_repeated_schoolbook_product(terms, n):
     assert p ** n == functools.reduce(_schoolbook, [p] * n, ring.one())
 
 
-@pytest.mark.parametrize("n", range(1, 12))
-def test_power_makes_no_product_it_does_not_use(monkeypatch, n):
-    p = R3.parse("x0 + 2*x1 - y + 1")
-    expected = functools.reduce(operator.mul, [p] * n)
+def _count_products(monkeypatch) -> list:
     products = []
     kernel = poly.product_terms
 
@@ -237,11 +234,44 @@ def test_power_makes_no_product_it_does_not_use(monkeypatch, n):
         return kernel(*args)
 
     monkeypatch.setattr(poly, "product_terms", counted)
+    return products
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_power_makes_no_product_it_does_not_use(monkeypatch, n):
+    p = R3.parse("x0 + 2*x1 - y + 1")
+    expected = functools.reduce(operator.mul, [p] * n)
+    products = _count_products(monkeypatch)
     assert p ** n == expected
     if n == 1:
         assert products == [] and p ** 1 is p
     else:
         assert 0 < len(products) <= n.bit_length() - 1 + bin(n).count("1")
+
+
+def test_one_term_images_make_no_product(monkeypatch):
+    ring = PolyRing.of("x", "lam", invertible=("lam",))
+    f = ring.parse("x^2*lam^-2 + 3*x*lam - 1/5*lam^-1 + 7")
+    half_x, double_lam = ring.parse("1/2*x"), ring.parse("2*lam")
+    # lam -> 2*lam: the inverse 1/2*lam^-1 keeps its 2, and so does x -> x/2
+    both = ring.parse("1/16*x^2*lam^-2 + 3*x*lam - 1/10*lam^-1 + 7")
+    lam_only = ring.parse("1/4*x^2*lam^-2 + 6*x*lam - 1/10*lam^-1 + 7")
+    series = TruncatedSeries(R3.parse("x0^3*y - 2*x1*y^2 + x0 + 5"), 5)
+    images = {"x0": R3.parse("-3/4*x1"), "y": R3.parse("x0*x1"), "x1": R3.zero()}
+    truncated = R3.parse("-3/4*x1 + 5")
+    products = _count_products(monkeypatch)
+    assert f.substitute({"x": half_x, "lam": double_lam}) == both
+    assert f.substitute({"lam": double_lam}) == lam_only
+    assert series.substitute(images).poly == truncated
+    assert products == []
+
+
+def test_a_germ_makes_a_bounded_number_of_products(monkeypatch):
+    # 556 products since one-term images fold into the seed, 2,750 before
+    products = _count_products(monkeypatch)
+    germ = wps.TwoSingularityFamily.of(0, 1, 0).germ_at_u(12)
+    assert germ.same_singularity(TSingularity(2, 3, 1))
+    assert len(products) <= 600
 
 
 # -- int coefficients until a division ------------------------------------------

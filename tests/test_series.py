@@ -170,6 +170,37 @@ def test_substitute_equals_truncated_schoolbook(f, gx, gy, order):
     assert f.substitute({"x": gx, "y": gy}) == _termwise_substitute(f, {"x": gx, "y": gy})
 
 
+def _one_term_images(max_exp=2):
+    """k * x^a y^b z^c of degree >= 1; k = 0 gives the zero image."""
+    exps = st.tuples(*[st.integers(0, max_exp)] * 3).filter(any)
+    coeff = st.sampled_from([Fraction(1, 2), Fraction(-3, 4), 1, 0]) \
+        | st.fractions(min_value=-4, max_value=4, max_denominator=7)
+    return st.builds(lambda e, c: R3.from_terms({e: c}), exps, coeff)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_polys(max_exp=3), _one_term_images(), _one_term_images(),
+       _polys(max_terms=3, max_exp=2), st.integers(1, 10))
+def test_one_term_images_fold_like_the_termwise_oracle(f, gx, gy, gz, order):
+    # one-term images fold into the seed, x/2 carrying its 2 into the
+    # denominator; the multi-term z image still forms products
+    gz = gz - gz.constant_term()
+    series = TruncatedSeries(f, order)
+    for images in ({"x": gx, "y": gy}, {"x": gx, "y": gy, "z": gz}):
+        expected = _termwise_substitute(series.poly, images)
+        assert series.substitute(images).poly == _truncate(expected, order)
+        assert f.substitute(images) == _termwise_substitute(f, images)
+
+
+def test_folded_seeds_at_the_order_are_dropped():
+    f = R3.parse("x^2*y + 3*x*z + z^3 - 1/3*y")
+    images = {"x": R3.parse("1/2*x^2"), "y": R3.parse("-3/4*y"), "z": R3.parse("y + z")}
+    # x^2*y folds to a seed of degree 5 = order; x*z to 3/2*x^2, times y + z
+    got = TruncatedSeries(f, 5).substitute(images).poly
+    assert got == R3.parse("3/2*x^2*y + 3/2*x^2*z + y^3 + 3*y^2*z + 3*y*z^2 + z^3 + 1/4*y")
+    assert got == _truncate(_termwise_substitute(f, images), 5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_polys(max_terms=5, max_exp=3), st.integers(1, 8),
        st.fractions(min_value=1, max_value=5, max_denominator=4))
