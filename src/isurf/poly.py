@@ -14,9 +14,21 @@ pass their order; exact operations pass order None, so nothing drops.  Its
 pair loop sees only ints: each operand is cleared once to integer numerators
 over the lcm of its denominators, and each output term is divided once, as in
 FLINT's ``fmpq_poly`` (Hart, ICMS 2010).  An all-int operand is used as it is.
-A substitution multiplies only by images of several terms: an image of one
-term (an unassigned variable, a monomial, a Laurent inverse) folds into the
-substituted term's exponent and coefficient, its denominator carried along.
+
+The pair loop's exponents are packed into int keys (Monagan & Pearce, CASC
+2007): exponent i is the signed 16-bit digit at bit 16*i and the total degree
+the digit above the last, so a pair's key is the sum of its two keys and the
+order test compares a key with the least key of that degree.  A key decodes
+to its exponents while each of its digits lies in [-2^15, 2^15), which holds
+when the absolute exponent sum of every term is below ``EXPONENT_BOUND`` =
+2^15.  That sum is at most the sum of the operands' largest sums, so it is
+checked once per product, power or substituted term, and a term that could
+pass it raises InvalidInput; nothing wraps.  A tuple is built only when a
+term leaves the kernel.  A polynomial keeps its packed form (it is
+immutable), so an image substituted many times is packed once.  A one-term
+factor of a product, and a one-term image in a substitution (an unassigned
+variable, a monomial, a Laurent inverse), folds into the other terms'
+exponents and coefficients, its denominator carried along, with no pair loop.
 
 The canonical text form uses graded-lex term order (descending), "p/q"
 coefficients, explicit "^" powers and "*" products, and is what
@@ -26,10 +38,12 @@ coefficients, explicit "^" powers and "*" products, and is what
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import inf, lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable, Mapping, Union
 
 from .errors import InvalidInput, NotDivisible, ParseError, UndeclaredIdentifier
@@ -131,12 +145,12 @@ def _grlex_key(exps: tuple[int, ...]):
 class ExactPolynomial:
     """Immutable sparse polynomial attached to a PolyRing."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_packed")
 
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Coeff]):
         self.ring = ring
         self.terms = terms
-        self._hash = None
+        self._hash = self._packed = None
         for exps in terms:
             for name, e in zip(ring.variables, exps):
                 if e < 0 and name not in ring.invertible:
@@ -149,7 +163,7 @@ class ExactPolynomial:
         p = object.__new__(cls)
         p.ring = ring
         p.terms = terms
-        p._hash = None
+        p._hash = p._packed = None
         return p
 
     # -- basic structure -------------------------------------------------
@@ -228,9 +242,21 @@ class ExactPolynomial:
             return self.ring.one()
         if n == 1:
             return self
-        base, d = cleared(self.terms)
-        power = power_terms(graded_terms(base), n, None, {})
-        return ExactPolynomial.unchecked(self.ring, divided({e: c for _, e, c in power}, d ** n))
+        base, d, reach = self.packed_form()
+        _check_reach(n * reach)
+        keys = _keys(self.ring.nvars)
+        power = power_terms(base, n, keys.limit(None), keys, {})
+        return ExactPolynomial.unchecked(self.ring, keys.decoded(dict(power), d ** n))
+
+    def packed_form(self) -> tuple[list, int, int]:
+        """(graded, d, reach) of the kernel: the terms cleared, packed and
+        graded (``_Keys``).  Kept, since the polynomial is immutable: an image
+        substituted many times is packed once."""
+        if self._packed is None:
+            keys = _keys(self.ring.nvars)
+            numerators, d, reach = keys.packed(self.terms)
+            self._packed = keys.graded(numerators), d, reach
+        return self._packed
 
     def monomial_inverse(self) -> "ExactPolynomial":
         """Inverse of a single-term polynomial (invertible variables only)."""
@@ -397,51 +423,112 @@ class ExactPolynomial:
 
 # -- kernel: products, powers and substitutions below a total-degree order ---
 
-
-def graded_terms(terms: Mapping[tuple[int, ...], Coeff]) -> list:
-    """The terms as (total degree, exponents, coefficient), by ascending degree."""
-    return sorted(((sum(e), e, c) for e, c in terms.items()), key=itemgetter(0))
+_FIELD = 16  # bits per packed exponent field
+EXPONENT_BOUND = 1 << (_FIELD - 1)
 
 
-def cleared(terms: Mapping[tuple[int, ...], Coeff]) -> tuple[Mapping, int]:
-    """(numerators, d): integer terms with terms == numerators / d, d the lcm
-    of the denominators.  All-int terms come back as they are, with d = 1."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    if d == 1:
-        return terms, 1
-    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+def _check_reach(reach: int) -> None:
+    """InvalidInput unless keys of absolute exponent sum ``reach`` decode."""
+    if reach >= EXPONENT_BOUND:
+        raise InvalidInput(f"exponents of absolute sum {reach} reach the bound "
+                           f"{EXPONENT_BOUND} of the polynomial kernel")
 
 
-def divided(terms: dict, d: int) -> dict:
-    """The integer terms divided by d, one ``exact_quotient`` each."""
-    if d == 1:
-        return terms
-    return {e: exact_quotient(c, d) for e, c in terms.items()}
+class _Keys:
+    """Packing of the exponent tuples of ``nvars`` variables into ints: e_i in
+    the 16-bit field i, the total degree in field nvars, each a signed digit."""
+
+    __slots__ = ("shift", "weights", "bias", "size", "fields")
+
+    def __init__(self, nvars: int):
+        self.shift = _FIELD * nvars  # of the degree field
+        # e_i counts once in its own field and once in the degree field
+        self.weights = tuple((1 << _FIELD * i) + (1 << self.shift) for i in range(nvars))
+        self.bias = sum(EXPONENT_BOUND << _FIELD * i for i in range(nvars + 1))
+        self.size = 2 * nvars + 2
+        self.fields = struct.Struct(f"<{nvars}h")
+
+    def packed(self, terms: Mapping[tuple[int, ...], Coeff]) -> tuple[dict, int, int]:
+        """(numerators, d, reach): the terms cleared to int numerators over d,
+        the lcm of their denominators, keyed by packed exponents in the terms'
+        order; reach is the largest absolute exponent sum.  All-int terms keep
+        their coefficients."""
+        d = lcm(*(c.denominator for c in terms.values()))
+        weights = self.weights
+        if d == 1:
+            numerators = {sum(map(mul, e, weights)): c for e, c in terms.items()}
+        else:
+            numerators = {sum(map(mul, e, weights)): c.numerator * (d // c.denominator)
+                          for e, c in terms.items()}
+        reach = max((sum(map(abs, e)) for e in terms), default=0)
+        _check_reach(reach)
+        return numerators, d, reach
+
+    def graded(self, numerators: dict) -> list:
+        """The (key, numerator) pairs by ascending degree, in dict order within a
+        degree."""
+        shift, half = self.shift, (1 << self.shift) >> 1
+        return sorted(numerators.items(), key=lambda t: (t[0] + half) >> shift)
+
+    def limit(self, order: int | None) -> int:
+        """The least key of total degree >= order; for order None, a key above
+        every key within the bound."""
+        if order is None:
+            return 1 << (self.shift + _FIELD)
+        return (order << self.shift) - ((1 << self.shift) >> 1)
+
+    def decoded(self, numerators: dict, d: int) -> dict:
+        """The exponent-tuple terms of numerators / d, one ``exact_quotient``
+        each.  Adding the bias makes every field its digit plus 2^15, and the
+        xor turns that into the digit's two's complement."""
+        bias, size, unpack = self.bias, self.size, self.fields.unpack_from
+        if d == 1:
+            return {unpack(((k + bias) ^ bias).to_bytes(size, "little")): c
+                    for k, c in numerators.items()}
+        return {unpack(((k + bias) ^ bias).to_bytes(size, "little")): exact_quotient(c, d)
+                for k, c in numerators.items()}
+
+
+@lru_cache(maxsize=None)
+def _keys(nvars: int) -> _Keys:
+    return _Keys(nvars)
 
 
 def multiply_terms(a: Mapping[tuple[int, ...], Coeff], b: Mapping[tuple[int, ...], Coeff],
                    order: int | None) -> dict:
-    """The terms of a*b below the order: the pair loop runs on the cleared
-    factors (the shorter one outside), then each term is divided once."""
+    """The terms of a*b below the order.  A one-term factor folds into the
+    other's exponents; otherwise the pair loop runs on the packed, cleared
+    factors (the shorter one outside), and each term is decoded and divided
+    once."""
     if len(a) > len(b):
         a, b = b, a
-    (a, da), (b, db) = cleared(a), cleared(b)
-    return divided(product_terms(a, graded_terms(b), order), da * db)
+    if len(a) <= 1:
+        if not a:
+            return {}
+        (ea, ca), = a.items()
+        room = inf if order is None else order - sum(ea)
+        # by degree, the order in which the pair loop would add the terms
+        graded = sorted(((sum(eb), eb, cb) for eb, cb in b.items()), key=itemgetter(0))
+        return {tuple(map(add, ea, eb)): _coeff(ca * cb) for db, eb, cb in graded if db < room}
+    keys = _keys(len(next(iter(a))))
+    (na, da, ra), (nb, db, rb) = keys.packed(a), keys.packed(b)
+    _check_reach(ra + rb)
+    return keys.decoded(product_terms(na, keys.graded(nb), keys.limit(order)), da * db)
 
 
-def product_terms(a: Mapping[tuple[int, ...], int], b: list, order: int | None,
-                  out: dict | None = None) -> dict:
-    """Add the terms of a*b of degree below the order (all of them for order
-    None) into ``out``.  ``b`` comes from graded_terms, so the inner loop stops
-    at the first pair reaching the order.  Callers pass ints (``cleared``)."""
+def product_terms(a: Mapping[int, int], b: list, limit: int, out: dict | None = None) -> dict:
+    """Add the terms of a*b with keys below ``limit`` (``_Keys.limit``) into
+    ``out``.  Keys are packed, so a pair's key is the sum of its keys; ``b`` is
+    graded, so the inner loop stops at the first pair reaching the limit.
+    Callers pass int numerators (``_Keys.packed``)."""
     out = {} if out is None else out
     get = out.get
-    for ea, ca in a.items():
-        room = inf if order is None else order - sum(ea)
-        for db, eb, cb in b:
-            if db >= room:
+    for ka, ca in a.items():
+        room = limit - ka
+        for kb, cb in b:
+            if kb >= room:
                 break
-            key = tuple(map(add, ea, eb))
+            key = ka + kb
             s = get(key)
             s = ca * cb if s is None else s + ca * cb
             if s:
@@ -451,19 +538,19 @@ def product_terms(a: Mapping[tuple[int, ...], int], b: list, order: int | None,
     return out
 
 
-def power_terms(base: list, n: int, order: int | None, powers: dict) -> list:
-    """Graded terms of base**n below the order, n >= 1, by halving:
+def power_terms(base: list, n: int, limit: int, keys: _Keys, powers: dict) -> list:
+    """Graded terms of base**n below the limit, n >= 1, by halving:
     n.bit_length() - 1 squarings and one product by ``base`` per further set
     bit.  ``powers`` keeps every power of this base met on the way, so one
     base raised to several exponents shares its halvings."""
     if n == 1:
         return base
     if n not in powers:
-        half = power_terms(base, n // 2, order, powers)
-        p = product_terms({e: c for _, e, c in half}, half, order)
+        half = power_terms(base, n // 2, limit, keys, powers)
+        p = product_terms(dict(half), half, limit)
         if n & 1:
-            p = product_terms(p, base, order)
-        powers[n] = graded_terms(p)
+            p = product_terms(p, base, limit)
+        powers[n] = keys.graded(p)
     return powers[n]
 
 
@@ -475,48 +562,52 @@ def substitute_terms(terms: Mapping[tuple[int, ...], Coeff],
     inverse.  With images cleared to N_i / d_i and L the lcm of the terms'
     D = c.denominator * prod d_i**|e_i|, one int dict sums c.numerator * L/D *
     prod N_i**e_i, and is divided by L at the end.  A one-term N_i = n * x^m
-    folds into the term's seed (|e_i| * m into its exponent, n**|e_i| into its
+    folds into the term's seed (|e_i| * m into its key, n**|e_i| into its
     numerator), so only images of several terms form products; a seed already
-    of degree >= order, or with a zero image, is dropped before any product."""
-    bases: dict[tuple[int, bool], tuple[list, int, dict]] = {}
+    of degree >= order, or with a zero image, is dropped before any product.
+    A term whose product could pass the exponent bound raises InvalidInput."""
+    keys = _keys(nvars)
+    limit = keys.limit(order)
+    bases: dict[tuple[int, bool], tuple] = {}
     powers_of: dict[tuple[int, int], tuple] = {}
-    zero = (0,) * nvars
 
     def power(i: int, e: int) -> tuple:
-        """(exponent, numerator, None, d**|e|) of image(i)**e when the image has
-        at most one term, else (None, 1, its graded numerators, d**|e|)."""
-        key = (i, e < 0)
-        if key not in bases:
+        """(key, numerator, None, d**|e|, reach) of image(i)**e when the image
+        has at most one term, else (0, 1, its graded numerators, d**|e|,
+        reach); reach bounds the absolute exponent sums of the power."""
+        which = (i, e < 0)
+        if which not in bases:
             img = image(i).monomial_inverse() if e < 0 else image(i)
-            numerators, d = cleared(img.terms)
-            bases[key] = graded_terms(numerators), d, {}
-        base, d, powers = bases[key]
+            bases[which] = (*img.packed_form(), {})
+        base, d, reach, powers = bases[which]
         k = abs(e)
         if not base:  # the zero image: every term it enters vanishes
-            return zero, 0, None, 1
+            return 0, 0, None, 1, 0
         if len(base) > 1:
-            return None, 1, power_terms(base, k, order, powers), d ** k
-        (_, m, n), = base
-        return tuple(x * k for x in m), n ** k, None, d ** k
+            _check_reach(k * reach)
+            return 0, 1, power_terms(base, k, limit, keys, powers), d ** k, k * reach
+        (m, n), = base
+        return m * k, n ** k, None, d ** k, k * reach
 
     plan = []
     for exps, c in terms.items():
-        seed, num, den, factors = zero, c.numerator, c.denominator, []
+        seed, num, den, reach, factors = 0, c.numerator, c.denominator, 0, []
         for i, e in enumerate(exps):
             if e:
                 if (i, e) not in powers_of:
                     powers_of[i, e] = power(i, e)
-                m, n, factor, d = powers_of[i, e]
+                m, n, factor, d, r = powers_of[i, e]
+                seed += m
                 num *= n
                 den *= d
-                if factor is None:
-                    seed = tuple(map(add, seed, m))
-                else:
+                reach += r
+                if factor is not None:
                     factors.append(factor)
-        if num and (order is None or sum(seed) < order):
+        _check_reach(reach)
+        if num and seed < limit:
             plan.append((seed, num, den, factors))
     common = lcm(*(den for _, _, den, _ in plan))
-    result: dict[tuple[int, ...], int] = {}
+    result: dict[int, int] = {}
     for seed, num, den, factors in plan:
         num *= common // den
         if not factors:
@@ -528,9 +619,9 @@ def substitute_terms(terms: Mapping[tuple[int, ...], Coeff],
             continue
         term = {seed: num}
         for factor in factors[:-1]:
-            term = product_terms(term, factor, order)
-        product_terms(term, factors[-1], order, result)
-    return divided(result, common)
+            term = product_terms(term, factor, limit)
+        product_terms(term, factors[-1], limit, result)
+    return keys.decoded(result, common)
 
 
 class _Parser:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import load_fixture
@@ -376,17 +377,24 @@ def generic_degree_10(seed: int) -> ExactPolynomial:
 
 
 def weighted_monomials(degree: int, names: Sequence[str] = GENERATOR_ORDER[:-1],
-                       weights: Mapping[str, int] | None = None) -> list[dict[str, int]]:
-    """All exponent dictionaries of the given weighted degree (g excluded by
-    default), in a deterministic order."""
+                       weights: Mapping[str, int] | None = None) -> tuple[Mapping[str, int], ...]:
+    """All exponent mappings of the given weighted degree (g excluded by
+    default), in a deterministic order.  They are enumerated once per degree,
+    names and weights, and shared read-only."""
     weights = weights or GENERATOR_DEGREES
-    names = list(names)
+    names = tuple(names)
+    return _weighted_monomials(degree, names, tuple(weights[name] for name in names))
+
+
+@functools.lru_cache(maxsize=None)
+def _weighted_monomials(degree: int, names: tuple[str, ...],
+                        weights: tuple[int, ...]) -> tuple[Mapping[str, int], ...]:
     if not names:
-        return [] if degree else [{}]
+        return () if degree else (MappingProxyType({}),)
     out: list[dict[str, int]] = []
 
     def go(i: int, remaining: int, acc: dict[str, int]):
-        w = weights[names[i]]
+        w = weights[i]
         if i == len(names) - 1:  # the last exponent is what remains, if w divides it
             e, r = divmod(remaining, w)
             if r == 0 and e >= 0:
@@ -399,7 +407,7 @@ def weighted_monomials(degree: int, names: Sequence[str] = GENERATOR_ORDER[:-1],
             acc.pop(names[i], None)
 
     go(0, degree, {})
-    return out
+    return tuple(map(MappingProxyType, out))
 
 
 # ---------------------------------------------------------------------------

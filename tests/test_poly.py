@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from isurf import poly, wps
 from isurf.errors import InvalidInput, NotDivisible, ParseError, UndeclaredIdentifier
-from isurf.poly import ExactPolynomial, PolyRing
+from isurf.poly import ExactPolynomial, PolyRing, multiply_terms
 from isurf.series import TruncatedSeries
 from isurf.tsing import TSingularity
 
-from oracles import evaluate
+from oracles import evaluate, schoolbook, termwise_substitute
 
 R3 = PolyRing.of("x0", "x1", "y")
 
@@ -207,22 +207,12 @@ _SMALL_TERMS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                                max_size=4)
 
 
-def _schoolbook(a, b):
-    """Every pair of terms: the oracle, since ``*`` is the kernel under test."""
-    terms = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            terms[key] = terms.get(key, 0) + ca * cb
-    return a.ring.from_terms(terms)
-
-
 @settings(max_examples=40, deadline=None)
 @given(_SMALL_TERMS, st.integers(0, 5))
 def test_power_equals_repeated_schoolbook_product(terms, n):
     ring = PolyRing.of("a", "b")
     p = ring.from_terms(terms)
-    assert p ** n == functools.reduce(_schoolbook, [p] * n, ring.one())
+    assert p ** n == functools.reduce(schoolbook, [p] * n, ring.one())
 
 
 def _count_products(monkeypatch) -> list:
@@ -266,6 +256,16 @@ def test_one_term_images_make_no_product(monkeypatch):
     assert products == []
 
 
+def test_parsing_makes_no_product(monkeypatch):
+    # every * of a parsed term has a one-term factor, which folds unpacked
+    ring = PolyRing.of("x", "lam", invertible=("lam",))
+    products = _count_products(monkeypatch)
+    assert ring.parse("1/16*x^2*lam^-2") == ring.monomial({"x": 2, "lam": -2}, Fraction(1, 16))
+    f = ring.parse("x^2*lam^-2 + 3*x*lam - 1/5*lam^-1 + 7")
+    assert len(f) == 4 and f.coefficient((0, -1)) == Fraction(-1, 5)
+    assert products == []
+
+
 def test_a_germ_makes_a_bounded_number_of_products(monkeypatch):
     # 556 products since one-term images fold into the seed, 2,750 before
     products = _count_products(monkeypatch)
@@ -295,8 +295,8 @@ def test_int_products_and_powers_equal_the_fraction_oracle(a_terms, b_terms, n):
     ring = PolyRing.of("a", "b")
     a, b = ring.from_terms(a_terms), ring.from_terms(b_terms)
     fa, fb = _as_fractions(a), _as_fractions(b)
-    assert a * b == _schoolbook(fa, fb) and _all_int(a * b)
-    assert a ** n == functools.reduce(_schoolbook, [fa] * n, ring.one()) and _all_int(a ** n)
+    assert a * b == schoolbook(fa, fb) and _all_int(a * b)
+    assert a ** n == functools.reduce(schoolbook, [fa] * n, ring.one()) and _all_int(a ** n)
 
 
 def test_integral_quotients_are_stored_as_int():
@@ -330,10 +330,12 @@ def test_the_pair_loop_multiplies_only_ints(monkeypatch):
     seen = []
     kernel = poly.product_terms
 
-    def checked(a, b, *rest):
-        out = rest[1].values() if len(rest) > 1 else ()
-        seen.extend(type(c) for c in [*a.values(), *(c for _, _, c in b), *out])
-        return kernel(a, b, *rest)
+    def checked(a, b, limit, out=None):
+        # packed keys and int numerators: of both factors, of the sum the
+        # pairs add into, and the limit their keys are compared with
+        pairs = [*a.items(), *b, *(out.items() if out is not None else ())]
+        seen.extend([type(limit), *(type(x) for pair in pairs for x in pair)])
+        return kernel(a, b, limit, out)
 
     monkeypatch.setattr(poly, "product_terms", checked)
     germ = wps.TwoSingularityFamily.of(0, 1, 0).germ_at_u(12)
@@ -354,3 +356,106 @@ def test_bool_coefficient_is_an_int():
     assert str(one) == "1" and one == ring.one()
     assert str(ring.from_terms({(1,): True})) == "x"
     assert ring.constant(False).is_zero()
+
+
+# -- packed exponent keys at their edges ------------------------------------------
+#
+# The kernel adds packed keys, so these draws push exponents out to the bound
+# that keeps every key decodable, over Laurent rings of 1 to 14 variables,
+# and compare with the tuple oracles of oracles.py.
+
+BOUND = poly.EXPONENT_BOUND
+_NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+
+
+@st.composite
+def _laurent_rings(draw):
+    """1 to 14 variables, any of them invertible."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 14)))]
+    return PolyRing.of(*names, invertible=draw(st.sets(st.sampled_from(names))))
+
+
+def _near_bound(draw, ring, reach, max_terms, names=None, min_terms=0):
+    """Terms in ``names`` (all variables by default) of absolute exponent sum at
+    most ``reach``; most have one exponent pushed out to that sum, negative
+    only on an invertible variable."""
+    names = ring.variables if names is None else names
+    terms = {}
+    for _ in range(draw(st.integers(min_terms, max_terms))):
+        exps = dict.fromkeys(ring.variables, 0)
+        for name in names:
+            exps[name] = draw(st.integers(-2 if name in ring.invertible else 0, 2))
+        if sum(map(abs, exps.values())) > reach:
+            exps = dict.fromkeys(ring.variables, 0)
+        if draw(st.integers(0, 3)):
+            far = draw(st.sampled_from(names))
+            exps[far] = 0
+            size = reach - sum(map(abs, exps.values()))
+            negative = far in ring.invertible and draw(st.booleans())
+            exps[far] = -size if negative else size
+        terms[tuple(exps.values())] = draw(_NONZERO)
+    return ring.from_terms(terms)
+
+
+def _truncated(p, order):
+    return p if order is None else p.ring.from_terms(
+        {e: c for e, c in p.terms.items() if sum(e) < order})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_packed_products_and_powers_equal_the_schoolbook_oracle(data):
+    ring = data.draw(_laurent_rings())
+    a, b = (_near_bound(data.draw, ring, (BOUND - 1) // 2, 4) for _ in range(2))
+    expected = schoolbook(a, b)
+    assert a * b == expected
+    degrees = sorted({sum(e) for e in expected.terms}) or [0]
+    order = data.draw(st.none() | st.builds(operator.add, st.sampled_from(degrees),
+                                            st.integers(0, 1)))
+    assert ring.from_terms(multiply_terms(a.terms, b.terms, order)) == _truncated(expected, order)
+    n = data.draw(st.integers(0, 3))
+    p = _near_bound(data.draw, ring, (BOUND - 1) // max(n, 1), 3)
+    assert p ** n == functools.reduce(schoolbook, [p] * n, ring.one())
+    if ring.invertible:
+        m = _near_bound(data.draw, ring, (BOUND - 1) // 2, 1, sorted(ring.invertible), 1)
+        assert m ** -2 == schoolbook(m.monomial_inverse(), m.monomial_inverse())
+    keys = poly._keys(ring.nvars)
+    numerators, d, reach = keys.packed(a.terms)
+    assert keys.decoded(numerators, d) == a.terms and reach < BOUND
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_packed_substitution_equals_the_termwise_oracle(data):
+    ring = data.draw(_laurent_rings())
+    degree = data.draw(st.integers(1, 4))
+    f = _near_bound(data.draw, ring, degree, 3)
+    reach = (BOUND - 1) // degree  # so a term's product stays below the bound
+    images = {}
+    for name in data.draw(st.sets(st.sampled_from(ring.variables))):
+        if name in ring.invertible:  # a Laurent monomial, c*lam^k among them
+            images[name] = _near_bound(data.draw, ring, reach, 1, sorted(ring.invertible), 1)
+        else:
+            images[name] = _near_bound(data.draw, ring, reach, 3)
+    assert f.substitute(images) == termwise_substitute(f, images)
+
+
+def test_a_key_past_the_bound_raises_instead_of_wrapping():
+    ring = PolyRing.of("x", "y", "lam", invertible=("lam",))
+    x, y, lam = ring.var("x"), ring.var("y"), ring.var("lam")
+    top = BOUND - 1
+    under = ring.var("x", top - 1) + y
+    assert under * (lam + 1) == schoolbook(under, lam + 1)
+    half = ring.var("x", BOUND // 2 - 1) + y
+    assert half ** 2 == schoolbook(half, half)
+    for past in (lambda: (ring.var("x", top) + y) * (lam + 1),
+                 lambda: (ring.var("x", top) + lam) * (x + lam),
+                 lambda: (ring.var("lam", -top) + y) * (ring.var("lam", -1) + 1),
+                 lambda: (ring.var("lam", -BOUND) + y) * (y + 1),
+                 lambda: (ring.var("x", BOUND // 2) + y) ** 2,
+                 lambda: (x ** 2 + y).substitute({"x": ring.var("x", BOUND // 2) + y}),
+                 lambda: (ring.var("lam", -2) + y).substitute({"lam": ring.var("lam", BOUND // 2)})):
+        with pytest.raises(InvalidInput, match="bound"):
+            past()
+    # a one-term factor folds into the other's tuples, unpacked and unbounded
+    assert ring.var("x", BOUND) * ring.var("x", BOUND) == ring.var("x", 2 * BOUND)

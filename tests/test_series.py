@@ -10,6 +10,8 @@ from isurf.errors import InvalidInput, NotSolvable, TruncationTooShallow
 from isurf.poly import ExactPolynomial, PolyRing, multiply_terms
 from isurf.series import TruncatedSeries, solve_system
 
+from oracles import schoolbook, termwise_substitute
+
 S = PolyRing.of("x", "y")
 
 
@@ -99,31 +101,10 @@ def test_chord_sweeps_gain_one_order_each(monkeypatch):
 # -- the truncation-aware kernel against schoolbook oracles --------------------
 #
 # ``a * b`` and ``poly.substitute`` run the same kernel as the series, so the
-# oracles are written out here: every pair of terms, and every term of the
-# substituted polynomial raised factor by factor.
+# oracles in oracles.py are written out: every pair of terms, and every term
+# of the substituted polynomial raised factor by factor.
 
 R3 = PolyRing.of("x", "y", "z")
-
-
-def _schoolbook(a, b):
-    terms = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            terms[key] = terms.get(key, 0) + ca * cb
-    return a.ring.from_terms(terms)
-
-
-def _termwise_substitute(f, images):
-    total = f.ring.zero()
-    for exps, c in f.terms.items():
-        term = f.ring.constant(c)
-        for name, e in zip(f.ring.variables, exps):
-            image = images.get(name, f.ring.var(name))
-            for _ in range(abs(e)):
-                term = _schoolbook(term, image if e > 0 else image.monomial_inverse())
-        total = total + term
-    return total
 
 
 def _truncate(p, order):
@@ -131,8 +112,8 @@ def _truncate(p, order):
 
 
 def test_oracles_are_not_vacuous():
-    assert _schoolbook(S.parse("x + y"), S.parse("x - y")) == S.parse("x^2 - y^2")
-    assert _termwise_substitute(S.parse("x^2*y + 3"), {"x": S.parse("1 + y")}) \
+    assert schoolbook(S.parse("x + y"), S.parse("x - y")) == S.parse("x^2 - y^2")
+    assert termwise_substitute(S.parse("x^2*y + 3"), {"x": S.parse("1 + y")}) \
         == S.parse("y^3 + 2*y^2 + y + 3")
 
 
@@ -146,9 +127,9 @@ def _polys(max_terms=6, max_exp=4):
 @given(_polys(), _polys(), st.integers(1, 9))
 def test_product_equals_truncated_schoolbook(a, b, order):
     sa, sb = TruncatedSeries(a, order), TruncatedSeries(b, order)
-    expected = _truncate(_schoolbook(a, b), order)
+    expected = _truncate(schoolbook(a, b), order)
     assert (sa * sb).poly == expected and (sa * b).poly == expected
-    assert a * b == _schoolbook(a, b)
+    assert a * b == schoolbook(a, b)
     # the kernel alone, without the truncation every new series applies
     kernel = multiply_terms(sa.poly.terms, sb.poly.terms, order)
     assert ExactPolynomial(R3, kernel) == expected
@@ -165,9 +146,9 @@ def test_substitute_equals_truncated_schoolbook(f, gx, gy, order):
             series.substitute({"x": gx, "y": gy})
         return
     got = series.substitute({"x": gx, "y": gy})
-    expected = _termwise_substitute(series.poly, {"x": gx, "y": gy})
+    expected = termwise_substitute(series.poly, {"x": gx, "y": gy})
     assert got.poly == _truncate(expected, order)
-    assert f.substitute({"x": gx, "y": gy}) == _termwise_substitute(f, {"x": gx, "y": gy})
+    assert f.substitute({"x": gx, "y": gy}) == termwise_substitute(f, {"x": gx, "y": gy})
 
 
 def _one_term_images(max_exp=2):
@@ -187,9 +168,9 @@ def test_one_term_images_fold_like_the_termwise_oracle(f, gx, gy, gz, order):
     gz = gz - gz.constant_term()
     series = TruncatedSeries(f, order)
     for images in ({"x": gx, "y": gy}, {"x": gx, "y": gy, "z": gz}):
-        expected = _termwise_substitute(series.poly, images)
+        expected = termwise_substitute(series.poly, images)
         assert series.substitute(images).poly == _truncate(expected, order)
-        assert f.substitute(images) == _termwise_substitute(f, images)
+        assert f.substitute(images) == termwise_substitute(f, images)
 
 
 def test_folded_seeds_at_the_order_are_dropped():
@@ -198,7 +179,7 @@ def test_folded_seeds_at_the_order_are_dropped():
     # x^2*y folds to a seed of degree 5 = order; x*z to 3/2*x^2, times y + z
     got = TruncatedSeries(f, 5).substitute(images).poly
     assert got == R3.parse("3/2*x^2*y + 3/2*x^2*z + y^3 + 3*y^2*z + 3*y*z^2 + z^3 + 1/4*y")
-    assert got == _truncate(_termwise_substitute(f, images), 5)
+    assert got == _truncate(termwise_substitute(f, images), 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,12 +295,12 @@ def _schoolbook_inverse(u, order):
     """(1/c0) sum_k (1 - u/c0)^k by schoolbook products; the k-th power is zero
     below the order once k reaches it."""
     scale = R3.constant(1 / u.constant_term())
-    minus_m = R3.one() - _schoolbook(u, scale)
+    minus_m = R3.one() - schoolbook(u, scale)
     total = power = R3.one()
     for _ in range(order):
-        power = _truncate(_schoolbook(power, minus_m), order)
+        power = _truncate(schoolbook(power, minus_m), order)
         total = total + power
-    return _truncate(_schoolbook(total, scale), order)
+    return _truncate(schoolbook(total, scale), order)
 
 
 @settings(max_examples=60, deadline=None)
@@ -327,10 +308,10 @@ def _schoolbook_inverse(u, order):
 def test_int_series_products_and_substitutions_equal_the_fraction_oracle(a, b, g, order):
     fa, fb, fg = _as_fractions(a), _as_fractions(b), _as_fractions(g)
     product = (TruncatedSeries(a, order) * b).poly
-    assert product == _truncate(_schoolbook(fa, fb), order) and _all_int(product)
+    assert product == _truncate(schoolbook(fa, fb), order) and _all_int(product)
     x, y, z = (R3.var(v) for v in R3.variables)
     image = {"x": g * x, "y": g * y + z}
-    expected = _termwise_substitute(fa, {"x": fg * x, "y": fg * y + z})
+    expected = termwise_substitute(fa, {"x": fg * x, "y": fg * y + z})
     substituted = a.substitute(image)
     assert substituted == expected and _all_int(substituted)
     series = TruncatedSeries(a, order).substitute(image).poly

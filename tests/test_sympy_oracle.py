@@ -7,12 +7,16 @@ the order is applied here to SymPy's full results.
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.rings import ring as sympy_ring
 
+from isurf import rings, scenarios, tsing, wps
 from isurf.poly import PolyRing, multiply_terms
-from isurf.series import TruncatedSeries
+from isurf.series import DEFAULT_ORDER, TruncatedSeries
+from isurf.skew import SkewMatrix
 
 R3 = PolyRing.of("x", "y", "z")
 GENS = sympy.symbols("x y z")
@@ -127,3 +131,136 @@ def test_laurent_substitutions_equal_sympy(f, c, k, x_image):
     # lam^-j is raised by the monomial inverse of c*lam^k, coefficient and all
     images = {"lam": LAURENT.monomial({"lam": k}, c), "x": x_image}
     assert sympy.expand(to_expr(f.substitute(images)) - _substituted(f, images)) == 0
+
+
+# -- the germ pipeline: solve_system's solutions and the restricted germs -------
+#
+# Each case runs the package's own chart analysis with solve_system and
+# classify_germ recorded.  SymPy's sparse polynomials then set the chart
+# variable to 1, substitute the recorded solution into every relation the
+# solver eliminated (which must vanish modulo the order) and into the germ
+# relation (which must equal the germ the classifier was given), truncating
+# each product at the order.
+
+
+def _sympy_elements(ring):
+    """p -> the element of SymPy's sparse ring over QQ on the ring's variables."""
+    target = sympy_ring(",".join(ring.variables), sympy.QQ)[0]
+    return lambda p: target.from_dict({e: sympy.QQ(c.numerator, c.denominator)
+                                       for e, c in p.terms.items()})
+
+
+def _truncated_substitute(f, images: dict, order: int):
+    """f with generator i replaced by images[i], every product truncated at the
+    order; the images have no constant term, so a term of degree >= order
+    maps beyond it."""
+    ring = f.ring
+    powers = {}
+
+    def power(i, e):
+        if (i, e) not in powers:
+            powers[i, e] = images[i] if e == 1 else _truncate_element(
+                power(i, e - 1) * images[i], order)
+        return powers[i, e]
+
+    total = ring.zero
+    for monom, c in f.items():
+        if sum(monom) >= order:
+            continue
+        term = ring({tuple(0 if i in images else e for i, e in enumerate(monom)): c})
+        for i, e in enumerate(monom):
+            if e and i in images:
+                term = _truncate_element(term * power(i, e), order)
+        total += term
+    return total
+
+
+def _truncate_element(p, order):
+    return p.ring.from_dict({m: c for m, c in p.items() if sum(m) < order})
+
+
+def _germ_cases(seed):
+    """(label, equations, chart variable, eliminated equations, germ equation,
+    run) for the ten germ cases and the two 14-relation charts; run()
+    classifies through the package."""
+    order = DEFAULT_ORDER
+    for desc, point, theta, tau, _ in scenarios.WPS51_GERMS:
+        yield (desc, {"s51": wps.s51_equation(theta, tau, seed)}, point, (), "s51",
+               lambda: wps.s51_point_analysis(point, theta, tau, seed, order))
+    for desc, mu, nu, chart, _ in scenarios.FAMILY_GERMS:
+        fam = wps.TwoSingularityFamily.of(mu, nu, seed)
+        plan = (("eq1",), "eq2", fam.germ_at_y) if chart == "y" else (("eq2",), "eq1", fam.germ_at_u)
+        yield (desc, {"eq1": fam.eq1, "eq2": fam.eq2}, chart, *plan[:2],
+               lambda: plan[2](order))
+    for name, tau in (("Uz", scenarios.GENERAL_TAU), ("Pw", Fraction(0))):
+        rels = rings.specialize_standard(scenarios.GENERAL_THETA, tau, seed)
+        plan = rings.CHARTS[name]
+        yield (name, dict(rels.relations), plan.chart_var,
+               tuple(relation for relation, _ in plan.eliminate), plan.germ_relation,
+               lambda: rings.chart_singularity(rels, plan, order))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_germ_solutions_and_restrictions_equal_sympy(monkeypatch, seed):
+    solved, germs = [], []
+    solve, classify = tsing.solve_system, tsing.classify_germ
+
+    def recorded_solve(relations, variables):
+        solution = solve(relations, variables)
+        solved.append((relations, variables, solution))
+        return solution
+
+    def recorded_classify(germ):
+        germs.append(germ.equation)
+        return classify(germ)
+
+    monkeypatch.setattr(tsing, "solve_system", recorded_solve)
+    monkeypatch.setattr(tsing, "classify_germ", recorded_classify)
+    checked = 0
+    for label, equations, chart, eliminated, germ_name, run in _germ_cases(seed):
+        solved.clear()
+        germs.clear()
+        result = run()
+        ring = equations[germ_name].ring
+        element = _sympy_elements(ring)
+        at_chart = {name: element(equations[name]).subs(element(ring.var(chart)), 1)
+                    for name in (*eliminated, germ_name)}
+        if result == "absent":
+            assert germs == [] and any(f.coeff(1) != 0 for f in at_chart.values()), label
+            continue
+        # chart_germ's elimination; classify_germ solves for critical points after it
+        relations, variables, solution = solved[0]
+        germ, = germs
+        order = germ.order
+        images = {ring.index(v): element(solution[v]) for v in variables}
+        assert [element(r.poly) for r in relations] \
+            == [_truncate_element(at_chart[name], order) for name in eliminated]
+        for name in eliminated:
+            assert _truncated_substitute(at_chart[name], images, order) == 0, (label, name)
+        expected = _truncated_substitute(at_chart[germ_name], images, order)
+        assert element(germ.poly.cast(ring)) == expected, label
+        checked += 1
+    assert checked == 9  # the three "absent" cases leave nothing to solve
+
+
+# -- Pfaffians against SymPy's determinant -----------------------------------------
+
+_SKEW_RING = PolyRing.of("a", "b")
+_ENTRIES = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                           _COEFFS, max_size=2).map(_SKEW_RING.from_terms)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([2, 4, 6]).flatmap(
+    lambda n: st.lists(_ENTRIES, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    .map(lambda entries: (n, entries))))
+def test_pfaffian_squared_equals_sympy_determinant(case):
+    n, entries = case
+    above = iter(entries)
+    m = SkewMatrix(_SKEW_RING, n, {(i, j): next(above) for i in range(n)
+                                   for j in range(i + 1, n)})
+    dense = sympy.Matrix(n, n, lambda i, j: to_expr(m.entry(i, j)))
+    # over the domain QQ[a, b]: Matrix.det on expressions takes seconds at n = 6
+    det = sympy.Poly(dense.to_DM(sympy.QQ[sympy.symbols("a b")]).det().as_expr(),
+                     *sympy.symbols("a b"), domain=sympy.QQ)
+    assert m.pfaffian() ** 2 == from_sympy(det, _SKEW_RING)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from isurf import scenarios, toric, wps
+import pytest
+
+from isurf import rings, scenarios, toric, wps
 from isurf.tsing import TSingularity
 
 
@@ -95,6 +97,21 @@ def test_s51_equation_degree():
         for k, v in mono.items():
             exps[R.index(k)] = v
         assert p50.coefficient(tuple(exps)) != 0
+
+
+def test_weighted_monomials_are_enumerated_once_per_key():
+    enumerate_ = rings._weighted_monomials
+    enumerate_.cache_clear()
+    first, second = wps.generic_p50(3), wps.generic_p50(3)
+    assert first == second and first is not second
+    assert wps.generic_p50(4) != first  # the seeded coefficients are drawn afresh
+    assert (enumerate_.cache_info().misses, enumerate_.cache_info().hits) == (1, 2)
+    wps.generic_f10(0), wps.generic_f10(1)
+    assert enumerate_.cache_info().misses == 2
+    monos = rings.weighted_monomials(50, wps.S51_RING.variables, toric.WPS_WEIGHTS)
+    assert len(monos) == len(first)
+    with pytest.raises(TypeError):  # shared, so read-only
+        monos[0]["e"] = 7
 
 
 def test_family_two_singularities():
