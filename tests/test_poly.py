@@ -216,12 +216,13 @@ def test_power_equals_repeated_schoolbook_product(terms, n):
 
 
 def _count_products(monkeypatch) -> list:
+    """The term pairs each ``product_terms`` call forms, one entry a call."""
     products = []
     kernel = poly.product_terms
 
-    def counted(*args):
-        products.append(1)
-        return kernel(*args)
+    def counted(a, b, limit, out=None):
+        products.append(sum(kb < limit - ka for ka in a for kb, _ in b))
+        return kernel(a, b, limit, out)
 
     monkeypatch.setattr(poly, "product_terms", counted)
     return products
@@ -267,11 +268,13 @@ def test_parsing_makes_no_product(monkeypatch):
 
 
 def test_a_germ_makes_a_bounded_number_of_products(monkeypatch):
-    # 556 products since one-term images fold into the seed, 2,750 before
+    # 436 products, 2,750 before one-term images folded into the seed; and
+    # 12,479 term pairs, 23,510 with every chord sweep at the full order
     products = _count_products(monkeypatch)
     germ = wps.TwoSingularityFamily.of(0, 1, 0).germ_at_u(12)
     assert germ.same_singularity(TSingularity(2, 3, 1))
     assert len(products) <= 600
+    assert sum(products) <= 13_000
 
 
 # -- int coefficients until a division ------------------------------------------

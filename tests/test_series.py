@@ -3,14 +3,14 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isurf.errors import InvalidInput, NotSolvable, TruncationTooShallow
 from isurf.poly import ExactPolynomial, PolyRing, multiply_terms
 from isurf.series import TruncatedSeries, solve_system
 
-from oracles import schoolbook, termwise_substitute
+from oracles import chord_solve, schoolbook, termwise_substitute
 
 S = PolyRing.of("x", "y")
 
@@ -80,22 +80,59 @@ def test_constant_coupling_is_not_solvable():
         solve_system(relations, ["a", "b"])
 
 
+def _record_truncations(monkeypatch) -> list:
+    """(order, least degree or None) of every series substitution."""
+    records = []
+    substitute = TruncatedSeries.substitute
+
+    def recorded(series, assignment):
+        result = substitute(series, assignment)
+        records.append((series.order, min(map(sum, result.poly.terms), default=None)))
+        return result
+
+    monkeypatch.setattr(TruncatedSeries, "substitute", recorded)
+    return records
+
+
 def test_chord_sweeps_gain_one_order_each(monkeypatch):
     # x = y + x^2 is solved by the Catalan series; each chord sweep x <- y + x^2
     # fixes one more coefficient, so order 16 takes 15 corrections and then
-    # the certifying sweep, the most sweeps a system can need
+    # the certifying sweep, the most sweeps a system can need.  With g = 1,
+    # each correction after the first (zero image, at the order) substitutes
+    # two degrees above its residual's valuation, and only the last one and
+    # the certificate run at the order
     ring = PolyRing.of("x", "y")
-    sweeps = []
-    substitute = TruncatedSeries.substitute
-
-    def counted(series, assignment):
-        sweeps.append(assignment)
-        return substitute(series, assignment)
-
-    monkeypatch.setattr(TruncatedSeries, "substitute", counted)
+    sweeps = _record_truncations(monkeypatch)
     x = solve_system([TruncatedSeries(ring.parse("x - y - x^2"), 16)], ["x"])["x"]
     assert len(sweeps) == 16
+    assert [t for t, _ in sweeps] == [16] + list(range(3, 17)) + [16]
+    assert sweeps[-1] == (16, None)
     assert x == ring.from_terms({(0, k): comb(2 * k - 2, k - 1) // k for k in range(1, 16)})
+
+
+@pytest.mark.parametrize("names, relations, gain", [
+    ("x y", ["x - y - x^2"], 1),
+    ("x y", ["x - y - 2*x^3 + y^2*x"], 2),
+    ("a b s", ["a - s^2 + b*s", "b + a*s - s^3"], 1),
+    ("a b s", ["a - s - a*b^2", "b - s^2 + s*a^3"], 2),
+])
+def test_no_sweep_is_too_shallow_to_gain_g(monkeypatch, names, relations, gain):
+    # after a sweep at t whose least residual degree is low, the error has
+    # valuation at least min(t, low + g), and the next sweep needs g more
+    ring, order = PolyRing.of(*names.split()), 13
+    unknowns = ring.variables[:len(relations)]
+    series = [TruncatedSeries(ring.parse(r), order) for r in relations]
+    records = _record_truncations(monkeypatch)
+    solve_system(series, unknowns)
+    sweeps = [records[i:i + len(series)] for i in range(0, len(records), len(series))]
+    assert sweeps[0][0][0] == order and all(t == order and low is None for t, low in sweeps[-1])
+    for before, after in zip(sweeps, sweeps[1:]):
+        t = before[0][0]
+        lows = [low for _, low in before if low is not None]
+        if lows:
+            assert after[0][0] >= min(order, min(t, min(lows) + gain) + gain)
+        else:
+            assert after[0][0] == order
 
 
 # -- the truncation-aware kernel against schoolbook oracles --------------------
@@ -226,6 +263,58 @@ def test_solve_system_residual_vanishes_mod_order(system, order):
         assert all(value.degree_in(v) == 0 for v in unknowns)
 
 
+@st.composite
+def _chord_systems(draw):
+    """Unit-linear systems with 1-3 unknowns at orders 2-14: linear ones (no
+    term with an unknown besides the units), ones whose other terms with an
+    unknown have degree >= 2, 3 or 4 (g >= 1, 2, 3), and either of these with
+    constant coupling to the earlier unknowns (g = 0); the forcing terms in s
+    and t are of any degree, or only of degree order - 1."""
+    ring = PolyRing.of("a", "b", "c", "s", "t")
+    order = draw(st.integers(2, 14))
+    k = draw(st.integers(1, 3))
+    unknowns = ring.variables[:k]
+    least = draw(st.sampled_from([None, 2, 3, 4]))  # None: a linear system
+    triangular = draw(st.booleans())
+    late = draw(st.booleans())
+    coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    relations = []
+    for i, v in enumerate(unknowns):
+        terms = {ring.exponents({v: 1}): draw(coeff)}
+        for _ in range(draw(st.integers(1, 3))):
+            ds = draw(st.integers(0, min(3, order - 1)))
+            dt = order - 1 - ds if late else draw(st.integers(0, 3))
+            if ds + dt:
+                terms[ring.exponents({"s": ds, "t": dt})] = draw(coeff)
+        for _ in range(draw(st.integers(1, 3)) if least else 0):
+            exps = list(draw(st.tuples(*[st.integers(0, 2)] * 5)))
+            exps[draw(st.integers(0, k - 1))] += 1
+            exps[3] += max(0, least - sum(exps))
+            terms[tuple(exps)] = draw(coeff)
+        if triangular:
+            for j in range(i):
+                terms[ring.exponents({unknowns[j]: 1})] = draw(coeff)
+        relations.append(TruncatedSeries(ring.from_terms(terms), order))
+    return relations, list(unknowns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_chord_systems())
+# the first correction gains 2 where g = 1, so the sweep at degree 4 finds
+# every residual zero although the solution goes on: only a full-order
+# sweep may end the solve
+@example(([TruncatedSeries(PolyRing.of("a", "s").parse("a - s^2 - a^2"), 8)], ["a"]))
+def test_degree_stepped_sweeps_equal_the_full_order_oracle(system):
+    relations, unknowns = system
+    try:
+        expected = chord_solve(relations, unknowns)
+    except NotSolvable:
+        with pytest.raises(NotSolvable):
+            solve_system(relations, unknowns)
+        return
+    assert solve_system(relations, unknowns) == expected
+
+
 def test_invertible_variables_are_rejected():
     # t^-1 has degree -1: times the x^4 that the image x + x^4 drops at order
     # 4 it would give x^4*t^-1, of degree 3, which a truncated result would miss
@@ -238,9 +327,18 @@ def test_invertible_variables_are_rejected():
 def test_image_below_its_weight_is_rejected():
     # x = 1 + y has a constant term: x^3*y, dropped at order 3, would give y
     with pytest.raises(InvalidInput):
-        solve_system([TruncatedSeries(S.parse("x - 1 - y"), 3)], ["x"])
-    with pytest.raises(InvalidInput):
         TruncatedSeries(S.parse("x^2 + y"), 3).substitute({"x": S.parse("1 + y")})
+
+
+@pytest.mark.parametrize("relation", ["x - 1 - y", "1 + x"])
+def test_a_relation_with_a_constant_term_is_not_solvable(relation, monkeypatch):
+    # its solution would have a constant term; the relation is named before
+    # any sweep, not the image of x after one
+    sweeps = []
+    monkeypatch.setattr(TruncatedSeries, "substitute", lambda *args: sweeps.append(args))
+    with pytest.raises(NotSolvable, match="relation for x has a constant term"):
+        solve_system([TruncatedSeries(S.parse(relation), 3)], ["x"])
+    assert sweeps == []
 
 
 # -- series of different orders do not mix -------------------------------------
