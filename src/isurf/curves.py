@@ -36,8 +36,6 @@ class CurveConfiguration:
     incidence: tuple[tuple[str, str, int], ...]
     minimal_model: bool = False
     kodaira_dimension_one: bool = True
-    ambient_k2: Fraction | None = None
-    blowdowns: int = 0
 
     def __post_init__(self):
         names = [c.name for c in self.curves]
@@ -117,13 +115,7 @@ class CurveConfiguration:
                 m = self.pairing(na, nb) + mult[na] * mult[nb]
                 if m:
                     new_inc.append((na, nb, m))
-        return replace(
-            self,
-            curves=tuple(new_curves),
-            incidence=tuple(new_inc),
-            ambient_k2=None if self.ambient_k2 is None else self.ambient_k2 + 1,
-            blowdowns=self.blowdowns + 1,
-        )
+        return replace(self, curves=tuple(new_curves), incidence=tuple(new_inc))
 
     # -- rules -------------------------------------------------------------
 
@@ -186,7 +178,6 @@ def config_from_dict(data: Mapping) -> CurveConfiguration:
         curves, incidence,
         minimal_model=bool(data.get("minimal_model", False)),
         kodaira_dimension_one=bool(data.get("kodaira_dimension_one", True)),
-        ambient_k2=None if data.get("k2") is None else Fraction(data["k2"]),
     )
 
 

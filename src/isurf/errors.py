@@ -58,15 +58,11 @@ class NotInvertible(IsurfError):
 
 
 class NotFactorable(IsurfError):
-    def __init__(self, message: str, monomial=None):
-        super().__init__(message)
-        self.monomial = monomial
+    pass
 
 
 class CertificateFailed(IsurfError):
-    def __init__(self, message: str, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    pass
 
 
 class NotContractible(IsurfError):

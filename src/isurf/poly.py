@@ -68,6 +68,7 @@ def exact_quotient(a: Coeff, b: Coeff) -> Coeff:
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?[0-9]+")
+_WS_RE = re.compile(r"\s*")
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ class PolyRing:
             return self.zero()
         return ExactPolynomial(self, {(0,) * self.nvars: c})
 
-    def var(self, name: str, power: int = 1) -> "ExactPolynomial":
-        return self.monomial({name: power})
+    def var(self, name: str) -> "ExactPolynomial":
+        return self.monomial({name: 1})
 
     def exponents(self, powers: Mapping[str, int]) -> tuple[int, ...]:
         """The exponent tuple of the monomial with the given variable powers."""
@@ -629,6 +630,9 @@ class _Parser:
 
     expr := ['-'] term (('+'|'-') term)* ; term := factor ('*' factor)* ;
     factor := coeff | ident ['^' int] | '(' expr ')' ; coeff := int ['/' uint].
+
+    A term's numbers multiply into its coefficient and each ``ident^k`` adds
+    into its exponents; only a parenthesised factor goes through the kernel.
     """
 
     def __init__(self, ring: PolyRing, text: str):
@@ -637,93 +641,83 @@ class _Parser:
         self.pos = 0
 
     def parse(self) -> ExactPolynomial:
-        value = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        terms = self.expr()
+        if self.peek():
             raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
-        return value
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        return ExactPolynomial.unchecked(self.ring, terms)
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character after whitespace, "" at the end."""
+        self.pos = _WS_RE.match(self.text, self.pos).end()
+        return self.text[self.pos:self.pos + 1]
 
-    def expr(self) -> ExactPolynomial:
-        negate = False
-        if self.peek() == "-":
-            save = self.pos
-            self.pos += 1
-            if self.peek().isdigit():
-                self.pos = save  # leading negative coefficient, let term() read it
-            else:
-                negate = True
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek() in ("+", "-"):
-            op = self.peek()
-            self.pos += 1
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> ExactPolynomial:
-        value = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
-            value = value * self.factor()
-        return value
-
-    def factor(self) -> ExactPolynomial:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return value
-        if ch.isdigit() or ch == "-":
-            return self.coeff()
-        m = _IDENT_RE.match(self.text, self.pos)
-        if not m:
-            raise ParseError(f"expected identifier or number, found {ch!r}", self.pos)
-        name = m.group(0)
-        if name not in self.ring.variables:
-            raise UndeclaredIdentifier(f"undeclared identifier {name!r}", self.pos)
-        self.pos = m.end()
-        power = 1
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            pm = _INT_RE.match(self.text, self.pos)
-            if not pm:
-                raise ParseError("expected integer exponent", self.pos)
-            power = int(pm.group(0))
-            if power < 0 and name not in self.ring.invertible:
-                raise ParseError(f"negative power on non-invertible {name!r}", self.pos)
-            self.pos = pm.end()
-        return self.ring.var(name, power)
-
-    def coeff(self) -> ExactPolynomial:
-        self.skip_ws()
+    def integer(self, what: str) -> tuple[int, int]:
+        """(value, position) of the integer after whitespace, moved past."""
+        self.peek()
         m = _INT_RE.match(self.text, self.pos)
         if not m:
-            raise ParseError("expected integer", self.pos)
-        num = int(m.group(0))
+            raise ParseError(f"expected {what}", self.pos)
         self.pos = m.end()
-        den = 1
-        if self.peek() == "/":
+        return int(m.group(0)), m.start()
+
+    def expr(self) -> dict:
+        out: dict = {}
+        sign = 1
+        if self.peek() == "-":
             self.pos += 1
-            self.skip_ws()
-            dm = re.compile(r"[0-9]+").match(self.text, self.pos)
-            if not dm:
-                raise ParseError("expected positive denominator", self.pos)
-            den = int(dm.group(0))
-            if den == 0:
-                raise ParseError("zero denominator", self.pos)
-            self.pos = dm.end()
-        return self.ring.constant(Fraction(num, den))
+            sign = -1
+        while True:
+            for exps, c in self.term().items():
+                s = out.get(exps, 0) + sign * c
+                if s:
+                    out[exps] = _coeff(s)
+                else:
+                    del out[exps]
+            op = self.peek()
+            if op not in ("+", "-"):
+                return out
+            self.pos += 1
+            sign = 1 if op == "+" else -1
+
+    def term(self) -> dict:
+        exps = [0] * self.ring.nvars
+        num = den = 1
+        factors = []
+        while True:
+            ch = self.peek()
+            if ch == "(":
+                self.pos += 1
+                factors.append(self.expr())
+                if self.peek() != ")":
+                    raise ParseError("expected ')'", self.pos)
+                self.pos += 1
+            elif ch.isdigit() or ch == "-":
+                num *= self.integer("integer")[0]
+                if self.peek() == "/":
+                    self.pos += 1
+                    d, at = self.integer("positive denominator")
+                    if d <= 0:
+                        raise ParseError("expected positive denominator", at)
+                    den *= d
+            else:
+                m = _IDENT_RE.match(self.text, self.pos)
+                if not m:
+                    raise ParseError(f"expected identifier or number, found {ch!r}", self.pos)
+                name = m.group(0)
+                if name not in self.ring.variables:
+                    raise UndeclaredIdentifier(f"undeclared identifier {name!r}", self.pos)
+                self.pos = m.end()
+                power = 1
+                if self.peek() == "^":
+                    self.pos += 1
+                    power, at = self.integer("integer exponent")
+                    if power < 0 and name not in self.ring.invertible:
+                        raise ParseError(f"negative power on non-invertible {name!r}", at)
+                exps[self.ring.index(name)] += power
+            if self.peek() != "*":
+                break
+            self.pos += 1
+        terms = {tuple(exps): exact_quotient(num, den)} if num else {}
+        for factor in factors:
+            terms = multiply_terms(terms, factor, None)
+        return terms

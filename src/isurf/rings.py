@@ -234,8 +234,7 @@ def derive_relation(surface_eq: ExactPolynomial, excess: Mapping[str, int],
             core = tuple(a - b for a, b in zip(core, lead_vec))
         factored = factor_over_generators(core, table)
         if factored is None:
-            raise NotFactorable(
-                f"monomial {core} does not factor over the generators", core)
+            raise NotFactorable(f"monomial {core} does not factor over the generators")
         for name, mult in factored.items():
             pieces[name] = pieces.get(name, 0) + mult
         pieces.update(params)
@@ -314,7 +313,10 @@ class RelationSystem:
         return RelationSystem(ring, rels)
 
 
+@functools.cache
 def _load_system(key: str) -> RelationSystem:
+    """The relation system of a fixture key, parsed once per process.  The
+    result is cached and shared, so callers must not change it."""
     data = _REL[key]
     ring = generator_ring(*data["params"])
     rels = tuple((name, ring.parse(text)) for name, text in data["relations"].items())
@@ -460,8 +462,7 @@ def verify_format(fmt: RelationFormat, rels: RelationSystem) -> dict:
             except NotDivisible:
                 pass
         if not residual.is_zero():
-            raise CertificateFailed(
-                f"{fmt.label}: certificate {cert.kind}{cert.index} failed", residual)
+            raise CertificateFailed(f"{fmt.label}: certificate {cert.kind}{cert.index} failed")
         checks.append({"source": f"{cert.kind}{cert.index}",
                        "targets": [name for _, name in cert.combo], "ok": True})
     # every pfaffian and product entry must be certified (zero ones trivially)
@@ -469,19 +470,19 @@ def verify_format(fmt: RelationFormat, rels: RelationSystem) -> dict:
         if key in seen:
             continue
         if not value.is_zero():
-            raise CertificateFailed(
-                f"{fmt.label}: uncertified nonzero entry {key}", value)
+            raise CertificateFailed(f"{fmt.label}: uncertified nonzero entry {key}")
     return {"checks": checks, "covered": sorted(covered)}
 
 
-def load_formats() -> dict[str, tuple[RelationFormat, RelationSystem]]:
-    """The three bundled formats with their certificate tables."""
+@functools.cache
+def load_formats() -> Mapping[str, tuple[RelationFormat, RelationSystem]]:
+    """The bundled formats with their certificate tables and relation systems,
+    parsed once per process.  The read-only mapping is cached and shared, so
+    callers must not change what it holds."""
     data = load_fixture("formats.json")
     out = {}
-    systems = {"standard": standard_relations(), "family": family_relations(),
-               "lam_theta": lam_theta_relations()}
     for label, entry in data.items():
-        rels = systems[entry["system"]]
+        rels = _load_system(entry["system"])
         ring = rels.ring
         matrix = SkewMatrix.from_upper_rows(ring, entry["matrix"])
         vector = tuple(ring.parse(t) for t in entry["vector"])
@@ -491,7 +492,7 @@ def load_formats() -> dict[str, tuple[RelationFormat, RelationSystem]]:
             certs.append(Certificate(c["kind"], tuple(c["index"]), combo))
         modulus = ring.parse(entry["modulus"]) if entry.get("modulus") else None
         out[label] = (RelationFormat(matrix, vector, tuple(certs), modulus, label), rels)
-    return out
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ def _weierstrass(params: Params) -> list[dict]:
     table = [((1, 1), "I1"), ((0, 1), "II"), ((1, 0), "I2"), ((0, 0), "III")]
     for (th, ta), expect in table:
         out.append(check(f"fiber type at (theta, tau) = ({th}, {ta})", expect,
-                         toric.fiber_type(th, ta)["type"], "reference",
+                         toric.fiber_type(th, ta), "reference",
                          "fiber type table"))
     disc = toric.discriminant(k2, l2)
     out.append(check("discriminant is homogeneous of degree 36", 36,

@@ -46,16 +46,6 @@ class SkewMatrix:
             return self.upper.get((i, j), self.ring.zero())
         return -self.upper.get((j, i), self.ring.zero())
 
-    def submatrix(self, indices: Sequence[int]) -> "SkewMatrix":
-        idx = list(indices)
-        upper = {}
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                p = self.entry(idx[a], idx[b])
-                if not p.is_zero():
-                    upper[(a, b)] = p
-        return SkewMatrix(self.ring, len(idx), upper)
-
     def pfaffian(self) -> ExactPolynomial:
         """Pfaffian by row expansion; zero for odd size."""
         if self.size % 2:
@@ -86,13 +76,8 @@ class SkewMatrix:
 
     def sub_pfaffians(self, k: int) -> list[tuple[tuple[int, ...], ExactPolynomial]]:
         """All principal k x k Pfaffians, indexed by the selected row set."""
-        out = []
-        for subset in combinations(range(self.size), k):
-            if k % 2:
-                out.append((subset, self.ring.zero()))
-            else:
-                out.append((subset, self.submatrix(subset).pfaffian()))
-        return out
+        return [(subset, self.ring.zero() if k % 2 else self._pf(subset))
+                for subset in combinations(range(self.size), k)]
 
     def multiply_vector(self, vector: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
         if len(vector) != self.size:

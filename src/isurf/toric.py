@@ -183,22 +183,15 @@ def discriminant(k: ExactPolynomial, l: ExactPolynomial) -> ExactPolynomial:
     return k ** 3 * 4 + l ** 2 * 27
 
 
-def fiber_type(theta, tau) -> dict:
+def fiber_type(theta, tau) -> str:
     """Special-fiber type from the vanishing pattern of the two parameters.
 
-    For the last two entries the surface itself is singular and the stated
-    type is that of the fiber on the minimal resolution (note field).
+    For I2 and III the surface itself is singular, and the type is that of
+    the fiber after resolving its A1 point.
     """
-    theta_zero = (theta == 0)
-    tau_zero = (tau == 0)
-    if not theta_zero and not tau_zero:
-        return {"type": "I1", "note": ""}
-    if theta_zero and not tau_zero:
-        return {"type": "II", "note": ""}
-    resolved = "after resolving the A1 point of the surface"
-    if not theta_zero and tau_zero:
-        return {"type": "I2", "note": resolved}
-    return {"type": "III", "note": resolved}
+    if theta != 0:
+        return "I1" if tau != 0 else "I2"
+    return "II" if tau != 0 else "III"
 
 
 @dataclass(frozen=True)
@@ -288,7 +281,7 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
     if formal:
         check = reduce_square(check, "theta", ext.constant(twelve_eps))
     if eq != check:
-        raise CertificateFailed("normalisation did not reach the displayed form", eq - check)
+        raise CertificateFailed("normalisation did not reach the displayed form")
     return out
 
 

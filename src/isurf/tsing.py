@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -102,45 +102,41 @@ def hj_expand(p: int, q: int) -> list[int]:
     return out
 
 
-def hj_value(chain: Sequence[int]) -> Fraction:
-    """Value of the continued fraction [b1, ..., br]."""
-    if not chain:
-        raise InvalidInput("empty chain")
-    value = Fraction(chain[-1])
-    for b in reversed(chain[:-1]):
-        value = b - 1 / value
-    return value
+def _continuants(chain: Sequence[int]) -> list[int]:
+    """[0, 1, K(b1), K(b1, b2), ..., K(b1..br)]: the Hirzebruch-Jung numerators
+    of the chain's prefixes, K(b1..bi) = bi K(b1..b(i-1)) - K(b1..b(i-2))."""
+    out = [0, 1]
+    for b in chain:
+        out.append(b * out[-1] - out[-2])
+    return out
 
 
 def recognize_tchain(chain: Sequence[int]):
     """Identify a chain of self-intersections [b1..br] (entries >= 2).
 
-    Returns TSingularity(d, n, a) when the value is d n^2 / (d n a - 1),
-    RationalDoublePoint(r) for the all-2 chain, Unrecognized otherwise.
+    Returns TSingularity(d, n, a) when the value p/q = [b1..br] is
+    d n^2 / (d n a - 1), RationalDoublePoint(r) for the all-2 chain,
+    Unrecognized otherwise.  p = K(b1..br) and q = K(b2..br), coprime.
     """
     chain = list(chain)
     if any(b < 2 for b in chain):
         raise InvalidInput("chain entries must be >= 2")
     if all(b == 2 for b in chain):
         return RationalDoublePoint(len(chain))
-    value = hj_value(chain)
-    p, q = value.numerator, value.denominator
+    q, p = _continuants(chain[::-1])[-2:]
     found = _admissible_type(p, q)
     return found if found is not None else Unrecognized(f"{p}/{q} is not of the form dn^2/(dna-1)")
 
 
 def _admissible_type(order: int, weight: int) -> TSingularity | None:
-    """The type 1/(d n^2)(1, d n a - 1) equal to 1/order(1, weight), if any."""
-    n = 2
-    while n * n <= order:
-        if order % (n * n) == 0:
-            d = order // (n * n)
-            if (weight + 1) % (d * n) == 0:
-                a = (weight + 1) // (d * n)
-                if 0 < a < n and gcd(a, n) == 1:
-                    return TSingularity(d, n, a)
-        n += 1
-    return None
+    """The type 1/(d n^2)(1, d n a - 1) equal to 1/order(1, weight), if any.
+    Such a type has gcd(order, weight + 1) = d n gcd(n, a) = d n, which fixes
+    n = order / (d n), d and a."""
+    dn = gcd(order, weight + 1)
+    n, a = order // dn, (weight + 1) // dn
+    if n < 2 or dn % n or not 0 < a < n or gcd(a, n) != 1:
+        return None
+    return TSingularity(dn // n, n, a)
 
 
 def plane_quotient(n: int, wj: int, wk: int):
@@ -159,8 +155,15 @@ def plane_quotient(n: int, wj: int, wk: int):
 
 @dataclass(frozen=True)
 class Codiscrepancy:
+    """The coefficients a_i = numerators[i] / n along the chain ``entries``."""
+
     entries: tuple[int, ...]
-    coefficients: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    n: int
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(s, self.n) for s in self.numerators)
 
 
 def codiscrepancy(chain: Sequence[int]) -> Codiscrepancy:
@@ -175,26 +178,21 @@ def codiscrepancy(chain: Sequence[int]) -> Codiscrepancy:
     b = tuple(chain)
     if not b or any(x < 2 for x in b):
         raise InvalidInput("chain entries must be >= 2")
-    alpha, beta = [0, 1], [0, 1]  # numerator recurrences from each end
-    for x, y in zip(b, reversed(b)):
-        alpha.append(x * alpha[-1] - alpha[-2])
-        beta.append(y * beta[-1] - beta[-2])
+    alpha, beta = _continuants(b), _continuants(b[::-1])
     n = alpha[-1]
     s = [n - x - y for x, y in zip(alpha, reversed(beta))]  # n a_i, s_0 = s_{r+1} = 0
     for i, x in enumerate(b, 1):
         if x * s[i] - s[i - 1] - s[i + 1] != (x - 2) * n:
             raise CertificateFailed("codiscrepancy system residual must vanish")
-    return Codiscrepancy(b, tuple(Fraction(x, n) for x in s[1:-1]))
+    return Codiscrepancy(b, tuple(s[1:-1]), n)
 
 
 def delta_squared(cd: Codiscrepancy) -> Fraction:
     """Self-intersection of the codiscrepancy divisor on the resolution,
-    -sum b_i a_i^2 + 2 sum a_i a_{i+1}, summed as n^2 times itself in integers
-    over the common denominator n of the a_i."""
-    n = lcm(*(a.denominator for a in cd.coefficients))
-    s = [a.numerator * (n // a.denominator) for a in cd.coefficients]
+    -sum b_i a_i^2 + 2 sum a_i a_{i+1}, summed as n^2 times itself in integers."""
+    s = cd.numerators
     total = 2 * sum(map(mul, s, s[1:])) - sum(x * x * b for x, b in zip(s, cd.entries))
-    return Fraction(total, n * n)
+    return Fraction(total, cd.n * cd.n)
 
 
 def ktilde_squared(sings: Sequence[Sequence[int]]) -> Fraction:
@@ -209,7 +207,7 @@ def ktilde_squared(sings: Sequence[Sequence[int]]) -> Fraction:
             raise InvalidInput(f"{list(chain)} is not a proper T-chain")
         d2 = delta_squared(codiscrepancy(chain))
         if d2 != kind.d - len(chain) - 1:
-            raise CertificateFailed("codiscrepancy square disagrees with d - r - 1", d2)
+            raise CertificateFailed("codiscrepancy square disagrees with d - r - 1")
         total += d2
     return total
 

@@ -1,6 +1,7 @@
 """Reference computations that tests compare the package against."""
 
 from fractions import Fraction
+from math import gcd
 
 from isurf.errors import NotSolvable
 
@@ -15,6 +16,30 @@ def evaluate(p, assignment) -> Fraction:
             v *= x ** e
         total += v
     return total
+
+
+def hj_value(chain) -> Fraction:
+    """Value of the continued fraction [b1, ..., br] = b1 - 1/(b2 - ...), in
+    Fractions: the reference for the integer continuants of ``tsing``."""
+    value = Fraction(chain[-1])
+    for b in reversed(chain[:-1]):
+        value = b - 1 / value
+    return value
+
+
+def admissible_type_search(order, weight):
+    """(d, n, a) with order = d n^2 and weight = d n a - 1, 0 < a < n coprime,
+    by trial over every n with n^2 dividing the order; None if there is none.
+    The reference for ``tsing``, which reads the type off a gcd."""
+    n = 2
+    while n * n <= order:
+        d = order // (n * n)
+        if order % (n * n) == 0 and (weight + 1) % (d * n) == 0:
+            a = (weight + 1) // (d * n)
+            if 0 < a < n and gcd(a, n) == 1:
+                return d, n, a
+        n += 1
+    return None
 
 
 def schoolbook(a, b):

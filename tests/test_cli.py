@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from isurf import rings
 from isurf.cli import main
 
 STORED_DIGESTS = json.loads(
@@ -126,6 +127,18 @@ def test_all_json_report_matches_the_stored_digest(seed, capsys):
     assert main(["--all", "--seed", seed, "--format", "json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == STORED_DIGESTS[seed]
+
+
+def test_two_runs_in_one_process_print_the_same_report(capsys):
+    # the parsed fixtures are cached per process and shared between runs:
+    # the second, warm run must not see anything the first one changed
+    rings._load_system.cache_clear()
+    rings.load_formats.cache_clear()
+    reports = []
+    for _ in range(2):
+        assert main(["--all", "--seed", "1", "--format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 ORDER_14_DIGESTS = {

@@ -176,15 +176,6 @@ def test_replay_rejects_illegal_step():
         cv.replay_script(cfg, [{"op": "explode"}])
 
 
-def test_k2_tracking_through_blowdowns():
-    ex = cv.build_example("III-fiber")
-    cfg = ex["configuration"]
-    assert cfg.ambient_k2 == Fraction(-4)
-    final = cv.replay_script(cfg, ex["script"])["final"]
-    assert final.ambient_k2 == 0
-    assert final.blowdowns == 4
-
-
 def test_examples_recognize_chains_and_contract():
     expects = {
         "III-fiber": {"index5": TSingularity(1, 5, 3), "index3": TSingularity(2, 3, 1)},

@@ -258,13 +258,21 @@ def test_one_term_images_make_no_product(monkeypatch):
 
 
 def test_parsing_makes_no_product(monkeypatch):
-    # every * of a parsed term has a one-term factor, which folds unpacked
+    # numbers and powers go straight into the term; only a parenthesised
+    # factor reaches the kernel, once per factor, and folds there unpacked
     ring = PolyRing.of("x", "lam", invertible=("lam",))
     products = _count_products(monkeypatch)
+    calls = []
+    kernel = poly.multiply_terms
+    monkeypatch.setattr(poly, "multiply_terms", lambda *args: calls.append(1) or kernel(*args))
     assert ring.parse("1/16*x^2*lam^-2") == ring.monomial({"x": 2, "lam": -2}, Fraction(1, 16))
-    f = ring.parse("x^2*lam^-2 + 3*x*lam - 1/5*lam^-1 + 7")
-    assert len(f) == 4 and f.coefficient((0, -1)) == Fraction(-1, 5)
-    assert products == []
+    f = ring.parse("x^2*lam^-2 + 3*x*lam - 1/5*lam^-1 + 7 - 2*x*3/4*lam*x")
+    assert len(f) == 5 and f.coefficient((0, -1)) == Fraction(-1, 5)
+    assert f.coefficient((2, 1)) == Fraction(-3, 2)
+    assert calls == []
+    assert ring.parse("2*x*(x - lam)*lam^-1*(x + 1)") == ring.parse(
+        "2*x^3*lam^-1 + 2*x^2*lam^-1 - 2*x^2 - 2*x")
+    assert len(calls) == 2 and products == [4]
 
 
 def test_a_germ_makes_a_bounded_number_of_products(monkeypatch):
@@ -447,18 +455,22 @@ def test_a_key_past_the_bound_raises_instead_of_wrapping():
     ring = PolyRing.of("x", "y", "lam", invertible=("lam",))
     x, y, lam = ring.var("x"), ring.var("y"), ring.var("lam")
     top = BOUND - 1
-    under = ring.var("x", top - 1) + y
+
+    def power(name, k):
+        return ring.monomial({name: k})
+
+    under = power("x", top - 1) + y
     assert under * (lam + 1) == schoolbook(under, lam + 1)
-    half = ring.var("x", BOUND // 2 - 1) + y
+    half = power("x", BOUND // 2 - 1) + y
     assert half ** 2 == schoolbook(half, half)
-    for past in (lambda: (ring.var("x", top) + y) * (lam + 1),
-                 lambda: (ring.var("x", top) + lam) * (x + lam),
-                 lambda: (ring.var("lam", -top) + y) * (ring.var("lam", -1) + 1),
-                 lambda: (ring.var("lam", -BOUND) + y) * (y + 1),
-                 lambda: (ring.var("x", BOUND // 2) + y) ** 2,
-                 lambda: (x ** 2 + y).substitute({"x": ring.var("x", BOUND // 2) + y}),
-                 lambda: (ring.var("lam", -2) + y).substitute({"lam": ring.var("lam", BOUND // 2)})):
+    for past in (lambda: (power("x", top) + y) * (lam + 1),
+                 lambda: (power("x", top) + lam) * (x + lam),
+                 lambda: (power("lam", -top) + y) * (power("lam", -1) + 1),
+                 lambda: (power("lam", -BOUND) + y) * (y + 1),
+                 lambda: (power("x", BOUND // 2) + y) ** 2,
+                 lambda: (x ** 2 + y).substitute({"x": power("x", BOUND // 2) + y}),
+                 lambda: (power("lam", -2) + y).substitute({"lam": power("lam", BOUND // 2)})):
         with pytest.raises(InvalidInput, match="bound"):
             past()
     # a one-term factor folds into the other's tuples, unpacked and unbounded
-    assert ring.var("x", BOUND) * ring.var("x", BOUND) == ring.var("x", 2 * BOUND)
+    assert power("x", BOUND) * power("x", BOUND) == power("x", 2 * BOUND)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.rings import ring as sympy_ring
 
-from isurf import rings, scenarios, tsing, wps
+from isurf import load_fixture, rings, scenarios, tsing, wps
 from isurf.poly import PolyRing, multiply_terms
 from isurf.series import DEFAULT_ORDER, TruncatedSeries
 from isurf.skew import SkewMatrix
@@ -60,6 +60,63 @@ def test_conversions_round_trip():
     laurent = LAURENT.parse("x*lam^-2 - 1/4*lam")
     lam = LAURENT_GENS[2]
     assert sympy.expand(to_expr(laurent) - (LAURENT_GENS[0] / lam ** 2 - lam / 4)) == 0
+
+
+def _sympy_parsed(text: str, ring: PolyRing):
+    """``text`` read by SymPy, ``^`` as ``**``, expanded and converted back."""
+    gens = sympy.symbols(ring.variables)
+    expr = sympy.parse_expr(text.replace("^", "**"), local_dict=dict(zip(ring.variables, gens)))
+    return from_sympy(sympy.Poly(sympy.expand(expr), *gens, domain=sympy.QQ), ring)
+
+
+def _fixture_polynomials():
+    """(system, text) for every polynomial string of the relation and format
+    fixtures."""
+    relations = load_fixture("relations.json")
+    for key, data in relations.items():
+        yield from ((key, text) for text in data["relations"].values())
+    yield "standard", relations["standard"]["r14_rewritten"]
+    for entry in load_fixture("formats.json").values():
+        texts = [*(t for row in entry["matrix"] for t in row), *entry["vector"],
+                 *(m for c in entry["certificates"] for m, _ in c["combo"])]
+        if entry.get("modulus"):
+            texts.append(entry["modulus"])
+        yield from ((entry["system"], text) for text in texts)
+
+
+def test_every_fixture_polynomial_parses_as_sympy_reads_it():
+    systems = load_fixture("relations.json")
+    cases = list(_fixture_polynomials())
+    assert len(cases) > 150 and any("(" in text for _, text in cases)
+    for key, text in cases:
+        ring = rings.generator_ring(*systems[key]["params"])
+        assert ring.parse(text) == _sympy_parsed(text, ring), text
+
+
+_NUMBERS = st.integers(-9, 9).map(str) | st.builds(
+    "{}/{}".format, st.integers(-9, 9), st.integers(1, 6))
+_POWERS = st.builds("{}^{}".format, st.sampled_from(R3.variables), st.integers(0, 4))
+
+
+def _expressions(factors):
+    """Sums of products of ``factors`` in the canonical grammar, with an
+    optional leading minus and spaces or none around the binary signs."""
+    terms = st.lists(factors, min_size=1, max_size=3).map("*".join)
+    signs = st.sampled_from(["+", "-", " + ", " - "])
+    return st.builds(lambda lead, first, rest: lead + first + "".join(s + t for s, t in rest),
+                     st.sampled_from(["", "-", "- "]), terms,
+                     st.lists(st.tuples(signs, terms), max_size=3))
+
+
+_TEXTS = st.recursive(_expressions(_NUMBERS | _POWERS | st.sampled_from(R3.variables)),
+                      lambda inner: _expressions(_NUMBERS | _POWERS | inner.map("({})".format)),
+                      max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TEXTS)
+def test_parsed_expressions_equal_sympy(text):
+    assert R3.parse(text) == _sympy_parsed(text, R3)
 
 
 _COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=6)

@@ -163,11 +163,10 @@ def test_normalize_preserves_cubic_discriminant_at_random_points():
 
 
 def test_fiber_type_table():
-    assert toric.fiber_type(1, 1)["type"] == "I1"
-    assert toric.fiber_type(0, 1)["type"] == "II"
-    assert toric.fiber_type(1, 0)["type"] == "I2"
-    assert toric.fiber_type(0, 0)["type"] == "III"
-    assert "resolving" in toric.fiber_type(0, 0)["note"]
+    assert toric.fiber_type(1, 1) == "I1"
+    assert toric.fiber_type(0, 1) == "II"
+    assert toric.fiber_type(1, 0) == "I2"
+    assert toric.fiber_type(0, 0) == "III"
 
 
 def test_discriminant_examples():

@@ -13,9 +13,11 @@ from isurf.poly import PolyRing
 from isurf.series import TruncatedSeries
 from isurf.tsing import (QuotientGerm, RationalDoublePoint, SmoothPoint,
                          TSingularity, Unrecognized, classify_germ,
-                         codiscrepancy, delta_squared, hj_expand, hj_value,
+                         codiscrepancy, delta_squared, hj_expand,
                          index_two_chain, ktilde_squared, plane_quotient,
                          recognize_tchain)
+
+from oracles import admissible_type_search, hj_value
 
 
 def test_hj_expansion_examples():
@@ -49,6 +51,19 @@ def test_recognition_examples():
     assert isinstance(recognize_tchain([2, 6]), Unrecognized)
     with pytest.raises(InvalidInput):
         recognize_tchain([1, 2])
+
+
+def test_a_long_chain_is_recognized_without_a_search():
+    # p has 33 digits: the type is read off gcd(p, q + 1), not searched for
+    assert isinstance(recognize_tchain([12] * 30), Unrecognized)
+
+
+def test_admissible_types_equal_the_trial_search():
+    for order in range(1, 160):
+        for weight in range(order + 1):
+            found = tsing._admissible_type(order, weight)
+            got = None if found is None else (found.d, found.n, found.a)
+            assert got == admissible_type_search(order, weight), (order, weight)
 
 
 def all_t_types(bound):
@@ -148,6 +163,21 @@ def test_delta_squared_equals_the_fraction_oracle(chain):
     cd = codiscrepancy(chain)
     got = delta_squared(cd)
     assert got == fraction_delta_squared(cd) and isinstance(got, Fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(2, 12), min_size=1, max_size=30))
+def test_integer_chains_agree_with_the_fraction_reference(chain):
+    value = hj_value(chain)
+    kind = recognize_tchain(chain)
+    if isinstance(kind, TSingularity):
+        assert Fraction(kind.order, kind.weight) == value
+    elif isinstance(kind, Unrecognized):
+        assert kind.reason.startswith(f"{value.numerator}/{value.denominator} ")
+    else:
+        assert kind == RationalDoublePoint(len(chain)) and set(chain) == {2}
+    square = quadratic_form_oracle(chain, thomas_codiscrepancy(chain))
+    assert delta_squared(codiscrepancy(chain)) == square
 
 
 def test_codiscrepancy_coefficients_in_open_interval_sweep():
