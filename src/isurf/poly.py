@@ -26,9 +26,11 @@ checked once per product, power or substituted term, and a term that could
 pass it raises InvalidInput; nothing wraps.  A tuple is built only when a
 term leaves the kernel.  A polynomial keeps its packed form (it is
 immutable), so an image substituted many times is packed once.  A one-term
-factor of a product, and a one-term image in a substitution (an unassigned
-variable, a monomial, a Laurent inverse), folds into the other terms'
-exponents and coefficients, its denominator carried along, with no pair loop.
+factor of a product, and a one-term image in a substitution (a monomial, a
+Laurent inverse, an image with one term below the order), folds into the
+other terms' exponents and coefficients, its denominator carried along, with
+no pair loop; an unassigned variable folds as its key, and is never built.
+``substitute_terms`` is the one reader of an assignment.
 
 The canonical text form uses graded-lex term order (descending), "p/q"
 coefficients, explicit "^" powers and "*" products, and is what
@@ -44,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
 from operator import add, itemgetter, mul
-from typing import Callable, Iterable, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import InvalidInput, NotDivisible, ParseError, UndeclaredIdentifier
 
@@ -333,37 +335,13 @@ class ExactPolynomial:
     # -- substitution ----------------------------------------------------
 
     def substitute(self, assignment: Mapping[str, object], ring: PolyRing | None = None) -> "ExactPolynomial":
-        """Replace variables by polynomials (or numbers) in ``ring``.
-
-        Unassigned variables must exist in the target ring and map to
-        themselves.  Negative exponents require the image to be a monomial.
-        """
+        """Replace variables by polynomials (or numbers) in ``ring``, by the
+        image rules of ``substitute_terms``: an unassigned variable maps to the
+        variable of that name in ``ring`` and folds as a key, so
+        ``substitute({}, ring)`` moves the polynomial into ``ring``."""
         target = ring if ring is not None else self.ring
-
-        def image(i: int) -> ExactPolynomial:
-            name = self.ring.variables[i]
-            if name not in assignment:
-                return target.var(name)  # raises if missing from target
-            img = assignment[name]
-            if not isinstance(img, ExactPolynomial):
-                return target.constant(img)
-            if img.ring != target:
-                raise ValueError(f"image of {name} lies in the wrong ring")
-            return img
-
-        terms = substitute_terms(self.terms, image, target.nvars, None)
+        terms = substitute_terms(self.terms, self.ring, assignment, target, None)
         return ExactPolynomial.unchecked(target, terms)
-
-    def cast(self, ring: PolyRing) -> "ExactPolynomial":
-        """Reinterpret in another ring containing the same-named variables."""
-        idx = [ring.index(name) for name in self.ring.variables]
-        terms = {}
-        for exps, c in self.terms.items():
-            new = [0] * ring.nvars
-            for j, e in zip(idx, exps):
-                new[j] = e
-            terms[tuple(new)] = c
-        return ExactPolynomial(ring, terms)
 
     # -- grading ----------------------------------------------------------
 
@@ -555,34 +533,56 @@ def power_terms(base: list, n: int, limit: int, keys: _Keys, powers: dict) -> li
     return powers[n]
 
 
-def substitute_terms(terms: Mapping[tuple[int, ...], Coeff],
-                     image: Callable[[int], ExactPolynomial], nvars: int,
+def substitute_terms(terms: Mapping[tuple[int, ...], Coeff], source: PolyRing,
+                     assignment: Mapping[str, object], target: PolyRing,
                      order: int | None) -> dict:
-    """The terms of the sum of c * prod image(i)**e_i below the order; the
-    images have ``nvars`` variables, and a negative exponent raises the monomial
-    inverse.  With images cleared to N_i / d_i and L the lcm of the terms'
+    """The terms, in ``target``, of the sum of c * prod image(x_i)**e_i below
+    the order, x_i the variables of ``source``: the one reader of an
+    assignment.  An unassigned x_i is the ``target`` variable of its name and
+    folds as e_i times its key, no polynomial built; a number is that
+    constant of ``target``; a negative exponent takes the monomial inverse.
+    Only a variable that occurs is read, so only it raises: a name missing
+    from ``target``, a polynomial of another ring or a negative power onto a
+    non-invertible variable (ValueError), and at a finite order an image with
+    a constant term (InvalidInput: it would bring dropped terms back below).
+    With images cleared to N_i / d_i and L the lcm of the terms'
     D = c.denominator * prod d_i**|e_i|, one int dict sums c.numerator * L/D *
-    prod N_i**e_i, and is divided by L at the end.  A one-term N_i = n * x^m
-    folds into the term's seed (|e_i| * m into its key, n**|e_i| into its
-    numerator), so only images of several terms form products; a seed already
-    of degree >= order, or with a zero image, is dropped before any product.
-    A term whose product could pass the exponent bound raises InvalidInput."""
-    keys = _keys(nvars)
+    prod N_i**e_i, and is divided by L at the end.  An image keeps only its
+    terms below the order (every series factor has degree >= 0), and one
+    left with a single term N_i = n * x^m folds into the term's seed
+    (|e_i| * m into its key, n**|e_i| into its numerator), so only images of
+    several terms form products; a seed already of degree >= order, or with a
+    zero image, is dropped before any product.  A term whose product could
+    pass the exponent bound raises InvalidInput."""
+    keys = _keys(target.nvars)
     limit = keys.limit(order)
-    bases: dict[tuple[int, bool], tuple] = {}
+    bases: dict[tuple[str, bool], tuple] = {}
     powers_of: dict[tuple[int, int], tuple] = {}
 
     def power(i: int, e: int) -> tuple:
-        """(key, numerator, None, d**|e|, reach) of image(i)**e when the image
-        has at most one term, else (0, 1, its graded numerators, d**|e|,
-        reach); reach bounds the absolute exponent sums of the power."""
-        which = (i, e < 0)
+        """(key, numerator, None, d**|e|, reach) of image(x_i)**e when the image
+        keeps at most one term, else (0, 1, its graded power, d**|e|, reach);
+        reach bounds the absolute exponent sums of the power."""
+        name, k = source.variables[i], abs(e)
+        if name not in assignment:
+            if name not in target.variables:
+                raise ValueError(f"{name} is neither assigned nor a variable of the target")
+            if e < 0 and name not in target.invertible:
+                raise ValueError(f"negative exponent on non-invertible variable {name}")
+            return e * keys.weights[target.index(name)], 1, None, 1, k
+        which = (name, e < 0)
         if which not in bases:
-            img = image(i).monomial_inverse() if e < 0 else image(i)
-            bases[which] = (*img.packed_form(), {})
+            img = assignment[name]
+            if not isinstance(img, ExactPolynomial):
+                img = target.constant(img)
+            elif img.ring != target:
+                raise ValueError(f"image of {name} lies in the wrong ring")
+            if order is not None and img.constant_term() != 0:
+                raise InvalidInput(f"image of {name} has a constant term")
+            graded, d, reach = (img.monomial_inverse() if e < 0 else img).packed_form()
+            bases[which] = [t for t in graded if t[0] < limit], d, reach, {}
         base, d, reach, powers = bases[which]
-        k = abs(e)
-        if not base:  # the zero image: every term it enters vanishes
+        if not base:  # a zero image, or one wholly at the order: no term it enters stays
             return 0, 0, None, 1, 0
         if len(base) > 1:
             _check_reach(k * reach)

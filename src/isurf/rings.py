@@ -452,7 +452,7 @@ def verify_format(fmt: RelationFormat, rels: RelationSystem) -> dict:
         seen.add((cert.kind, cert.index))
         target = ring.zero()
         for mult, name in cert.combo:
-            target = target + mult * rels.get(name).cast(ring)
+            target = target + mult * rels.get(name)
             covered.add(name)
         residual = source - target
         if not residual.is_zero() and fmt.modulus is not None:
@@ -519,7 +519,7 @@ def smoothing_eliminate(rels: RelationSystem, invertible: Sequence[str],
     ring = rels.ring.with_invertible(*invertible)
     subs: dict[str, ExactPolynomial] = {}
     for rel_name, var in plan:
-        rel = rels.get(rel_name).cast(ring).substitute(subs)
+        rel = rels.get(rel_name).substitute(subs, ring)
         by_var = rel.coefficients_in(var)
         if max(by_var) > 1:
             raise NotLinear(f"{rel_name} is not linear in {var}")
@@ -540,7 +540,7 @@ def smoothing_eliminate(rels: RelationSystem, invertible: Sequence[str],
     identities = []
     residuals = []
     for name in rels.names():
-        value = rels.get(name).cast(ring).substitute(subs)
+        value = rels.get(name).substitute(subs, ring)
         if value.is_zero():
             identities.append(name)
             continue
@@ -602,7 +602,7 @@ def specialize_standard(theta, tau, seed: int = 0) -> RelationSystem:
     """The fourteen relations with numeric parameters and P expanded."""
     rels = standard_relations()
     plain = generator_ring(with_p=False)
-    p = generic_degree_10(seed).cast(plain)
+    p = generic_degree_10(seed)
     assignment = {"theta": plain.constant(theta), "tau": plain.constant(tau), "P": p}
     return rels.specialize(assignment, plain)
 
@@ -610,7 +610,4 @@ def specialize_standard(theta, tau, seed: int = 0) -> RelationSystem:
 def fixed_part(rels: RelationSystem) -> ExactPolynomial:
     """Restriction of the thirteenth relation to x0 = x1 = y = u0 = t = 0,
     the curve in the (w, u1, z) weighted plane swept by the base locus."""
-    ring = rels.ring
-    sub = {name: ring.zero() for name in ("x0", "x1", "y", "u0", "t", "g")
-           if name in ring.variables}
-    return rels.get("R13").substitute(sub)
+    return rels.get("R13").substitute(dict.fromkeys(("x0", "x1", "y", "u0", "t", "g"), 0))

@@ -84,26 +84,14 @@ class TruncatedSeries:
         return self.poly.constant_term()
 
     def substitute(self, assignment: Mapping[str, ExactPolynomial]) -> "TruncatedSeries":
-        """Replace variables by polynomials of this ring, modulo the order.  An
-        image with a constant term raises InvalidInput: it would bring terms
-        dropped at the order back below it.  A polynomial of this ring goes to
-        the kernel as it is, its kept packed form with it: the kernel drops
-        every term pair at the order, so its terms above the order are inert."""
-        ring = self.ring
-
-        def image(i: int) -> ExactPolynomial:
-            name = ring.variables[i]
-            if name not in assignment:
-                return ring.var(name)
-            img = assignment[name]
-            if not (isinstance(img, ExactPolynomial) and img.ring == ring):
-                img = self._coerce(img)
-            if img.constant_term() != 0:
-                raise InvalidInput(f"image of {name} has a constant term")
-            return img
-
-        result = substitute_terms(self.poly.terms, image, ring.nvars, self.order)
-        return self._wrap(ExactPolynomial.unchecked(ring, result))
+        """Replace variables by polynomials (or numbers) of this ring, modulo
+        the order, by the image rules of ``substitute_terms``: an unassigned
+        variable folds as its key, an image with a constant term raises
+        InvalidInput, and an image (packed once, its packed form kept) enters
+        with only its terms below the order, so one with a single such term
+        folds."""
+        result = substitute_terms(self.poly.terms, self.ring, assignment, self.ring, self.order)
+        return self._wrap(ExactPolynomial.unchecked(self.ring, result))
 
     def inverse(self) -> "TruncatedSeries":
         """Inverse of a unit series (nonzero constant term)."""

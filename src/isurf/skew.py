@@ -52,26 +52,18 @@ class SkewMatrix:
             return self.ring.zero()
         return self._pf(tuple(range(self.size)))
 
-    def _pf(self, indices: tuple[int, ...], _cache=None) -> ExactPolynomial:
-        if _cache is None:
-            _cache = {}
-        if indices in _cache:
-            return _cache[indices]
+    def _pf(self, indices: tuple[int, ...]) -> ExactPolynomial:
         if not indices:
-            result = self.ring.one()
-        elif len(indices) == 2:
-            result = self.entry(indices[0], indices[1])
-        else:
-            first, rest = indices[0], indices[1:]
-            result = self.ring.zero()
-            for pos, j in enumerate(rest):
-                a = self.entry(first, j)
-                if a.is_zero():
-                    continue
-                remaining = rest[:pos] + rest[pos + 1:]
+            return self.ring.one()
+        if len(indices) == 2:
+            return self.entry(indices[0], indices[1])
+        first, rest = indices[0], indices[1:]
+        result = self.ring.zero()
+        for pos, j in enumerate(rest):
+            a = self.entry(first, j)
+            if not a.is_zero():
                 sign = 1 if pos % 2 == 0 else -1
-                result = result + a * self._pf(remaining, _cache) * sign
-        _cache[indices] = result
+                result = result + a * self._pf(rest[:pos] + rest[pos + 1:]) * sign
         return result
 
     def sub_pfaffians(self, k: int) -> list[tuple[tuple[int, ...], ExactPolynomial]]:

@@ -139,8 +139,7 @@ def wps_collapse(f: ExactPolynomial) -> ExactPolynomial:
     dropped = {"s1", "t0", "c"}
     keep = [v for v in f.ring.variables if v not in dropped]
     target = PolyRing(tuple(keep), f.ring.invertible & frozenset(keep))
-    ones = {name: target.one() for name in dropped if name in f.ring.variables}
-    return f.substitute(ones, ring=target)
+    return f.substitute(dict.fromkeys(dropped, 1), ring=target)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +172,8 @@ class WeierstrassModel:
         """rhs - lhs of the double cover equation, in the five Cox variables."""
         R = self.ring
         s0, s1, ze = R.var("s0"), R.var("s1"), R.var("ze")
-        rhs = s0 ** 3 + self.j.cast(R) * s0 ** 2 * s1 ** 2 \
-            + self.k.cast(R) * s0 * s1 ** 4 + self.l.cast(R) * s1 ** 6
+        j, k, l = (c.substitute({}, R) for c in (self.j, self.k, self.l))
+        rhs = s0 ** 3 + j * s0 ** 2 * s1 ** 2 + k * s0 * s1 ** 4 + l * s1 ** 6
         return rhs - ze ** 2
 
 
@@ -208,9 +207,9 @@ class NormalizedModel:
     def equation(self) -> ExactPolynomial:
         R = self.ring
         t0, t1, s0, s1, ze = (R.var(v) for v in ("t0", "t1", "s0", "s1", "ze"))
-        rhs = s0 ** 3 + t0 * self.k1.cast(R) * s0 * s1 ** 4 \
-            + t0 * (t0 * self.l1.cast(R) + t1 ** 17 * self.tau) * s1 ** 6
-        return rhs - (ze - self.theta.cast(R) * t1 ** 3 * s0 * s1) * ze
+        k1, l1, theta = (c.substitute({}, R) for c in (self.k1, self.l1, self.theta))
+        rhs = s0 ** 3 + t0 * k1 * s0 * s1 ** 4 + t0 * (t0 * l1 + t1 ** 17 * self.tau) * s1 ** 6
+        return rhs - (ze - theta * t1 ** 3 * s0 * s1) * ze
 
 
 def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
@@ -232,7 +231,7 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
     if model.equation().coefficient(R.exponents({"s0": 3})) == 0:
         raise InvalidInput("the s0^3 coefficient must be nonzero")
     # step 1: remove the s0^2 coefficient
-    shift1 = {"s0": s0 - model.j.cast(R) * s1 ** 2 * Fraction(1, 3)}
+    shift1 = {"s0": s0 - model.j.substitute({}, R) * s1 ** 2 * Fraction(1, 3)}
     eq = model.equation().substitute(shift1)
     k = _coefficient_of(eq, {"s0": 1, "s1": 4}, t_ring)
     l = _coefficient_of(eq, {"s0": 0, "s1": 6}, t_ring)
@@ -262,7 +261,7 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
     else:
         ext = R.extend("theta")
         theta = ext.var("theta")
-        eq = eq.cast(ext)
+        eq = eq.substitute({}, ext)
         formal = True
     ze = ext.var("ze")
     half = theta * ext.var("t1") ** 3 * ext.var("s0") * ext.var("s1") * Fraction(1, 2)
@@ -313,7 +312,7 @@ def _rational_sqrt(x: Coeff) -> Fraction | None:
 def _coefficient_of(eq: ExactPolynomial, fiber_powers: Mapping[str, int],
                     t_ring: PolyRing) -> ExactPolynomial:
     """Coefficient of the exact (s0, s1, ze)-monomial given by fiber_powers,
-    cast into ``t_ring``."""
+    moved into ``t_ring``."""
     ring = eq.ring
     fiber = {"s0": 0, "s1": 0, "ze": 0}
     fiber.update(fiber_powers)
@@ -329,5 +328,4 @@ def _coefficient_of(eq: ExactPolynomial, fiber_powers: Mapping[str, int],
     for name in ring.variables:
         if name not in t_ring.variables and partial.degree_in(name) != 0:
             raise InvalidInput(f"coefficient unexpectedly involves {name}")
-    return partial.substitute({n: t_ring.var(n) for n in t_ring.variables
-                               if n in ring.variables}, ring=t_ring)
+    return partial.substitute({}, t_ring)

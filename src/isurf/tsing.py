@@ -357,7 +357,7 @@ def chart_germ(equations: Mapping[str, ExactPolynomial], weights: Mapping[str, i
                             [var for _, var in eliminate])
     value = TruncatedSeries(at[germ], order).substitute(solution)
     local_ring = PolyRing.of(*local)
-    restricted = value.poly.substitute({v: local_ring.var(v) for v in local}, ring=local_ring)
+    restricted = value.poly.substitute({}, local_ring)
     n = weights[chart]
     return classify_germ(QuotientGerm(n, tuple(weights[v] % n for v in local),
                                       TruncatedSeries(restricted, order)))

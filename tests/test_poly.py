@@ -111,6 +111,37 @@ def test_substitute_into_larger_ring():
     assert g == big.parse("t^2*y - x1^3")
 
 
+def test_the_empty_assignment_moves_a_polynomial_into_another_ring():
+    f = R3.parse("x0*y - 1/2*x1^3 + 3")
+    big = PolyRing.of("t", "y", "x1", "x0")
+    assert f.substitute({}, big) == big.parse("x0*y - 1/2*x1^3 + 3")
+    # a variable missing from the target may be left out while it does not occur
+    small = PolyRing.of("y", "x1")
+    assert R3.parse("x1*y^2 - 5").substitute({}, small) == small.parse("x1*y^2 - 5")
+    with pytest.raises(ValueError, match="x0 is neither assigned nor a variable"):
+        f.substitute({}, small)
+    # a variable that is assigned need not be in the target
+    assert f.substitute({"x0": 0}, small) == small.parse("-1/2*x1^3 + 3")
+
+
+def test_an_unassigned_variable_is_neither_built_nor_packed(monkeypatch):
+    ring = PolyRing.of("x", "y", "lam", invertible=("lam",))
+    f = ring.parse("x^2*y - 3*y*lam^-1 + 1/2*lam^2")
+    image = ring.parse("2*x*lam")
+    image.packed_form()
+    big = ring.extend("t")
+    expected = (f.substitute({"x": image}).substitute({}, big),
+                big.parse("x^2*y - 3*y*lam^-1 + 1/2*lam^2"))
+    calls = []
+    for owner, name in ((PolyRing, "var"), (poly._Keys, "packed")):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, method=method, name=name:
+                            calls.append(name) or method(*args))
+    got = (f.substitute({"x": image}).substitute({}, big), f.substitute({}, big))
+    assert got == expected and calls == []
+    assert got[0] == big.parse("4*x^2*y*lam^2 - 3*y*lam^-1 + 1/2*lam^2")
+
+
 def test_monomial_with_zero_coefficient_is_zero():
     zero = R3.monomial({"x0": 1, "y": 2}, 0)
     assert zero.is_zero() and zero == R3.zero() and str(zero) == "0"
@@ -165,7 +196,9 @@ def test_negative_exponents_are_checked_where_terms_come_in():
     with pytest.raises(ValueError):
         ring.parse("2*x").monomial_inverse()
     with pytest.raises(ValueError):
-        ring.parse("x*lam^-1").cast(PolyRing.of("x", "lam"))
+        ring.parse("x*lam^-1").substitute({}, PolyRing.of("x", "lam"))
+    # a power onto an invertible variable of the target is fine
+    assert ring.parse("x*lam^-1").substitute({}, ring.extend("t")).coefficient((1, -1, 0)) == 1
 
 
 def test_substitute_raises_a_negative_power_by_the_monomial_inverse():
@@ -276,13 +309,19 @@ def test_parsing_makes_no_product(monkeypatch):
 
 
 def test_a_germ_makes_a_bounded_number_of_products(monkeypatch):
-    # 436 products, 2,750 before one-term images folded into the seed; and
-    # 12,479 term pairs, 23,510 with every chord sweep at the full order
+    # 421 products, 436 before images were trimmed at the order and 2,750
+    # before one-term images folded into the seed; 12,479 term pairs, 23,510
+    # with every chord sweep at the full order; 17 packs, 59 while unassigned
+    # variables were built and packed on every substitution
     products = _count_products(monkeypatch)
+    packs = []
+    packed = poly._Keys.packed
+    monkeypatch.setattr(poly._Keys, "packed", lambda *args: packs.append(1) or packed(*args))
     germ = wps.TwoSingularityFamily.of(0, 1, 0).germ_at_u(12)
     assert germ.same_singularity(TSingularity(2, 3, 1))
-    assert len(products) <= 600
+    assert len(products) <= 425
     assert sum(products) <= 13_000
+    assert len(packs) <= 20
 
 
 # -- int coefficients until a division ------------------------------------------

@@ -22,7 +22,7 @@ def test_canonical_generators_is_computed_once():
 
 def test_specialize_standard_never_multiplies_p_by_itself(monkeypatch):
     plain = rings.generator_ring(with_p=False)
-    p = rings.generic_degree_10(0).cast(plain)
+    p = rings.generic_degree_10(0).substitute({}, plain)
     assert len(p) == 153
     squares = []
     kernel = poly.product_terms

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isurf.errors import InvalidInput, NotSolvable, TruncationTooShallow
-from isurf.poly import ExactPolynomial, PolyRing, multiply_terms
+from isurf import poly
+from isurf.poly import ExactPolynomial, PolyRing, multiply_terms, substitute_terms
 from isurf.series import TruncatedSeries, solve_system
 
 from oracles import chord_solve, schoolbook, termwise_substitute
@@ -217,6 +218,18 @@ def test_folded_seeds_at_the_order_are_dropped():
     got = TruncatedSeries(f, 5).substitute(images).poly
     assert got == R3.parse("3/2*x^2*y + 3/2*x^2*z + y^3 + 3*y^2*z + 3*y*z^2 + z^3 + 1/4*y")
     assert got == _truncate(termwise_substitute(f, images), 5)
+    # the kernel keeps nothing at the order itself; the series does not re-truncate it
+    assert substitute_terms(f.terms, R3, images, R3, 5) == got.terms
+
+
+def test_an_image_with_one_term_below_the_order_folds(monkeypatch):
+    # y + y^5 enters at order 4 as y alone, so no product is formed
+    calls = []
+    kernel = poly.product_terms
+    monkeypatch.setattr(poly, "product_terms", lambda *args: calls.append(1) or kernel(*args))
+    series = TruncatedSeries(S.parse("x^2*y + 3*x - y"), 4)
+    assert series.substitute({"x": S.parse("y + y^5")}).poly == S.parse("y^3 + 2*y")
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,0 +1,151 @@
+"""Mutation check of the polynomial kernel, the series solver and germ
+classification: each named mutant must make the fast tests fail.
+
+    python tools/mutants.py     # about 5 minutes on 2 cores
+
+The tree (``src``, ``tests``, ``pyproject.toml``) is copied to a temporary
+directory, and only that copy is ever changed.  A mutant replaces the source
+of one AST node inside one function with text of the same number of lines,
+so every other line keeps its number.  The unmutated copy must pass first;
+then ``pytest -x`` runs ``TESTS`` once per mutant, which is killed if they
+fail (or do not finish within ``TIMEOUT_S``) and survives if they pass.  The
+exit code is 1 if a mutant survives that is not listed as equivalent, or if
+one listed as equivalent is killed (its reason is then wrong).
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TESTS = ("tests/test_poly.py", "tests/test_series.py", "tests/test_tsing.py")
+TIMEOUT_S = 600
+
+# No packed key equals the limit, nor does a sum of two keys: the limit lies
+# half a digit below the least key of degree ``order`` (``_Keys.limit``), and
+# a key is its degree digit plus a part of absolute value below that half.
+OFF_THE_KEYS = ("the limit is never a key nor a sum of two keys (_Keys.limit), "
+                "so < and <= against it, and >= and > against limit - ka, agree")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str          # relative to the tree
+    function: str      # the function whose body holds the node
+    original: str      # the node's exact source text
+    replacement: str
+    nth: int = 0       # which node of that text, in source order
+    equivalent: str | None = None  # why no test can kill it
+
+
+MUTANTS = (
+    Mutant("identity fold without the invertibility check", "src/isurf/poly.py",
+           "substitute_terms", "e < 0 and name not in target.invertible", "False"),
+    Mutant("no constant-term check on images", "src/isurf/poly.py",
+           "substitute_terms", "order is not None and img.constant_term() != 0", "False"),
+    Mutant("keep the seed at the limit", "src/isurf/poly.py",
+           "substitute_terms", "seed < limit", "seed <= limit", equivalent=OFF_THE_KEYS),
+    Mutant("keep every seed past the limit", "src/isurf/poly.py",
+           "substitute_terms", "num and seed < limit", "num"),
+    Mutant("trim images at <= the limit", "src/isurf/poly.py",
+           "substitute_terms", "t[0] < limit", "t[0] <= limit", equivalent=OFF_THE_KEYS),
+    Mutant("decode the substitution without d", "src/isurf/poly.py",
+           "substitute_terms", "keys.decoded(result, common)", "keys.decoded(result, 1)"),
+    Mutant("pair loop breaks at kb > room", "src/isurf/poly.py",
+           "product_terms", "kb >= room", "kb > room", equivalent=OFF_THE_KEYS),
+    Mutant("pair loop never breaks", "src/isurf/poly.py",
+           "product_terms", "kb >= room", "False"),
+    Mutant("_check_reach is a no-op", "src/isurf/poly.py",
+           "_check_reach", "reach >= EXPONENT_BOUND", "False"),
+    Mutant("return before the certifying sweep", "src/isurf/series.py",
+           "solve_system", "truncation == order", "True", nth=1),
+    Mutant("flip the Hessian determinant test", "src/isurf/tsing.py",
+           "_classify_with_pair", "hxx * hyy - hxy * hxy == 0", "hxx * hyy - hxy * hxy != 0"),
+)
+
+
+def mutated(source: str, mutant: Mutant) -> tuple[str, int]:
+    """(the mutated source, the line of the node); ValueError if the node is
+    not found or the replacement would move a line."""
+    if mutant.original.count("\n") != mutant.replacement.count("\n"):
+        raise ValueError(f"{mutant.name}: the replacement changes the number of lines")
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name == mutant.function]
+    if len(functions) != 1:
+        raise ValueError(f"{mutant.name}: {len(functions)} functions named {mutant.function}")
+    nodes = sorted((node for node in ast.walk(functions[0])
+                    if isinstance(node, (ast.expr, ast.stmt))
+                    and ast.get_source_segment(source, node) == mutant.original),
+                   key=lambda node: (node.lineno, node.col_offset))
+    if mutant.nth >= len(nodes):
+        raise ValueError(f"{mutant.name}: {len(nodes)} nodes read {mutant.original!r}")
+    node = nodes[mutant.nth]
+    data = source.encode()  # AST columns count UTF-8 bytes
+    lines = data.splitlines(keepends=True)
+    start = sum(map(len, lines[:node.lineno - 1])) + node.col_offset
+    end = sum(map(len, lines[:node.end_lineno - 1])) + node.end_col_offset
+    out = (data[:start] + mutant.replacement.encode() + data[end:]).decode()
+    ast.parse(out)
+    return out, node.lineno
+
+
+def tests_pass(tree: Path) -> bool:
+    """Whether ``pytest -x`` passes ``TESTS`` on the copy, in a fresh
+    interpreter that imports the copy's package (``PYTHONPATH`` comes before
+    any installed one) and writes no bytecode, so no stale module is read."""
+    shutil.rmtree(tree / ".hypothesis", ignore_errors=True)  # no examples carried over
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+    try:
+        done = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False
+    return done.returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="isurf-mutants-") as tmp:
+        tree = Path(tmp)
+        shutil.copytree(ROOT / "src", tree / "src",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", tree / "tests",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", tree)
+        sources = {m.path: (tree / m.path).read_text() for m in MUTANTS}
+        # every mutant must apply before anything runs
+        edits = [(m, *mutated(sources[m.path], m)) for m in MUTANTS]
+        if not tests_pass(tree):
+            print(f"the unmutated copy fails {' '.join(TESTS)}", file=sys.stderr)
+            return 1
+        counts = {"killed": 0, "equivalent": 0, "survived": 0, "wrongly equivalent": 0}
+        for m, text, line in edits:
+            target = tree / m.path
+            target.write_text(text)
+            try:
+                killed = not tests_pass(tree)
+            finally:
+                target.write_text(sources[m.path])
+            if killed:
+                verdict = "wrongly equivalent" if m.equivalent else "killed"
+            else:
+                verdict = "equivalent" if m.equivalent else "survived"
+            counts[verdict] += 1
+            note = f"  ({m.equivalent})" if m.equivalent else ""
+            print(f"{verdict:<10} {Path(m.path).name}:{line}  {m.name}{note}", flush=True)
+    print(f"{len(edits)} mutants: " + ", ".join(f"{n} {k}" for k, n in counts.items() if n))
+    return 1 if counts["survived"] or counts["wrongly equivalent"] else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
