@@ -31,7 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parameter override, e.g. theta=0 or tau=1/2")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--order", type=int, default=DEFAULT_ORDER,
-                        help="series truncation order for germ computations (at least 1)")
+                        help="cap on the series truncation order for germ computations "
+                             "(at least 1); each germ runs at the lowest order that decides it")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", metavar="PATH", help="write the report to a file")
     parser.add_argument("--timing", action="store_true",

@@ -347,20 +347,32 @@ def chart_germ(equations: Mapping[str, ExactPolynomial], weights: Mapping[str, i
     series in the remaining variables, restricts the ``germ`` equation to the
     three ``local`` variables and classifies it in 1/n(weights mod n) with
     n = weights[chart].  Returns "absent" when a used equation does not vanish
-    at the point.
+    at the point.  ``order`` is a cap: the germ is computed at t = min(order, 4),
+    then at t = min(order, 2t - 1) while that raises TruncationTooShallow, which
+    the cap re-raises.  Truncation is by total degree and no image has a
+    constant term, so order t agrees with the cap modulo degree t: the jets of
+    degree below three and a residual nonzero below t, all that the
+    classification reads, are those of the cap.
     """
     used = [name for name, _ in eliminate] + [germ]
     at = {name: equations[name].substitute({chart: 1}) for name in used}
     if any(f.constant_term() != 0 for f in at.values()):
         return "absent"
-    solution = solve_system([TruncatedSeries(at[name], order) for name, _ in eliminate],
-                            [var for _, var in eliminate])
-    value = TruncatedSeries(at[germ], order).substitute(solution)
     local_ring = PolyRing.of(*local)
-    restricted = value.poly.substitute({}, local_ring)
     n = weights[chart]
-    return classify_germ(QuotientGerm(n, tuple(weights[v] % n for v in local),
-                                      TruncatedSeries(restricted, order)))
+    action = tuple(weights[v] % n for v in local)
+    t = min(order, 4)
+    while True:
+        try:
+            solution = solve_system([TruncatedSeries(at[name], t) for name, _ in eliminate],
+                                    [var for _, var in eliminate])
+            value = TruncatedSeries(at[germ], t).substitute(solution)
+            restricted = value.poly.substitute({}, local_ring)
+            return classify_germ(QuotientGerm(n, action, TruncatedSeries(restricted, t)))
+        except TruncationTooShallow:
+            if t >= order:
+                raise
+            t = min(order, 2 * t - 1)
 
 
 # ---------------------------------------------------------------------------

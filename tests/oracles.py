@@ -4,6 +4,9 @@ from fractions import Fraction
 from math import gcd
 
 from isurf.errors import NotSolvable
+from isurf.poly import PolyRing
+from isurf.series import TruncatedSeries, solve_system
+from isurf.tsing import QuotientGerm, classify_germ
 
 
 def evaluate(p, assignment) -> Fraction:
@@ -86,3 +89,20 @@ def chord_solve(relations, variables):
         if done:
             return sol
     raise NotSolvable("system iteration did not converge")
+
+
+def single_solve_chart_germ(equations, weights, chart, eliminate, germ, local, order):
+    """``tsing.chart_germ`` with one solve and one classification at ``order``
+    itself: the reference for its precision ladder, which treats the order
+    as a cap."""
+    used = [name for name, _ in eliminate] + [germ]
+    at = {name: equations[name].substitute({chart: 1}) for name in used}
+    if any(f.constant_term() != 0 for f in at.values()):
+        return "absent"
+    solution = solve_system([TruncatedSeries(at[name], order) for name, _ in eliminate],
+                            [var for _, var in eliminate])
+    value = TruncatedSeries(at[germ], order).substitute(solution)
+    restricted = value.poly.substitute({}, PolyRing.of(*local))
+    n = weights[chart]
+    return classify_germ(QuotientGerm(n, tuple(weights[v] % n for v in local),
+                                      TruncatedSeries(restricted, order)))

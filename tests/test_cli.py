@@ -151,8 +151,8 @@ ORDER_14_DIGESTS = {
 
 @pytest.mark.parametrize("scenario", ORDER_14_DIGESTS)
 def test_germ_scenario_at_order_14_matches_the_stored_digest(scenario, capsys):
-    # the stored --all digests run at order 10; the series solves take more
-    # sweeps at a higher order, so the germ scenarios are pinned at 14 too
+    # the stored --all digests run at order 10; the germ scenarios are pinned
+    # at a cap of 14 too, which must decide every germ as the cap of 10 does
     args = ["--scenario", scenario, "--seed", "1", "--order", "14", "--format", "json"]
     assert main(args) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sympy.polys.rings import ring as sympy_ring
 
 from isurf import load_fixture, rings, scenarios, tsing, wps
+from isurf.errors import TruncationTooShallow
 from isurf.poly import PolyRing, multiply_terms
 from isurf.series import DEFAULT_ORDER, TruncatedSeries
 from isurf.skew import SkewMatrix
@@ -193,11 +194,12 @@ def test_laurent_substitutions_equal_sympy(f, c, k, x_image):
 # -- the germ pipeline: solve_system's solutions and the restricted germs -------
 #
 # Each case runs the package's own chart analysis with solve_system and
-# classify_germ recorded.  SymPy's sparse polynomials then set the chart
-# variable to 1, substitute the recorded solution into every relation the
-# solver eliminated (which must vanish modulo the order) and into the germ
-# relation (which must equal the germ the classifier was given), truncating
-# each product at the order.
+# classify_germ recorded, once for each order chart_germ tries.  SymPy's
+# sparse polynomials then set the chart variable to 1, substitute each
+# attempt's solution into every relation the solver eliminated (which must
+# vanish modulo that attempt's order) and into the germ relation (which must
+# equal the germ the classifier was given), truncating each product at that
+# order.
 
 
 def _sympy_elements(ring):
@@ -259,7 +261,7 @@ def _germ_cases(seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_germ_solutions_and_restrictions_equal_sympy(monkeypatch, seed):
-    solved, germs = [], []
+    solved, attempts, shallow = [], [], []
     solve, classify = tsing.solve_system, tsing.classify_germ
 
     def recorded_solve(relations, variables):
@@ -268,36 +270,45 @@ def test_germ_solutions_and_restrictions_equal_sympy(monkeypatch, seed):
         return solution
 
     def recorded_classify(germ):
-        germs.append(germ.equation)
-        return classify(germ)
+        # chart_germ's elimination at this order is the last solve before it;
+        # classify_germ solves for critical points after it
+        attempts.append((solved[-1], germ.equation))
+        try:
+            return classify(germ)
+        except TruncationTooShallow:
+            shallow.append(len(attempts) - 1)
+            raise
 
     monkeypatch.setattr(tsing, "solve_system", recorded_solve)
     monkeypatch.setattr(tsing, "classify_germ", recorded_classify)
-    checked = 0
+    checked = tried = 0
     for label, equations, chart, eliminated, germ_name, run in _germ_cases(seed):
         solved.clear()
-        germs.clear()
+        attempts.clear()
+        shallow.clear()
         result = run()
         ring = equations[germ_name].ring
         element = _sympy_elements(ring)
         at_chart = {name: element(equations[name]).subs(element(ring.var(chart)), 1)
                     for name in (*eliminated, germ_name)}
         if result == "absent":
-            assert germs == [] and any(f.coeff(1) != 0 for f in at_chart.values()), label
+            assert attempts == [] and any(f.coeff(1) != 0 for f in at_chart.values()), label
             continue
-        # chart_germ's elimination; classify_germ solves for critical points after it
-        relations, variables, solution = solved[0]
-        germ, = germs
-        order = germ.order
-        images = {ring.index(v): element(solution[v]) for v in variables}
-        assert [element(r.poly) for r in relations] \
-            == [_truncate_element(at_chart[name], order) for name in eliminated]
-        for name in eliminated:
-            assert _truncated_substitute(at_chart[name], images, order) == 0, (label, name)
-        expected = _truncated_substitute(at_chart[germ_name], images, order)
-        assert element(germ.poly.substitute({}, ring)) == expected, label
+        # every order tried but the last was too shallow to decide the germ
+        assert attempts and shallow == list(range(len(attempts) - 1)), label
+        for (relations, variables, solution), germ in attempts:
+            order = germ.order
+            images = {ring.index(v): element(solution[v]) for v in variables}
+            assert [element(r.poly) for r in relations] \
+                == [_truncate_element(at_chart[name], order) for name in eliminated]
+            for name in eliminated:
+                assert _truncated_substitute(at_chart[name], images, order) == 0, (label, name)
+            expected = _truncated_substitute(at_chart[germ_name], images, order)
+            assert element(germ.poly.substitute({}, ring)) == expected, (label, order)
         checked += 1
+        tried += len(attempts)
     assert checked == 9  # the three "absent" cases leave nothing to solve
+    assert tried > checked  # some germs were retried at a higher order
 
 
 # -- Pfaffians against SymPy's determinant -----------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isurf import tsing
+from isurf import rings, scenarios, tsing, wps
 from isurf.errors import InvalidInput, TruncationTooShallow
 from isurf.poly import PolyRing
 from isurf.series import TruncatedSeries
@@ -17,7 +18,7 @@ from isurf.tsing import (QuotientGerm, RationalDoublePoint, SmoothPoint,
                          index_two_chain, ktilde_squared, plane_quotient,
                          recognize_tchain)
 
-from oracles import admissible_type_search, hj_value
+from oracles import admissible_type_search, hj_value, single_solve_chart_germ
 
 
 def test_hj_expansion_examples():
@@ -411,3 +412,88 @@ def test_critical_residual_equals_the_newton_oracle(f):
         tsing._critical_residual = solve
     assert [(x, y) for x, y, _ in seen] == [("x", "y")]
     assert seen[0][2] == newton_critical_residual(f, "x", "y")
+
+
+# -- chart germs: the precision ladder against one solve at the cap -------------
+
+
+def _chart_cases(seed):
+    """chart_germ's arguments but the order for the germ cases of wps51 and
+    family-munu and the two 14-relation charts, at a seed."""
+    for _, point, theta, tau, _ in scenarios.WPS51_GERMS:
+        yield ({"s51": wps.s51_equation(theta, tau, seed)}, wps.WPS_WEIGHTS, point, (), "s51",
+               tuple(v for v in wps.S51_RING.variables if v != point))
+    for _, mu, nu, chart, _ in scenarios.FAMILY_GERMS:
+        fam = wps.TwoSingularityFamily.of(mu, nu, seed)
+        plan = ((("eq1", "x0"),), "eq2", ("x1", "u", "z")) if chart == "y" \
+            else ((("eq2", "x1"),), "eq1", ("x0", "y", "z"))
+        yield ({"eq1": fam.eq1, "eq2": fam.eq2}, wps.FAMILY_WEIGHTS, chart, *plan)
+    for name, tau in (("Uz", scenarios.GENERAL_TAU), ("Pw", Fraction(0))):
+        rels = rings.specialize_standard(scenarios.GENERAL_THETA, tau, seed)
+        plan = rings.CHARTS[name]
+        yield (dict(rels.relations), rings.GENERATOR_DEGREES, plan.chart_var,
+               plan.eliminate, plan.germ_relation, plan.local_vars)
+
+
+def _outcome(analysis, *args):
+    """The result, or the type and message of the TruncationTooShallow raised."""
+    try:
+        return analysis(*args)
+    except TruncationTooShallow as exc:
+        return TruncationTooShallow, str(exc)
+
+
+_CHART_CASES = len(scenarios.WPS51_GERMS) + len(scenarios.FAMILY_GERMS) + 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, _CHART_CASES - 1), st.integers(0, 10**6), st.integers(1, 13))
+def test_the_ladder_classifies_as_one_solve_at_the_cap(case, seed, order):
+    args = next(itertools.islice(_chart_cases(seed), case, None))
+    assert _outcome(tsing.chart_germ, *args, order) \
+        == _outcome(single_solve_chart_germ, *args, order)
+
+
+# x*y - z^9 at the point of w in P(3, 1, 2, 1): 1/27(1, 8), which needs order 10
+_Z9 = ({"f": PolyRing.of("w", "x", "y", "z").parse("x*y - z^9")},
+       {"w": 3, "x": 1, "y": 2, "z": 1}, "w", (), "f", ("x", "y", "z"))
+
+
+def _orders_tried(monkeypatch) -> list:
+    orders = []
+    classify = tsing.classify_germ
+
+    def recorded(germ):
+        orders.append(germ.equation.order)
+        return classify(germ)
+
+    monkeypatch.setattr(tsing, "classify_germ", recorded)
+    return orders
+
+
+@pytest.mark.parametrize("order, tried", [
+    (16, [4, 7, 13]), (13, [4, 7, 13]), (10, [4, 7, 10]), (9, [4, 7, 9]),
+    (5, [4, 5]), (4, [4]), (3, [3]), (1, [1])])
+def test_the_orders_tried_step_from_4_and_stop_at_the_cap(monkeypatch, order, tried):
+    expected = _outcome(single_solve_chart_germ, *_Z9, order)
+    orders = _orders_tried(monkeypatch)
+    assert _outcome(tsing.chart_germ, *_Z9, order) == expected
+    assert orders == tried
+    assert (expected == TSingularity(3, 3, 1)) == (order >= 10)
+
+
+@pytest.mark.parametrize("order", [7, 12, 16])
+def test_the_pinned_germ_is_decided_at_order_7(monkeypatch, order):
+    # its residual has multiplicity 6: order 4 is too shallow, 7 decides it
+    orders = _orders_tried(monkeypatch)
+    got = wps.TwoSingularityFamily.of(0, 1, 0).germ_at_u(order)
+    assert got.same_singularity(TSingularity(2, 3, 1)) and orders == [4, 7]
+
+
+def test_order_3_raises_the_message_of_one_solve():
+    raised = 0
+    for args in _chart_cases(1):
+        expected = _outcome(single_solve_chart_germ, *args, 3)
+        assert _outcome(tsing.chart_germ, *args, 3) == expected
+        raised += isinstance(expected, tuple)
+    assert raised == 6

@@ -69,6 +69,12 @@ MUTANTS = (
            "solve_system", "truncation == order", "True", nth=1),
     Mutant("flip the Hessian determinant test", "src/isurf/tsing.py",
            "_classify_with_pair", "hxx * hyy - hxy * hxy == 0", "hxx * hyy - hxy * hxy != 0"),
+    Mutant("re-raise below the cap", "src/isurf/tsing.py",
+           "chart_germ", "t >= order", "True"),
+    Mutant("step past the cap", "src/isurf/tsing.py",
+           "chart_germ", "min(order, 2 * t - 1)", "2 * t - 1"),
+    Mutant("start at the cap", "src/isurf/tsing.py",
+           "chart_germ", "min(order, 4)", "order"),
 )
 
 
