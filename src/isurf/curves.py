@@ -193,7 +193,9 @@ def enumerate_gamma_profiles(chains: Sequence[Sequence[int]],
     whose induced canonical degree lies within the bounds.
 
     Chain curves are named A1, B1, C1, ... along the first chain and A2, ...
-    along the second; coefficients come from the codiscrepancy solver.
+    along the second; coefficients come from the codiscrepancy solver.  An
+    uncapped curve's multiplicity stops where its coefficient alone passes the
+    upper bound; an uncapped curve of coefficient 0 raises InvalidInput.
     """
     lo, hi = Fraction(kx_bounds[0]), Fraction(kx_bounds[1])
     caps = dict(incidence_caps or {})
@@ -201,7 +203,13 @@ def enumerate_gamma_profiles(chains: Sequence[Sequence[int]],
     for j, chain in enumerate(chains, start=1):
         coeffs = codiscrepancy(chain).coefficients
         for pos, coeff in enumerate(coeffs):
-            menu.append((f"{chr(ord('A') + pos)}{j}", coeff))
+            name = f"{chr(ord('A') + pos)}{j}"
+            if name not in caps:
+                if coeff == 0:
+                    raise InvalidInput(f"{name} has codiscrepancy 0, so its multiplicity "
+                                       "is unbounded: give it an incidence cap")
+                caps[name] = int((1 + hi) / coeff) + 1
+            menu.append((name, coeff))
     out = []
 
     def go(i: int, acc: dict[str, int], total: Fraction):
@@ -213,8 +221,7 @@ def enumerate_gamma_profiles(chains: Sequence[Sequence[int]],
                 out.append({"incidence": dict(acc), "kx_gamma": k})
             return
         name, coeff = menu[i]
-        cap = caps.get(name, int((1 + hi) / coeff) + 1)
-        for m in range(cap + 1):
+        for m in range(caps[name] + 1):
             if m:
                 acc[name] = m
             go(i + 1, acc, total + m * coeff)

@@ -644,8 +644,7 @@ def _smoothing(params: Params) -> list[dict]:
                      "certificates of the constrained format"))
     # charts of the constrained family at lam = 0
     seed = params.seed
-    nodal_member = rings.specialize_standard(params.get("theta", GENERAL_THETA),
-                                             Fraction(0), seed)
+    nodal_member = rings.specialize_standard(GENERAL_THETA, Fraction(0), seed)
     cls1 = rings.chart_singularity(nodal_member, rings.CHARTS["Pw"], params.order)
     out.append(check("extra point for tau = 0, theta general", True,
                      _is_type(cls1, 1, 3, 2), "reference",
@@ -655,6 +654,12 @@ def _smoothing(params: Params) -> list[dict]:
     out.append(check("extra point for tau = theta = 0", True,
                      _is_type(cls2, 2, 3, 1), "reference",
                      "index-3 chart for the doubly degenerate member"))
+    if params.get("theta") is not None:
+        member = rings.specialize_standard(params.get("theta"), Fraction(0), seed)
+        got = rings.chart_singularity(member, rings.CHARTS["Pw"], params.order)
+        out.append(check(f"index-3 point for tau = 0 at the requested theta [{got}]",
+                         "reported", "reported", "direct",
+                         "user-supplied parameter values"))
     inv = wps.wps_hypersurface_invariants(10, (1, 1, 2, 5))
     out.append(check("smoothed fiber series matches the canonical series", True,
                      inv.series.equals(wps.footnote_series()), "derived",

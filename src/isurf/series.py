@@ -6,13 +6,11 @@ InvalidInput), so no term below the order comes from one dropped above it.
 Series of different orders do not mix (ValueError).  Products and
 substitutions are the ``poly`` kernel (``multiply_terms``, ``substitute_terms``)
 called with the series' order, so a dropped term pair is never formed.
-``solve_system`` eliminates variables by chord sweeps: each correction
-divides a residual by the constant unit of its relation, so nothing is
-differentiated or inverted.  A sweep gains at least g orders, g + 1 being
-the least degree of a term with an unknown other than those units, so a
-correcting sweep substitutes only up to the degree its gain reaches (the
-precision steps of Brent & Kung's Newton iteration), and a sweep at the
-full order whose residuals are all zero is the certificate.
+``solve_system`` eliminates variables by chord sweeps at the relations'
+order: each correction divides a residual by the constant unit of its
+relation, so nothing is differentiated or inverted, and a sweep whose
+residuals are all zero is the certificate.  The order itself is chosen once
+per germ, by ``tsing.chart_germ``.
 """
 
 from __future__ import annotations
@@ -120,23 +118,10 @@ def solve_system(relations: Sequence[TruncatedSeries],
     Each relation must be a nonzero constant unit u_i times its variable plus
     higher-order terms, with no constant term (NotSolvable otherwise);
     relations of different orders raise ValueError.  The Gauss-Seidel chord
-    sweeps set variables[i] -= residual_i / u_i (Newton's step with the
-    Jacobian frozen at its constant diagonal).  Let g be the least total
-    degree, minus one, of a term that contains an unknown, the units u_i*v_i
-    left out: the Jacobian minus its diagonal has valuation >= g, so a sweep
-    raises the valuation of every error by at least g.
-
-    A correcting sweep substitutes at the truncation t where that gain ends.
-    The first runs at the order: its zero images drop every term with an
-    unknown.  After a sweep whose nonzero residuals have least degree low,
-    the error has valuation >= min(t, low + g), and the next sweep runs at
-    min(order, low + 2*max(g, low - the previous low)), at least the g more
-    it needs; after a sweep below the order with every residual zero, the
-    next runs at the order.  With g = 0 (constant coupling) or no such term
-    (a linear system) every sweep runs at the order.  The solver returns
-    only after a sweep at the order leaves every residual zero, so that
-    certificate, not the schedule, makes the result correct.  A system the
-    sweeps cannot solve within order + 2 sweeps (say, one with constant
+    sweeps, all at the relations' order, set variables[i] -= residual_i / u_i
+    (Newton's step with the Jacobian frozen at its constant diagonal); the
+    first sweep that leaves every residual zero is the certificate.  A system
+    the sweeps cannot solve within order + 2 of them (say, one with constant
     coupling between the variables) raises NotSolvable; it never returns a
     series that does not solve it.
     """
@@ -149,37 +134,24 @@ def solve_system(relations: Sequence[TruncatedSeries],
         raise ValueError(f"relations of different orders {sorted({r.order for r in relations})}")
     if order <= 1:
         raise TruncationTooShallow(f"order {order} drops the linear terms of the relations")
-    linear = [ring.exponents({v: 1}) for v in variables]
     inverse_units = []
-    for r, v, exps in zip(relations, variables, linear):
-        unit = r.poly.coefficient(exps)
+    for r, v in zip(relations, variables):
+        unit = r.poly.coefficient(ring.exponents({v: 1}))
         if unit == 0:
             raise NotSolvable(f"relation is not linear-unit in {v}")
         if r.constant_term() != 0:
             raise NotSolvable(f"relation for {v} has a constant term")
         inverse_units.append(exact_quotient(1, unit))
-    unknowns = [ring.index(v) for v in variables]
-    gain = min((sum(exps) - 1 for r, own in zip(relations, linear) for exps in r.poly.terms
-                if exps != own and any(exps[i] for i in unknowns)), default=0)
     # solutions only ever involve the unsolved variables: every residual is
     # computed with the full current assignment substituted in
     sol = {v: ring.zero() for v in variables}
-    truncation, low = order, None
     for _ in range(order + 2):
-        at = relations if truncation == order else \
-            [TruncatedSeries(r.poly, truncation) for r in relations]
-        lows = []
-        for r, v, inverse_unit in zip(at, variables, inverse_units):
+        done = True
+        for r, v, inverse_unit in zip(relations, variables, inverse_units):
             res = r.substitute(sol)
             if not res.is_zero():
-                lows.append(min(map(sum, res.poly.terms)))
+                done = False
                 sol[v] = sol[v] - (res * inverse_unit).poly
-        if not lows:
-            if truncation == order:
-                return sol
-            truncation = order
-        elif gain:
-            step = gain if low is None else max(gain, min(lows) - low)
-            low = min(lows)
-            truncation = min(order, low + 2 * step)
+        if done:
+            return sol
     raise NotSolvable("system iteration did not converge")

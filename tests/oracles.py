@@ -3,7 +3,6 @@
 from fractions import Fraction
 from math import gcd
 
-from isurf.errors import NotSolvable
 from isurf.poly import PolyRing
 from isurf.series import TruncatedSeries, solve_system
 from isurf.tsing import QuotientGerm, classify_germ
@@ -69,26 +68,6 @@ def termwise_substitute(f, images):
                 term = schoolbook(term, image if e > 0 else image.monomial_inverse())
         total = total + term
     return total
-
-
-def chord_solve(relations, variables):
-    """``series.solve_system`` with every Gauss-Seidel chord sweep at the full
-    order: variables[i] -= residual_i / u_i until a sweep leaves every
-    residual zero, at most order + 2 sweeps."""
-    order, ring = relations[0].order, relations[0].ring
-    inverse_units = [Fraction(1, r.poly.coefficient(ring.exponents({v: 1})))
-                     for r, v in zip(relations, variables)]
-    sol = {v: ring.zero() for v in variables}
-    for _ in range(order + 2):
-        done = True
-        for r, v, inverse_unit in zip(relations, variables, inverse_units):
-            res = r.substitute(sol)
-            if not res.is_zero():
-                done = False
-                sol[v] = sol[v] - (res * inverse_unit).poly
-        if done:
-            return sol
-    raise NotSolvable("system iteration did not converge")
 
 
 def single_solve_chart_germ(equations, weights, chart, eliminate, germ, local, order):

@@ -68,6 +68,19 @@ def test_scenario_with_params_and_timing():
     assert "elapsed_ms" in report
 
 
+def test_lemma_smoothing_reports_a_requested_theta():
+    # theta = 0 is the cusp member 1/18(1,5), not a general one: it is
+    # reported, and the check that needs a general theta keeps its own
+    code, out, _ = run_cli("--scenario", "lemma-smoothing", "--param", "theta=0",
+                           "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "pass"
+    reported = [c for c in report["checks"] if c["expected"] == "reported"]
+    assert [c["desc"] for c in reported] == [
+        "index-3 point for tau = 0 at the requested theta [1/18(1,5)]"]
+
+
 def test_unknown_scenario_and_bad_params():
     code, _, err = run_cli("--scenario", "nope")
     assert code == 2 and "unknown scenario" in err

@@ -157,6 +157,29 @@ def test_enumerate_profiles_menu_relabelling_invariance():
     assert sorted(relabelled) == sorted(got)
 
 
+def test_capped_curves_of_codiscrepancy_zero_are_enumerated():
+    # A1, B1 of [2, 2] and A2 of [2] have coefficient 0: capped, they are
+    # enumerated like any other curve
+    both = [{}, {"A1": 1}, {"B1": 1}, {"A1": 1, "B1": 1}]
+    got = cv.enumerate_gamma_profiles([[2, 2]], (-1, 0), {"A1": 1, "B1": 1})
+    assert sorted(map(str, (p["incidence"] for p in got))) == sorted(map(str, both))
+    assert all(p["kx_gamma"] == -1 for p in got)
+    menu = [("A1", Fraction(3, 5)), ("B1", Fraction(4, 5)),
+            ("C1", Fraction(2, 5)), ("A2", Fraction(0))]
+    lo, hi = Fraction(1, 10), Fraction(1)
+    got = cv.enumerate_gamma_profiles([[3, 5, 2], [2]], (lo, hi), {"A2": 2})
+    oracle = brute_force_profiles(menu, lo, hi, {"A2": 2})
+    assert any(p["incidence"].get("A2") == 2 for p in got)
+    assert sorted(map(str, (p["incidence"] for p in got))) == sorted(map(str, oracle))
+
+
+def test_uncapped_curve_of_codiscrepancy_zero_is_invalid_input():
+    with pytest.raises(InvalidInput, match="B1"):
+        cv.enumerate_gamma_profiles([[2, 2]], (-1, 0), {"A1": 1})
+    with pytest.raises(InvalidInput, match="A2"):
+        cv.enumerate_gamma_profiles([[3, 5, 2], [2]], (Fraction(1, 10), Fraction(1)), {})
+
+
 def test_empty_menu():
     assert cv.enumerate_gamma_profiles([], (Fraction(1, 10), Fraction(3, 10)), {}) == []
 

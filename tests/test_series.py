@@ -11,7 +11,7 @@ from isurf import poly
 from isurf.poly import ExactPolynomial, PolyRing, multiply_terms, substitute_terms
 from isurf.series import TruncatedSeries, solve_system
 
-from oracles import chord_solve, schoolbook, termwise_substitute
+from oracles import schoolbook, termwise_substitute
 
 S = PolyRing.of("x", "y")
 
@@ -98,15 +98,12 @@ def _record_truncations(monkeypatch) -> list:
 def test_chord_sweeps_gain_one_order_each(monkeypatch):
     # x = y + x^2 is solved by the Catalan series; each chord sweep x <- y + x^2
     # fixes one more coefficient, so order 16 takes 15 corrections and then
-    # the certifying sweep, the most sweeps a system can need.  With g = 1,
-    # each correction after the first (zero image, at the order) substitutes
-    # two degrees above its residual's valuation, and only the last one and
-    # the certificate run at the order
+    # the certifying sweep, the most sweeps a system can need, all at the order
     ring = PolyRing.of("x", "y")
     sweeps = _record_truncations(monkeypatch)
     x = solve_system([TruncatedSeries(ring.parse("x - y - x^2"), 16)], ["x"])["x"]
     assert len(sweeps) == 16
-    assert [t for t, _ in sweeps] == [16] + list(range(3, 17)) + [16]
+    assert [t for t, _ in sweeps] == [16] * 16
     assert sweeps[-1] == (16, None)
     assert x == ring.from_terms({(0, k): comb(2 * k - 2, k - 1) // k for k in range(1, 16)})
 
@@ -118,22 +115,20 @@ def test_chord_sweeps_gain_one_order_each(monkeypatch):
     ("a b s", ["a - s - a*b^2", "b - s^2 + s*a^3"], 2),
 ])
 def test_no_sweep_is_too_shallow_to_gain_g(monkeypatch, names, relations, gain):
-    # after a sweep at t whose least residual degree is low, the error has
-    # valuation at least min(t, low + g), and the next sweep needs g more
+    # every sweep substitutes at the relations' order and the last one leaves
+    # every residual zero.  A term with an unknown other than the units has
+    # degree >= g + 1, so each sweep raises the error's valuation (>= 1 at the
+    # zero start) by at least g: after ceil((order - 1) / g) corrections the
+    # next sweep is the certificate
     ring, order = PolyRing.of(*names.split()), 13
     unknowns = ring.variables[:len(relations)]
     series = [TruncatedSeries(ring.parse(r), order) for r in relations]
     records = _record_truncations(monkeypatch)
     solve_system(series, unknowns)
     sweeps = [records[i:i + len(series)] for i in range(0, len(records), len(series))]
-    assert sweeps[0][0][0] == order and all(t == order and low is None for t, low in sweeps[-1])
-    for before, after in zip(sweeps, sweeps[1:]):
-        t = before[0][0]
-        lows = [low for _, low in before if low is not None]
-        if lows:
-            assert after[0][0] >= min(order, min(t, min(lows) + gain) + gain)
-        else:
-            assert after[0][0] == order
+    assert all(t == order for t, _ in records)
+    assert all(low is None for _, low in sweeps[-1])
+    assert len(sweeps) <= -(-(order - 1) // gain) + 1
 
 
 # -- the truncation-aware kernel against schoolbook oracles --------------------
@@ -313,19 +308,21 @@ def _chord_systems(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_chord_systems())
-# the first correction gains 2 where g = 1, so the sweep at degree 4 finds
-# every residual zero although the solution goes on: only a full-order
-# sweep may end the solve
+# the first correction gains 2 where g = 1, so a sweep substituting only up to
+# degree 4 would find every residual zero although the solution goes on
 @example(([TruncatedSeries(PolyRing.of("a", "s").parse("a - s^2 - a^2"), 8)], ["a"]))
-def test_degree_stepped_sweeps_equal_the_full_order_oracle(system):
+def test_chord_sweeps_solve_the_system_or_raise(system):
+    # either NotSolvable, or every relation vanishes at the solution and no
+    # solution mentions an unknown
     relations, unknowns = system
     try:
-        expected = chord_solve(relations, unknowns)
+        sol = solve_system(relations, unknowns)
     except NotSolvable:
-        with pytest.raises(NotSolvable):
-            solve_system(relations, unknowns)
         return
-    assert solve_system(relations, unknowns) == expected
+    for r in relations:
+        assert r.substitute(sol).is_zero()
+    for value in sol.values():
+        assert all(value.degree_in(v) == 0 for v in unknowns)
 
 
 def test_invertible_variables_are_rejected():

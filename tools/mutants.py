@@ -5,12 +5,13 @@ classification: each named mutant must make the fast tests fail.
 
 The tree (``src``, ``tests``, ``pyproject.toml``) is copied to a temporary
 directory, and only that copy is ever changed.  A mutant replaces the source
-of one AST node inside one function with text of the same number of lines,
-so every other line keeps its number.  The unmutated copy must pass first;
-then ``pytest -x`` runs ``TESTS`` once per mutant, which is killed if they
-fail (or do not finish within ``TIMEOUT_S``) and survives if they pass.  The
-exit code is 1 if a mutant survives that is not listed as equivalent, or if
-one listed as equivalent is killed (its reason is then wrong).
+of one AST node inside one function (the first whose source is the given
+text) with text of the same number of lines, so every other line keeps its
+number.  The unmutated copy must pass first; then ``pytest -x`` runs
+``TESTS`` once per mutant, which is killed if they fail (or do not finish
+within ``TIMEOUT_S``) and survives if they pass.  The exit code is 1 if a
+mutant survives that is not listed as equivalent, or if one listed as
+equivalent is killed (its reason is then wrong).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class Mutant:
     function: str      # the function whose body holds the node
     original: str      # the node's exact source text
     replacement: str
-    nth: int = 0       # which node of that text, in source order
     equivalent: str | None = None  # why no test can kill it
 
 
@@ -65,8 +65,12 @@ MUTANTS = (
            "product_terms", "kb >= room", "False"),
     Mutant("_check_reach is a no-op", "src/isurf/poly.py",
            "_check_reach", "reach >= EXPONENT_BOUND", "False"),
+    Mutant("keep the terms of degree order", "src/isurf/poly.py",
+           "limit", "order << self.shift", "(order + 1) << self.shift"),
+    Mutant("drop the terms of degree order - 1", "src/isurf/poly.py",
+           "limit", "order << self.shift", "(order - 1) << self.shift"),
     Mutant("return before the certifying sweep", "src/isurf/series.py",
-           "solve_system", "truncation == order", "True", nth=1),
+           "solve_system", "done = False", "done = True"),
     Mutant("flip the Hessian determinant test", "src/isurf/tsing.py",
            "_classify_with_pair", "hxx * hyy - hxy * hxy == 0", "hxx * hyy - hxy * hxy != 0"),
     Mutant("re-raise below the cap", "src/isurf/tsing.py",
@@ -89,20 +93,24 @@ def mutated(source: str, mutant: Mutant) -> tuple[str, int]:
                  and node.name == mutant.function]
     if len(functions) != 1:
         raise ValueError(f"{mutant.name}: {len(functions)} functions named {mutant.function}")
-    nodes = sorted((node for node in ast.walk(functions[0])
-                    if isinstance(node, (ast.expr, ast.stmt))
-                    and ast.get_source_segment(source, node) == mutant.original),
-                   key=lambda node: (node.lineno, node.col_offset))
-    if mutant.nth >= len(nodes):
-        raise ValueError(f"{mutant.name}: {len(nodes)} nodes read {mutant.original!r}")
-    node = nodes[mutant.nth]
     data = source.encode()  # AST columns count UTF-8 bytes
-    lines = data.splitlines(keepends=True)
-    start = sum(map(len, lines[:node.lineno - 1])) + node.col_offset
-    end = sum(map(len, lines[:node.end_lineno - 1])) + node.end_col_offset
+    line_starts = [0]
+    for text in data.splitlines(keepends=True):
+        line_starts.append(line_starts[-1] + len(text))
+
+    def span(node) -> tuple[int, int]:
+        return (line_starts[node.lineno - 1] + node.col_offset,
+                line_starts[node.end_lineno - 1] + node.end_col_offset)
+
+    original = mutant.original.encode()
+    spans = [(span(node), node.lineno) for node in ast.walk(functions[0])
+             if isinstance(node, (ast.expr, ast.stmt)) and data[slice(*span(node))] == original]
+    if not spans:
+        raise ValueError(f"{mutant.name}: no node reads {mutant.original!r}")
+    (start, end), line = min(spans)  # the first in source order
     out = (data[:start] + mutant.replacement.encode() + data[end:]).decode()
     ast.parse(out)
-    return out, node.lineno
+    return out, line
 
 
 def tests_pass(tree: Path) -> bool:
