@@ -13,10 +13,8 @@ import sys
 from fractions import Fraction
 
 from .errors import UnknownScenario
-from .scenarios import Params, list_scenarios, run
+from .scenarios import Params, find_scenario, list_scenarios, run
 from .series import DEFAULT_ORDER
-
-PARAM_NAMES = ("theta", "tau", "mu", "nu")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -28,7 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list", action="store_true", help="list scenarios")
     parser.add_argument("--tag", help="filter the listing by tag")
     parser.add_argument("--param", action="append", default=[], metavar="K=V",
-                        help="parameter override, e.g. theta=0 or tau=1/2")
+                        help="parameter override, e.g. theta=0 or tau=1/2; the scenario "
+                             "(with --all, some scenario) must read it")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--order", type=int, default=DEFAULT_ORDER,
                         help="cap on the series truncation order for germ computations "
@@ -41,14 +40,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_params(args) -> Params:
+    """The --param values, each a name that some scenario reads, and the
+    seed and order."""
+    names = sorted({name for s in list_scenarios() for name in s.params})
     values = {}
     for item in args.param:
         if "=" not in item:
             raise ValueError(f"--param needs K=V, got {item!r}")
         key, _, raw = item.partition("=")
         key = key.strip()
-        if key not in PARAM_NAMES:
-            raise ValueError(f"unknown parameter {key!r} (choices: {PARAM_NAMES})")
+        if key not in names:
+            raise ValueError(f"unknown parameter {key!r} (choices: {', '.join(names)})")
         try:
             values[key] = Fraction(raw.strip())
         except (ValueError, ZeroDivisionError):
@@ -100,10 +102,16 @@ def main(argv=None) -> int:
         code = 0 if all(r["status"] == "pass" for r in reports) else 1
     elif args.scenario:
         try:
-            report = run(args.scenario, params, args.timing)
+            chosen = find_scenario(args.scenario)
         except UnknownScenario as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        unread = [key for key in params.values if key not in chosen.params]
+        if unread:
+            print(f"error: scenario {chosen.name} does not read parameter {unread[0]!r} "
+                  f"(it reads: {', '.join(chosen.params) or 'none'})", file=sys.stderr)
+            return 2
+        report = run(chosen.name, params, args.timing)
         payload = json.dumps(report, indent=1) if args.format == "json" else render_text(report)
         code = 0 if report["status"] == "pass" else 1
     else:

@@ -2,9 +2,11 @@
 
 Hermite normal form with transformation, saturated kernel bases with a
 deterministic sign convention, Gale-dual ray generators for grading
-matrices, and Hilbert bases of pointed rational cones: the extreme rays and
-the points of the half-open fundamental parallelepipeds of a placing
-triangulation, less the decomposable ones.  Integer arithmetic throughout.
+matrices, and Hilbert bases of pointed rational cones: the extreme rays by
+double description and the points of the half-open fundamental
+parallelepipeds of a placing triangulation, less the reducible ones.
+Integer arithmetic throughout; IntegerMatrix checks what callers pass in,
+and the stages in between pass plain rows.
 """
 
 from __future__ import annotations
@@ -53,70 +55,69 @@ class IntegerMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def rank(self) -> int:
-        h, _ = hermite_normal_form(self)
-        return sum(1 for row in h.rows if any(row))
+        return _rank(self.rows)
+
+
+def _hnf(rows: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Row Hermite normal form of a list of rows: positive pivots, entries
+    above a pivot reduced into [0, pivot), zero rows swept to the bottom.
+
+    Rows extended by an identity block [M | I] come out as [H | U] with U
+    unimodular and U*M = H; the rows whose M part vanished are then the
+    Hermite normal form of the kernel lattice {u : u*M = 0}.
+    """
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    pivot_row = 0
+    for col in range(len(rows[0]) if rows else 0):
+        # euclidean elimination below pivot_row in this column
+        while nonzero := [i for i in range(pivot_row, n) if rows[i][col]]:
+            i_min = min(nonzero, key=lambda i: abs(rows[i][col]))
+            rows[pivot_row], rows[i_min] = rows[i_min], rows[pivot_row]
+            top = rows[pivot_row]
+            if len(nonzero) == 1:
+                break
+            for i in range(pivot_row + 1, n):
+                q = rows[i][col] // top[col]
+                rows[i] = [a - q * b for a, b in zip(rows[i], top)]
+        else:
+            continue
+        if top[col] < 0:
+            top = rows[pivot_row] = [-a for a in top]
+        for i in range(pivot_row):
+            q = rows[i][col] // top[col]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], top)]
+        pivot_row += 1
+    return rows
+
+
+def _with_identity(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    n = len(rows)
+    return [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+
+
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    return sum(1 for row in _hnf(rows) if any(row))
+
+
+def _kernel(rows: Sequence[Sequence[int]], width: int) -> list[Vec]:
+    """The HNF-canonical Z-basis of {v in Z^width : row . v = 0 for every
+    row}, all of Z^width when there are no rows; each basis row primitive."""
+    m = len(rows)
+    return [tuple(r[m:]) for r in _hnf(_with_identity(list(zip(*rows)) or [()] * width))
+            if not any(r[:m])]
 
 
 def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """Row HNF: returns (H, U) with U unimodular, U*M = H.
-
-    Pivots are positive, entries above a pivot are reduced into [0, pivot),
-    zero rows are swept to the bottom.
-    """
-    rows = [list(r) for r in m.rows]
-    n = len(rows)
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if not rows:
-        return IntegerMatrix(()), IntegerMatrix(())
-    ncols = len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row >= n:
-            break
-        # euclidean elimination below pivot_row in this column
-        while True:
-            nonzero = [i for i in range(pivot_row, n) if rows[i][col] != 0]
-            if not nonzero:
-                break
-            i_min = min(nonzero, key=lambda i: abs(rows[i][col]))
-            rows[pivot_row], rows[i_min] = rows[i_min], rows[pivot_row]
-            u[pivot_row], u[i_min] = u[i_min], u[pivot_row]
-            p = rows[pivot_row][col]
-            finished = True
-            for i in range(pivot_row + 1, n):
-                if rows[i][col] != 0:
-                    q = rows[i][col] // p
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[pivot_row])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
-                    if rows[i][col] != 0:
-                        finished = False
-            if finished:
-                break
-        if rows[pivot_row][col] != 0:
-            if rows[pivot_row][col] < 0:
-                rows[pivot_row] = [-a for a in rows[pivot_row]]
-                u[pivot_row] = [-a for a in u[pivot_row]]
-            p = rows[pivot_row][col]
-            for i in range(pivot_row):
-                q = rows[i][col] // p
-                if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[pivot_row])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
-            pivot_row += 1
-    return IntegerMatrix.of(rows), IntegerMatrix.of(u)
+    """Row HNF (see _hnf): returns (H, U) with U unimodular, U*M = H."""
+    hu = _hnf(_with_identity(m.rows))
+    return IntegerMatrix.of(r[:m.ncols] for r in hu), IntegerMatrix.of(r[m.ncols:] for r in hu)
 
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     """Rows form an HNF-canonical Z-basis of {v : A v = 0}; rows primitive."""
-    if a.ncols == 0:
-        return IntegerMatrix(())
-    h, u = hermite_normal_form(a.transpose())
-    kernel_rows = [u.rows[i] for i in range(h.nrows) if not any(h.rows[i])]
-    if not kernel_rows:
-        return IntegerMatrix(())
-    canon, _ = hermite_normal_form(IntegerMatrix.of(kernel_rows))
-    rows = [r for r in canon.rows if any(r)]
-    return IntegerMatrix.of(rows)
+    return IntegerMatrix.of(_kernel(a.rows, a.ncols))
 
 
 def unimodular_normal_form(vectors: Sequence[Sequence[int]]) -> list[Vec]:
@@ -129,12 +130,11 @@ def unimodular_normal_form(vectors: Sequence[Sequence[int]]) -> list[Vec]:
     RankDeficient if no block is unimodular.
     """
     d = len(vectors[0])
-    identity = IntegerMatrix.of([[int(i == j) for j in range(d)] for i in range(d)])
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
     for subset in combinations(range(len(vectors)), d):
-        h, u = hermite_normal_form(IntegerMatrix.of([[vectors[i][k] for i in subset]
-                                                     for k in range(d)]))
-        if h == identity:
-            return [u.mul_vec(v) for v in vectors]
+        hu = _hnf(_with_identity([[vectors[i][k] for i in subset] for k in range(d)]))
+        if [r[:d] for r in hu] == identity:
+            return [tuple(_dot(r[d:], v) for r in hu) for v in vectors]
     raise RankDeficient("no unimodular block among the vectors")
 
 
@@ -144,22 +144,14 @@ def gale_rays(weights: IntegerMatrix) -> list[Vec]:
     Every grading row a satisfies sum_i a_i * v_i = 0.  The rays are the
     kernel columns in unimodular normal form.
     """
-    n = weights.ncols
-    r = weights.nrows
-    if weights.rank() != r:
+    if weights.rank() != weights.nrows:
         raise RankDeficient("weight matrix does not have full row rank")
-    basis = kernel_basis(weights)  # (n-r) x n
-    d = basis.nrows
-    if d != n - r:
-        raise RankDeficient("kernel rank inconsistent with matrix rank")
-    if d == 0:
-        return [() for _ in range(n)]
-    rays = unimodular_normal_form(basis.transpose().rows)
+    basis = _kernel(weights.rows, weights.ncols)  # (n-r) x n
+    if not basis:
+        return [() for _ in range(weights.ncols)]
+    rays = unimodular_normal_form(list(zip(*basis)))
     for i, ray in enumerate(rays):
-        g = 0
-        for x in ray:
-            g = gcd(g, x)
-        if g not in (0, 1):
+        if gcd(*ray) > 1:
             raise InvalidInput(f"ray for column {i} is not primitive: {ray}")
     return rays
 
@@ -206,68 +198,66 @@ class LatticeCone:
         return LatticeCone(n, IntegerMatrix.of(eqs), tuple(range(n)))
 
     def contains(self, v: Sequence[int]) -> bool:
-        v = tuple(v)
-        if len(v) != self.rank:
-            return False
-        if any(v[i] < 0 for i in self.nonneg):
-            return False
-        return all(sum(a * b for a, b in zip(row, v)) == 0 for row in self.equations.rows)
-
-    def is_pointed(self) -> bool:
-        """No line: a kernel vector vanishing on every signed coordinate is zero."""
-        free = [i for i in range(self.rank) if i not in self.nonneg]
-        constrained = list(self.nonneg)
-        extra = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in constrained]
-        return _kernel(list(self.equations.rows) + extra, self.rank).nrows == 0 if free else True
+        return len(v) == self.rank and all(v[i] >= 0 for i in self.nonneg) \
+            and all(_dot(row, v) == 0 for row in self.equations.rows)
 
 
-def _kernel(rows: Sequence[Sequence[int]], width: int) -> IntegerMatrix:
-    """kernel_basis of the rows, read as a matrix of the given width even
-    when there are none (then the kernel is all of Z^width)."""
-    return kernel_basis(IntegerMatrix.of(list(rows) or [(0,) * width]))
+def _project(v: Vec, w: Vec, i: int) -> Vec:
+    """The primitive vector along w[i]*v - v[i]*w, which is 0 at i."""
+    u = [w[i] * a - v[i] * b for a, b in zip(v, w)]
+    g = gcd(*u)
+    return tuple(x // g for x in u)
 
 
 def extreme_rays(cone: LatticeCone) -> list[Vec]:
-    """Primitive generators of the one-dimensional faces (plus possibly a few
-    non-extreme cone vectors, which is harmless for the uses below).
+    """The primitive generators of the one-dimensional faces, sorted;
+    NotPointed if the cone contains a line.
 
-    Every subset of coordinates is tried as the zero set of a face; a subset
-    whose solution space is one-dimensional with consistent signs on the
-    constrained coordinates contributes its nonnegative generator.  Setting k
-    coordinates to zero lowers the dimension of ker(equations) by at most k,
-    so zero sets with fewer than dim ker - 1 coordinates are skipped.
+    Double description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
+    Prodon 1996): the cone starts as the kernel of the equations, all of it
+    lineality, and takes the sign constraints x_i >= 0 one at a time.  If a
+    lineality vector is nonzero at i, it becomes a ray with x_i > 0, and the
+    other lineality vectors and the rays are projected along it to x_i = 0.
+    Otherwise the rays with x_i >= 0 stay, and each pair of rays with x_i > 0
+    and x_i < 0 adds its combination at x_i = 0 if the two are adjacent: no
+    third ray is zero on every added constraint on which both are zero.
     """
-    n = cone.rank
-    if n > 22:
-        raise InvalidInput("extreme ray enumeration limited to rank <= 22")
-
-    eqs = [row for row in cone.equations.rows if any(row)]
-    dim = n - IntegerMatrix.of(eqs).rank() if eqs else n
-    found: set[Vec] = set()
-    for size in range(max(dim - 1, 0), n):
-        for zeros in combinations(range(n), size):
-            extra = [tuple(1 if j == i else 0 for j in range(n)) for i in zeros]
-            basis = _kernel(eqs + extra, n)
-            if basis.nrows != 1:
-                continue
-            g = basis.rows[0]
-            signs = [g[i] for i in cone.nonneg if g[i] != 0]
-            if signs and all(x > 0 for x in signs):
-                found.add(g)
-            elif signs and all(x < 0 for x in signs):
-                found.add(tuple(-x for x in g))
-    return sorted(found)
+    lines = _kernel(cone.equations.rows, cone.rank)
+    rays: list[tuple[Vec, int]] = []  # a ray, and the bit set of the added constraints it is 0 on
+    for k, i in enumerate(cone.nonneg):
+        bit = 1 << k
+        moving = [j for j, v in enumerate(lines) if v[i]]
+        if moving:
+            ray = lines.pop(moving[0])
+            if ray[i] < 0:
+                ray = tuple(-x for x in ray)
+            lines = [_project(v, ray, i) for v in lines]
+            rays = [(_project(r, ray, i), zeros | bit) for r, zeros in rays] + [(ray, bit - 1)]
+            continue
+        positive = [(r, zeros) for r, zeros in rays if r[i] > 0]
+        negative = [(r, zeros) for r, zeros in rays if r[i] < 0]
+        kept = [(r, zeros if r[i] else zeros | bit) for r, zeros in rays if r[i] >= 0]
+        for p, zp in positive:
+            for q, zq in negative:
+                common = zp & zq
+                if sum(1 for _, zeros in rays if zeros & common == common) == 2:
+                    kept.append((_project(q, p, i), common | bit))
+        rays = kept
+    if lines:
+        raise NotPointed("cone contains a line")
+    return sorted(r for r, _ in rays)
 
 
 # summed index of the simplices of the triangulation (the number of
-# parallelepiped points) above which hilbert_basis gives up; its filter makes
-# about (index + rays)^2 membership tests.  Five-variable cones with
-# |coefficients| <= 7 stay below 800, the canonical cone has index 25.
+# parallelepiped points) above which hilbert_basis gives up; its filter tests
+# each point against the kept generators of at most half its degree.  Five-
+# variable cones with |coefficients| <= 7 stay below 800, the canonical 25.
 MAX_LATTICE_INDEX = 5_000
 
 
 def hilbert_basis(cone: LatticeCone) -> list[Vec]:
-    """Minimal generating set of the monoid cone ∩ Z^n, sorted canonically.
+    """Minimal generating set of the monoid cone ∩ Z^n, sorted canonically;
+    NotPointed if the cone contains a line.
 
     The extreme rays are written in a basis of the lattice L = span(rays) ∩
     Z^n and triangulated by placing.  Every point of the monoid is a
@@ -275,22 +265,18 @@ def hilbert_basis(cone: LatticeCone) -> list[Vec]:
     of that simplex's half-open fundamental parallelepiped (the points
     sum lam_i r_i of L with 0 <= lam_i < 1, one per class of L/<r_i>), so
     the rays and those points generate the monoid and contain its minimal
-    generators; the decomposable ones are filtered out over the whole cone
-    (Bruns & Koch 2001; Bruns, Ichim & Söger 2016).  An index sum above
-    MAX_LATTICE_INDEX raises an explicit error before any enumeration.
+    generators (Bruns & Koch 2001; Bruns, Ichim & Söger 2016), which
+    _irreducible keeps.  An index sum above MAX_LATTICE_INDEX raises an
+    explicit error before any enumeration.
     """
-    if not cone.is_pointed():
-        raise NotPointed("cone contains a line")
     n = cone.rank
     rays = extreme_rays(cone)
     if not rays:
         return []
-    lattice = _kernel(_kernel(rays, n).rows, n).rows
+    lattice = _kernel(_kernel(rays, n), n)
     coords = [_coordinates(lattice, r) for r in rays]
-    simplices = []
-    for simplex in _placing_triangulation(coords):
-        h, _ = hermite_normal_form(IntegerMatrix.of([coords[i] for i in simplex]))
-        simplices.append((simplex, [h.rows[j][j] for j in range(len(simplex))]))
+    simplices = [(simplex, [row[j] for j, row in enumerate(_hnf([coords[i] for i in simplex]))])
+                 for simplex in _placing_triangulation(coords)]
     index = sum(prod(diagonal) for _, diagonal in simplices)
     if index > MAX_LATTICE_INDEX:
         raise InvalidInput(f"hilbert basis: the triangulation has index {index}, "
@@ -299,19 +285,31 @@ def hilbert_basis(cone: LatticeCone) -> list[Vec]:
     for simplex, diagonal in simplices:
         candidates.update(_parallelepiped(
             [rays[i] for i in simplex], [coords[i] for i in simplex], diagonal))
-    candidates.discard(tuple([0] * n))
+    candidates.discard((0,) * n)
+    return sorted(_irreducible(cone, candidates), key=lambda v: (sum(v), v))
 
-    def decomposable(v: Vec) -> bool:
-        for h in candidates:
-            if h == v:
-                continue
-            rest = tuple(a - b for a, b in zip(v, h))
-            if any(rest) and cone.contains(rest):
-                return True
-        return False
 
-    minimal = [v for v in candidates if not decomposable(v)]
-    return sorted(minimal, key=lambda v: (sum(v), v))
+def _irreducible(cone: LatticeCone, candidates: Iterable[Vec]) -> list[Vec]:
+    """The candidates that are no sum of two nonzero points of the pointed
+    cone, given that they include every such point of lower degree.
+
+    The degree, the sum over the sign-constrained coordinates, is positive
+    on every nonzero point of a pointed cone, so a reducible v is h plus a
+    cone point for an irreducible h of at most half its degree.  Taken by
+    increasing degree, v is tested only against the kept irreducibles up to
+    that bound (Bruns & Ichim, J. Algebra 324, 2010).
+    """
+    kept: list[tuple[int, Vec]] = []
+    for degree, v in sorted((sum(v[i] for i in cone.nonneg), v) for v in candidates):
+        for low, h in kept:
+            if 2 * low > degree:
+                kept.append((degree, v))
+                break
+            if cone.contains(tuple(a - b for a, b in zip(v, h))):
+                break
+        else:
+            kept.append((degree, v))
+    return [v for _, v in kept]
 
 
 def _coordinates(basis: Sequence[Vec], v: Vec) -> Vec:
@@ -334,11 +332,10 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 def _facet_normal(points: Sequence[Vec], facet: Sequence[int], apex: int) -> tuple[Vec, int]:
     """Primitive normal of the hyperplane through the facet points, pointing
     to the apex point, and the apex's height over it (points of full rank)."""
-    normal = _kernel([points[i] for i in facet], len(points[apex])).rows[0]
+    normal = _kernel([points[i] for i in facet], len(points[apex]))[0]
     height = _dot(normal, points[apex])
-    if height < 0:
-        return tuple(-x for x in normal), -height
-    return normal, height
+    sign = 1 if height > 0 else -1
+    return tuple(sign * x for x in normal), abs(height)
 
 
 def _placing_triangulation(points: Sequence[Vec]) -> list[tuple[int, ...]]:
@@ -351,7 +348,7 @@ def _placing_triangulation(points: Sequence[Vec]) -> list[tuple[int, ...]]:
     d = len(points[0])
     first: list[int] = []
     for i, p in enumerate(points):
-        if len(first) < d and IntegerMatrix.of([points[j] for j in first] + [p]).rank() > len(first):
+        if len(first) < d and _rank([points[j] for j in first] + [p]) > len(first):
             first.append(i)
     simplices = [tuple(first)]
     for i, p in enumerate(points):
@@ -381,8 +378,9 @@ def _parallelepiped(rays: Sequence[Vec], coords: Sequence[Vec],
     d = len(coords)
     facets = [_facet_normal(coords, [j for j in range(d) if j != i], i) for i in range(d)]
     denominator = lcm(*(h for _, h in facets))
+    columns = list(zip(*rays))
     out = []
     for y in product(*(range(a) for a in diagonal)):
         weights = [_dot(normal, y) % h * (denominator // h) for normal, h in facets]
-        out.append(tuple(_dot(weights, column) // denominator for column in zip(*rays)))
+        out.append(tuple(_dot(weights, column) // denominator for column in columns))
     return out

@@ -47,17 +47,24 @@ class Scenario:
     name: str
     tags: tuple[str, ...]
     anchor: str
+    params: tuple[str, ...]  # the Params.values names the runner reads
     runner: Callable[[Params], list[dict]]
 
 
 _REGISTRY: dict[str, Scenario] = {}
 
 
-def scenario(name: str, tags: tuple[str, ...], anchor: str):
+def scenario(name: str, tags: tuple[str, ...], anchor: str, params: tuple[str, ...] = ()):
     def wrap(fn):
-        _REGISTRY[name] = Scenario(name, tags, anchor, fn)
+        _REGISTRY[name] = Scenario(name, tags, anchor, params, fn)
         return fn
     return wrap
+
+
+def find_scenario(name: str) -> Scenario:
+    if name not in _REGISTRY:
+        raise UnknownScenario(f"unknown scenario {name!r}")
+    return _REGISTRY[name]
 
 
 def list_scenarios(tag: str | None = None) -> list[Scenario]:
@@ -69,22 +76,23 @@ _PACKAGE_DIR = Path(__file__).resolve().parent
 
 
 def _raised_at(exc: BaseException) -> str:
-    """``isurf/<module>.py:<line>`` of the innermost traceback frame in this
-    package (``run`` itself is the outermost, so there is always one)."""
+    """``isurf/<module>.py:<function>`` of the innermost traceback frame in
+    this package (``run`` itself is the outermost, so there is always one).
+    It names no line, so an edit elsewhere in the module leaves the report
+    of an unchanged computation as it was."""
     frame = [f for f in traceback.extract_tb(exc.__traceback__)
              if Path(f.filename).resolve().is_relative_to(_PACKAGE_DIR)][-1]
     path = Path(frame.filename).resolve().relative_to(_PACKAGE_DIR.parent)
-    return f"{path.as_posix()}:{frame.lineno}"
+    return f"{path.as_posix()}:{frame.name}"
 
 
 def run(name: str, params: Params | None = None, timing: bool = False) -> dict:
-    if name not in _REGISTRY:
-        raise UnknownScenario(f"unknown scenario {name!r}")
+    runner = find_scenario(name).runner
     params = params or Params()
     start = time.monotonic()
     status = "pass"
     try:
-        checks = _REGISTRY[name].runner(params)
+        checks = runner(params)
         if not all(c["ok"] for c in checks):
             status = "fail"
     except Exception as exc:  # surfaced in the report, nonzero exit
@@ -433,7 +441,7 @@ def _derive(params: Params) -> list[dict]:
 
 
 @scenario("cor-pfaffian", ("section3", "rings"),
-          "the rank-six skew format certifies all fourteen relations")
+          "the rank-six skew format certifies all fourteen relations", ("theta", "tau"))
 def _cor_pfaffian(params: Params) -> list[dict]:
     out = []
     fmt, rels = rings.load_formats()["rank6"]
@@ -536,7 +544,7 @@ def _hilbert(params: Params) -> list[dict]:
 
 
 @scenario("wps51", ("section3", "wps"),
-          "the degree-51 model in P(1,3,17,25)")
+          "the degree-51 model in P(1,3,17,25)", ("theta", "tau"))
 def _wps51(params: Params) -> list[dict]:
     out = []
     inv = wps.wps_hypersurface_invariants(51, (1, 3, 17, 25))
@@ -563,7 +571,7 @@ def _wps51(params: Params) -> list[dict]:
 
 
 @scenario("lemma-smoothing", ("section4", "rings"),
-          "the rank-five formats and the one-parameter smoothing")
+          "the rank-five formats and the one-parameter smoothing", ("theta",))
 def _smoothing(params: Params) -> list[dict]:
     out = []
     formats = rings.load_formats()
@@ -681,7 +689,7 @@ def _in_principal_ideal(value, generator) -> bool:
 
 
 @scenario("family-munu", ("section5", "wps"),
-          "the two-parameter family interpolating the index-2 and index-3 points")
+          "the two-parameter family interpolating the index-2 and index-3 points", ("mu", "nu"))
 def _family(params: Params) -> list[dict]:
     out = []
     seed = params.seed

@@ -1,13 +1,13 @@
+import ast
 import hashlib
 import json
-import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from isurf import rings
+from isurf import rings, scenarios
 from isurf.cli import main
 
 STORED_DIGESTS = json.loads(
@@ -95,6 +95,37 @@ def test_unknown_scenario_and_bad_params():
     assert code == 2
 
 
+def test_a_parameter_the_scenario_does_not_read_is_a_usage_error():
+    for scenario, key in (("table1", "mu"), ("lemma-smoothing", "tau"), ("wps51", "nu")):
+        code, out, err = run_cli("--scenario", scenario, "--param", f"{key}=1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"does not read parameter {key!r}" in err
+    code, out, err = run_cli("--scenario", "nope", "--param", "mu=1")
+    assert code == 2 and "unknown scenario" in err
+
+
+def test_all_accepts_a_parameter_that_some_scenario_reads(capsys):
+    # family-munu reads mu and adds a reported check; the others ignore it
+    assert main(["--all", "--param", "mu=1", "--format", "json"]) == 0
+    reports = {r["scenario"]: r for r in json.loads(capsys.readouterr().out)["scenarios"]}
+    assert any(c["expected"] == "reported" for c in reports["family-munu"]["checks"])
+    assert not any(c["expected"] == "reported" for c in reports["table1"]["checks"])
+
+
+def test_each_scenario_declares_the_parameters_it_reads():
+    """The names a runner passes to ``params.get`` are those its @scenario
+    registration declares, so the command line checks against the truth."""
+    tree = ast.parse(Path(scenarios.__file__).read_text())
+    runners = {s.runner.__name__: s for s in scenarios.list_scenarios()}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in runners:
+            read = {call.args[0].value for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "get" and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "params"}
+            assert read == set(runners[node.name].params), node.name
+
+
 def test_text_rendering():
     code, out, _ = run_cli("--scenario", "hilbert-series")
     assert code == 0
@@ -123,7 +154,7 @@ def test_shallow_order_reports_error_not_fail(tmp_path):
     assert code == 1 and report["status"] == "error"
     actual = report["checks"][0]["actual"]
     assert actual.startswith("TruncationTooShallow: ")
-    assert re.search(r" \(at isurf/tsing\.py:\d+\)$", actual)
+    assert actual.endswith(" (at isurf/tsing.py:classify_germ)")
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path):

@@ -116,10 +116,15 @@ def test_not_pointed_detection():
     cone = LatticeCone(2, IntegerMatrix.of([[1, -1]]), ())
     with pytest.raises(NotPointed):
         hilbert_basis(cone)
+    with pytest.raises(NotPointed):
+        extreme_rays(cone)
     pointed = LatticeCone(2, IntegerMatrix.of([[1, -1]]), (1,))
-    assert pointed.is_pointed()
+    assert is_pointed(pointed)
     assert hilbert_basis(pointed) == [(1, 1)]
-    assert not LatticeCone(2, IntegerMatrix(()), ()).is_pointed()
+    plane = LatticeCone(2, IntegerMatrix(()), ())
+    assert not is_pointed(plane)
+    with pytest.raises(NotPointed):
+        extreme_rays(plane)
 
 
 def test_seven_variable_cone_full():
@@ -221,20 +226,35 @@ def test_unimodular_normal_form_is_invariant_and_separating():
 
 
 # ---------------------------------------------------------------------------
-# oracles: extreme rays over every zero set, and the Hilbert basis from every
-# cone point of the box spanned by the extreme rays
+# oracles: extreme rays over every zero set with the rank test, the all-pairs
+# irreducibility filter, and the Hilbert basis from every cone point of the
+# box spanned by the extreme rays
+
+
+def unit_rows(n, coordinates):
+    return [tuple(int(j == i) for j in range(n)) for i in coordinates]
+
+
+def is_pointed(cone):
+    """No line: a kernel vector vanishing on every signed coordinate is zero."""
+    n = cone.rank
+    rows = list(cone.equations.rows) + unit_rows(n, cone.nonneg)
+    return kernel_basis(IntegerMatrix.of(rows or [(0,) * n])).nrows == 0
 
 
 def rays_over_all_zero_sets(cone):
     """Signed primitive generators of every one-dimensional solution space of
-    the equations with some coordinates set to zero."""
+    the equations with some coordinates set to zero: the extreme rays and
+    possibly some non-extreme cone vectors.  Setting k coordinates to zero
+    lowers the dimension of ker(equations) by at most k, so zero sets with
+    fewer than dim ker - 1 coordinates are skipped."""
     n = cone.rank
     eqs = [row for row in cone.equations.rows if any(row)]
+    dim = n - IntegerMatrix.of(eqs).rank() if eqs else n
     found = set()
-    for size in range(n):
+    for size in range(max(dim - 1, 0), n):
         for zeros in itertools.combinations(range(n), size):
-            extra = [tuple(int(j == i) for j in range(n)) for i in zeros]
-            basis = kernel_basis(IntegerMatrix.of(eqs + extra or [(0,) * n]))
+            basis = kernel_basis(IntegerMatrix.of(eqs + unit_rows(n, zeros) or [(0,) * n]))
             if basis.nrows != 1:
                 continue
             g = basis.rows[0]
@@ -244,6 +264,25 @@ def rays_over_all_zero_sets(cone):
             elif signs and all(x < 0 for x in signs):
                 found.add(tuple(-x for x in g))
     return sorted(found)
+
+
+def is_extreme(cone, ray):
+    """A cone vector spans a one-dimensional face exactly when the equations
+    and the signed coordinates on which it is zero have rank n - 1."""
+    zeros = [i for i in cone.nonneg if ray[i] == 0]
+    rows = list(cone.equations.rows) + unit_rows(cone.rank, zeros)
+    return IntegerMatrix.of(rows or [(0,) * cone.rank]).rank() == cone.rank - 1
+
+
+def extreme_rays_oracle(cone):
+    return [r for r in rays_over_all_zero_sets(cone) if is_extreme(cone, r)]
+
+
+def all_pairs_irreducible(cone, candidates):
+    """The candidates that are no other candidate plus a nonzero cone point."""
+    return [v for v in candidates
+            if not any(h != v and cone.contains(tuple(a - b for a, b in zip(v, h)))
+                       for h in candidates)]
 
 
 def ray_box(cone, rays):
@@ -281,15 +320,16 @@ def enumerate_box(cone, lo, hi):
     return out
 
 
-def box_hilbert_basis(cone):
+def box_points(cone):
+    """The nonzero cone points in the box spanned by the extreme rays."""
     rays = rays_over_all_zero_sets(cone)
     if not rays:
-        return []
-    candidates = enumerate_box(cone, *ray_box(cone, rays)) - {(0,) * cone.rank}
-    minimal = [v for v in candidates
-               if not any(h != v and cone.contains(tuple(a - b for a, b in zip(v, h)))
-                          for h in candidates)]
-    return sorted(minimal, key=lambda v: (sum(v), v))
+        return set()
+    return enumerate_box(cone, *ray_box(cone, rays)) - {(0,) * cone.rank}
+
+
+def box_hilbert_basis(cone):
+    return sorted(all_pairs_irreducible(cone, box_points(cone)), key=lambda v: (sum(v), v))
 
 
 def box_volume(cone, rays):
@@ -311,7 +351,7 @@ def small_cones(draw):
     free = draw(st.one_of(st.just(set()), st.sets(st.integers(0, n - 1), min_size=1, max_size=2)))
     nonneg = tuple(i for i in range(n) if i not in free)
     cone = LatticeCone(n, IntegerMatrix.of(rows), nonneg)
-    assume(cone.is_pointed())
+    assume(is_pointed(cone))
     assume(box_volume(cone, rays_over_all_zero_sets(cone)) <= 20_000)
     return cone
 
@@ -325,7 +365,45 @@ def test_hilbert_basis_equals_box_oracle(cone):
 @settings(max_examples=120, deadline=None)
 @given(small_cones())
 def test_extreme_rays_equal_all_zero_sets_oracle(cone):
-    assert extreme_rays(cone) == rays_over_all_zero_sets(cone)
+    assert extreme_rays(cone) == extreme_rays_oracle(cone)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_cones())
+def test_degree_filter_equals_the_all_pairs_oracle(cone):
+    """On the cone points of the ray box, which hold every minimal
+    generator, and the sums of two minimal generators (2h among them)."""
+    points = box_points(cone)
+    minimal = all_pairs_irreducible(cone, points)
+    candidates = points | {tuple(a + b for a, b in zip(g, h))
+                           for g, h in itertools.combinations_with_replacement(minimal, 2)}
+    assert sorted(lattice._irreducible(cone, candidates)) == \
+        sorted(all_pairs_irreducible(cone, candidates))
+
+
+@st.composite
+def wide_cones(draw):
+    """Cones in 6-7 variables cut out by 1-3 equations with |coefficients|
+    <= 4, nonnegative in all or all but one or two coordinates: too large
+    for the box oracle, not for the rank test."""
+    n = draw(st.integers(6, 7))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    free = draw(st.one_of(st.just(set()), st.sets(st.integers(0, n - 1), min_size=1, max_size=2)))
+    return LatticeCone(n, IntegerMatrix.of(rows), tuple(i for i in range(n) if i not in free))
+
+
+@settings(max_examples=120, deadline=None)
+@given(wide_cones())
+def test_double_description_gives_exactly_the_extreme_rays(cone):
+    if not is_pointed(cone):
+        with pytest.raises(NotPointed):
+            extreme_rays(cone)
+        return
+    rays = extreme_rays(cone)
+    assert rays == extreme_rays_oracle(cone)
+    for r in rays:
+        assert cone.contains(r) and abs(gcd_of(r)) == 1
 
 
 def cone_dimension(rays):
@@ -349,7 +427,7 @@ def test_lower_dimensional_cone_in_the_kernel(rows, dimension, basis):
     ([[1, 1, 1, -1, -1, -1]], (0, 1, 2, 3, 4, 5)),    # 9 rays in dimension 5
     ([[2, 3, -1, -4]], (0, 1, 2, 3)),
     ([[1, 0, 2, -2, -2], [-1, 1, -1, 1, 1]], (0, 1, 2, 3, 4)),
-    ([[1, 2, -3, 1]], (0, 2, 3)),                      # one free coordinate
+    ([[1, 1, -1, -1, 0], [1, 0, -1, 0, -1]], (0, 1, 2, 3)),  # one free coordinate
 ])
 def test_non_simplicial_cones_against_the_oracle(rows, nonneg):
     cone = LatticeCone(len(rows[0]), IntegerMatrix.of(rows), nonneg)
@@ -385,12 +463,13 @@ def count_contains(monkeypatch):
 
 def test_canonical_cone_filters_at_most_28_candidates(monkeypatch):
     """One simplex of index 25: 24 nonzero parallelepiped points and the 4
-    rays, so the filter makes at most 28 * 27 membership tests."""
+    rays.  Testing each only against the kept generators of at most half its
+    degree makes 63 membership tests, where all pairs would make 28 * 27."""
     cone = canonical_cone()
     assert len(extreme_rays(cone)) == 4 == cone_dimension(extreme_rays(cone))
     calls = count_contains(monkeypatch)
     assert len(hilbert_basis(cone)) == 9
-    assert 0 < len(calls) <= 28 * 27
+    assert len(calls) == 63
 
 
 def test_index_cap_raises_before_any_enumeration(monkeypatch):

@@ -1,5 +1,6 @@
-"""Mutation check of the polynomial kernel, the series solver and germ
-classification: each named mutant must make the fast tests fail.
+"""Mutation check of the polynomial kernel, the series solver, germ
+classification and the Hilbert-basis stage: each named mutant must make the
+fast tests fail.
 
     python tools/mutants.py     # about 5 minutes on 2 cores
 
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TESTS = ("tests/test_poly.py", "tests/test_series.py", "tests/test_tsing.py")
+TESTS = ("tests/test_poly.py", "tests/test_series.py", "tests/test_tsing.py",
+         "tests/test_lattice.py")
 TIMEOUT_S = 600
 
 # No packed key equals the limit, nor does a sum of two keys: the limit lies
@@ -79,6 +81,22 @@ MUTANTS = (
            "chart_germ", "min(order, 2 * t - 1)", "2 * t - 1"),
     Mutant("start at the cap", "src/isurf/tsing.py",
            "chart_germ", "min(order, 4)", "order"),
+    Mutant("skip the lineality step", "src/isurf/lattice.py",
+           "extreme_rays", "[j for j, v in enumerate(lines) if v[i]]", "[]"),
+    Mutant("orient a lineality ray to x_i < 0", "src/isurf/lattice.py",
+           "extreme_rays", "ray[i] < 0", "ray[i] > 0"),
+    Mutant("drop the adjacency test", "src/isurf/lattice.py",
+           "extreme_rays", "sum(1 for _, zeros in rays if zeros & common == common) == 2", "True"),
+    Mutant("a new ray forgets the constraint it was made at", "src/isurf/lattice.py",
+           "extreme_rays", "common | bit", "common"),
+    Mutant("stop the filter at deg(v), not deg(v)/2", "src/isurf/lattice.py",
+           "_irreducible", "2 * low > degree", "low >= degree"),
+    Mutant("stop the filter below deg(v)/2", "src/isurf/lattice.py",
+           "_irreducible", "2 * low > degree", "2 * low >= degree"),
+    Mutant("the degree sums all coordinates", "src/isurf/lattice.py",
+           "_irreducible", "sum(v[i] for i in cone.nonneg)", "sum(v)"),
+    Mutant("no reduction above the pivot", "src/isurf/lattice.py",
+           "_hnf", "range(pivot_row)", "range(0)"),
 )
 
 
