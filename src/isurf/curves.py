@@ -8,9 +8,8 @@ scripts replay contraction sequences step by step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import load_fixture
 from .errors import (IllegalStep, InvalidInput, MissingCoefficients,
@@ -18,33 +17,29 @@ from .errors import (IllegalStep, InvalidInput, MissingCoefficients,
 from .tsing import codiscrepancy, recognize_tchain
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(NamedTuple):
     name: str
     self_int: int
     pa: int = 0
-    roles: frozenset[str] = field(default_factory=frozenset)
+    roles: frozenset[str] = frozenset()
     codisc: Fraction | None = None
 
     def k_degree(self) -> int:
         return 2 * self.pa - 2 - self.self_int
 
 
-@dataclass(frozen=True)
 class CurveConfiguration:
-    curves: tuple[Curve, ...]
-    incidence: tuple[tuple[str, str, int], ...]
-    minimal_model: bool = False
-    kodaira_dimension_one: bool = True
+    __slots__ = ("curves", "incidence", "minimal_model", "kodaira_dimension_one")
 
-    def __post_init__(self):
-        names = [c.name for c in self.curves]
+    def __init__(self, curves: tuple[Curve, ...], incidence: Iterable[tuple[str, str, int]],
+                 minimal_model: bool = False, kodaira_dimension_one: bool = True):
+        names = [c.name for c in curves]
         if len(set(names)) != len(names):
             raise InvalidInput("duplicate curve names")
         known = set(names)
         norm = []
         seen = set()
-        for a, b, m in self.incidence:
+        for a, b, m in incidence:
             if a not in known or b not in known or a == b:
                 raise InvalidInput(f"bad incidence entry ({a}, {b})")
             if m < 0:
@@ -55,7 +50,8 @@ class CurveConfiguration:
             seen.add(key)
             if m > 0:
                 norm.append((key[0], key[1], int(m)))
-        object.__setattr__(self, "incidence", tuple(sorted(norm)))
+        self.curves, self.incidence = curves, tuple(sorted(norm))
+        self.minimal_model, self.kodaira_dimension_one = minimal_model, kodaira_dimension_one
 
     # -- access ----------------------------------------------------------
 
@@ -103,8 +99,7 @@ class CurveConfiguration:
             if c.name == name:
                 continue
             m = mult[c.name]
-            new_curves.append(replace(
-                c,
+            new_curves.append(c._replace(
                 self_int=c.self_int + m * m,
                 pa=c.pa + m * (m - 1) // 2,
             ))
@@ -115,7 +110,8 @@ class CurveConfiguration:
                 m = self.pairing(na, nb) + mult[na] * mult[nb]
                 if m:
                     new_inc.append((na, nb, m))
-        return replace(self, curves=tuple(new_curves), incidence=tuple(new_inc))
+        return CurveConfiguration(tuple(new_curves), new_inc, self.minimal_model,
+                                  self.kodaira_dimension_one)
 
     # -- rules -------------------------------------------------------------
 
@@ -251,7 +247,8 @@ def replay_script(cfg: CurveConfiguration, script: Sequence[Mapping]) -> dict:
             except (NotContractible, KeyError) as exc:
                 raise IllegalStep(f"blow_down {step.get('curve')}: {exc}") from exc
         elif op == "set_minimal":
-            current = replace(current, minimal_model=True)
+            current = CurveConfiguration(current.curves, current.incidence, True,
+                                         current.kodaira_dimension_one)
         elif op == "check":
             violations = current.check_rules()
             if violations:

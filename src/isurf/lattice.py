@@ -12,7 +12,6 @@ and the stages in between pass plain rows.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
@@ -22,20 +21,17 @@ from .errors import InvalidInput, NotPointed, RankDeficient
 Vec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class IntegerMatrix:
-    rows: tuple[Vec, ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", tuple(tuple(int(x) for x in r) for r in self.rows))
+    def __init__(self, rows: Iterable[Iterable[int]]):
+        self.rows = tuple(tuple(int(x) for x in r) for r in rows)
+        if any(len(r) != len(self.rows[0]) for r in self.rows):
+            raise ValueError("ragged matrix")
 
     @staticmethod
     def of(rows: Iterable[Iterable[int]]) -> "IntegerMatrix":
-        return IntegerMatrix(tuple(tuple(r) for r in rows))
+        return IntegerMatrix(rows)
 
     @property
     def nrows(self) -> int:
@@ -49,7 +45,7 @@ class IntegerMatrix:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix.of(zip(*self.rows)) if self.rows else IntegerMatrix(())
+        return IntegerMatrix(zip(*self.rows))
 
     def mul_vec(self, v: Sequence[int]) -> Vec:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
@@ -109,12 +105,6 @@ def _kernel(rows: Sequence[Sequence[int]], width: int) -> list[Vec]:
             if not any(r[:m])]
 
 
-def hermite_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """Row HNF (see _hnf): returns (H, U) with U unimodular, U*M = H."""
-    hu = _hnf(_with_identity(m.rows))
-    return IntegerMatrix.of(r[:m.ncols] for r in hu), IntegerMatrix.of(r[m.ncols:] for r in hu)
-
-
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     """Rows form an HNF-canonical Z-basis of {v : A v = 0}; rows primitive."""
     return IntegerMatrix.of(_kernel(a.rows, a.ncols))
@@ -156,18 +146,15 @@ def gale_rays(weights: IntegerMatrix) -> list[Vec]:
     return rays
 
 
-@dataclass(frozen=True)
 class LatticeCone:
     """{v in Z^n : equations * v = 0, v_i >= 0 for i in nonneg}."""
 
-    rank: int
-    equations: IntegerMatrix
-    nonneg: tuple[int, ...] = field(default=())
+    __slots__ = ("rank", "equations", "nonneg")
 
-    def __post_init__(self):
-        if self.equations.rows and self.equations.ncols != self.rank:
+    def __init__(self, rank: int, equations: IntegerMatrix, nonneg: Iterable[int]):
+        if equations.rows and equations.ncols != rank:
             raise ValueError("equation width does not match rank")
-        object.__setattr__(self, "nonneg", tuple(sorted(set(self.nonneg))))
+        self.rank, self.equations, self.nonneg = rank, equations, tuple(sorted(set(nonneg)))
 
     @staticmethod
     def nonnegative_solutions(equations: IntegerMatrix) -> "LatticeCone":

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
@@ -73,19 +72,25 @@ _INT_RE = re.compile(r"-?[0-9]+")
 _WS_RE = re.compile(r"\s*")
 
 
-@dataclass(frozen=True)
 class PolyRing:
     """An ordered list of variable names, some of which may be invertible."""
 
-    variables: tuple[str, ...]
-    invertible: frozenset[str] = field(default_factory=frozenset)
+    __slots__ = ("variables", "invertible")
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"duplicate variable names in {self.variables}")
-        unknown = set(self.invertible) - set(self.variables)
+    def __init__(self, variables: tuple[str, ...], invertible: frozenset[str] = frozenset()):
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"duplicate variable names in {variables}")
+        unknown = invertible - set(variables)
         if unknown:
             raise ValueError(f"invertible names not declared: {sorted(unknown)}")
+        self.variables, self.invertible = variables, invertible
+
+    def __eq__(self, other):
+        return (isinstance(other, PolyRing)
+                and (self.variables, self.invertible) == (other.variables, other.invertible))
+
+    def __hash__(self):
+        return hash((self.variables, self.invertible))
 
     @staticmethod
     def of(*names: str, invertible: Iterable[str] = ()) -> "PolyRing":

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import load_fixture
 from .errors import (CertificateFailed, InvalidInput, NotDivisible,
@@ -56,8 +55,7 @@ def canonical_degree(vec: Sequence[int]) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class GeneratorTable:
+class GeneratorTable(NamedTuple):
     """Named generators with exponent vectors and canonical degrees."""
 
     entries: tuple[tuple[str, tuple[int, ...], int], ...]
@@ -287,16 +285,15 @@ def split_by_lead(rel: ExactPolynomial, lead: str) -> tuple[ExactPolynomial, Exa
 # relation systems
 
 
-@dataclass(frozen=True)
 class RelationSystem:
     """Named homogeneous relations in the generator variables."""
 
-    ring: PolyRing
-    relations: tuple[tuple[str, ExactPolynomial], ...]
+    __slots__ = ("ring", "relations")
 
-    def __post_init__(self):
-        for name, rel in self.relations:
+    def __init__(self, ring: PolyRing, relations: tuple[tuple[str, ExactPolynomial], ...]):
+        for name, rel in relations:
             rel.weighted_degree(GENERATOR_DEGREES)  # raises NotHomogeneous
+        self.ring, self.relations = ring, relations
 
     def get(self, name: str) -> ExactPolynomial:
         for n, rel in self.relations:
@@ -416,20 +413,18 @@ def _weighted_monomials(degree: int, names: tuple[str, ...],
 # skew formats and certificates
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     kind: str                     # "pfaffian" | "product"
     index: tuple[int, ...]        # row subset (pfaffian) or (row,) (product)
     combo: tuple[tuple[ExactPolynomial, str], ...]  # sum of multiplier * relation
 
 
-@dataclass(frozen=True)
-class RelationFormat:
+class RelationFormat(NamedTuple):
     matrix: SkewMatrix
     vector: tuple[ExactPolynomial, ...]
     certificates: tuple[Certificate, ...]
-    modulus: ExactPolynomial | None = None
-    label: str = ""
+    modulus: ExactPolynomial | None
+    label: str
 
 
 def verify_format(fmt: RelationFormat, rels: RelationSystem) -> dict:
@@ -499,8 +494,7 @@ def load_formats() -> Mapping[str, tuple[RelationFormat, RelationSystem]]:
 # smoothing elimination
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(NamedTuple):
     identities: tuple[str, ...]
     residuals: tuple[tuple[str, ExactPolynomial, ExactPolynomial], ...]
     # (name, clearing monomial, cleared residual polynomial)
@@ -561,8 +555,7 @@ def _clearing_monomial(p: ExactPolynomial, ring: PolyRing) -> ExactPolynomial:
 # chart germs
 
 
-@dataclass(frozen=True)
-class ChartPlan:
+class ChartPlan(NamedTuple):
     chart_var: str
     eliminate: tuple[tuple[str, str], ...]   # (relation name, variable)
     germ_relation: str

@@ -9,12 +9,11 @@ independent route) or "direct" (definitional).
 from __future__ import annotations
 
 import time
-import traceback
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from . import curves as cv
 from . import rings, toric, tsing, wps
@@ -25,11 +24,10 @@ from .poly import PolyRing
 from .series import DEFAULT_ORDER
 
 
-@dataclass
-class Params:
+class Params(NamedTuple):
     seed: int = 0
     order: int = DEFAULT_ORDER
-    values: dict[str, Fraction] = field(default_factory=dict)
+    values: Mapping[str, Fraction] = MappingProxyType({})
 
     def get(self, name: str, default=None):
         return self.values.get(name, default)
@@ -42,8 +40,7 @@ def check(desc, expected, actual, provenance, anchor) -> dict:
             "provenance": provenance, "anchor": anchor, "ok": expected == actual}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     tags: tuple[str, ...]
     anchor: str
@@ -80,10 +77,14 @@ def _raised_at(exc: BaseException) -> str:
     this package (``run`` itself is the outermost, so there is always one).
     It names no line, so an edit elsewhere in the module leaves the report
     of an unchanged computation as it was."""
-    frame = [f for f in traceback.extract_tb(exc.__traceback__)
-             if Path(f.filename).resolve().is_relative_to(_PACKAGE_DIR)][-1]
-    path = Path(frame.filename).resolve().relative_to(_PACKAGE_DIR.parent)
-    return f"{path.as_posix()}:{frame.name}"
+    tb = exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if Path(code.co_filename).resolve().is_relative_to(_PACKAGE_DIR):
+            innermost = code
+        tb = tb.tb_next
+    path = Path(innermost.co_filename).resolve().relative_to(_PACKAGE_DIR.parent)
+    return f"{path.as_posix()}:{innermost.co_name}"
 
 
 def run(name: str, params: Params | None = None, timing: bool = False) -> dict:

@@ -15,7 +15,6 @@ per germ, by ``tsing.chart_germ``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InvalidInput, NotSolvable, TruncationTooShallow
@@ -25,19 +24,17 @@ from .poly import (Coeff, ExactPolynomial, PolyRing, exact_quotient, multiply_te
 DEFAULT_ORDER = 10
 
 
-@dataclass(frozen=True)
 class TruncatedSeries:
     """A polynomial known modulo terms of total degree >= order."""
 
-    poly: ExactPolynomial
-    order: int
+    __slots__ = ("poly", "order")
 
-    def __post_init__(self):
-        ring = self.poly.ring
+    def __init__(self, poly: ExactPolynomial, order: int):
+        ring = poly.ring
         if ring.invertible:
             raise InvalidInput(f"truncated series over invertible {sorted(ring.invertible)}")
-        terms = {e: c for e, c in self.poly.terms.items() if sum(e) < self.order}
-        object.__setattr__(self, "poly", ExactPolynomial.unchecked(ring, terms))
+        terms = {e: c for e, c in poly.terms.items() if sum(e) < order}
+        self.poly, self.order = ExactPolynomial.unchecked(ring, terms), order
 
     @property
     def ring(self) -> PolyRing:

@@ -46,12 +46,6 @@ class SkewMatrix:
             return self.upper.get((i, j), self.ring.zero())
         return -self.upper.get((j, i), self.ring.zero())
 
-    def pfaffian(self) -> ExactPolynomial:
-        """Pfaffian by row expansion; zero for odd size."""
-        if self.size % 2:
-            return self.ring.zero()
-        return self._pf(tuple(range(self.size)))
-
     def _pf(self, indices: tuple[int, ...]) -> ExactPolynomial:
         if not indices:
             return self.ring.one()

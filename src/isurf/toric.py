@@ -4,9 +4,8 @@ projective space."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import load_fixture
 from .errors import (CertificateFailed, InconsistentRow, InvalidInput, NotHomogeneous,
@@ -15,25 +14,24 @@ from .lattice import IntegerMatrix, gale_rays as _gale_rays
 from .poly import Coeff, ExactPolynomial, PolyRing, exact_quotient
 
 
-@dataclass(frozen=True)
 class CoxPresentation:
     """Variables, grading rows, and the components of the irrelevant ideal."""
 
-    ring: PolyRing
-    weights: IntegerMatrix
-    irrelevant: tuple[tuple[str, ...], ...]
+    __slots__ = ("ring", "weights", "irrelevant")
 
-    def __post_init__(self):
-        if self.weights.ncols != self.ring.nvars:
+    def __init__(self, ring: PolyRing, weights: IntegerMatrix,
+                 irrelevant: tuple[tuple[str, ...], ...]):
+        if weights.ncols != ring.nvars:
             raise InvalidInput("one weight column per variable required")
-        if self.weights.rank() != self.weights.nrows:
+        if weights.rank() != weights.nrows:
             raise RankDeficient("weight matrix must have full row rank")
-        for component in self.irrelevant:
+        for component in irrelevant:
             if not component:
                 raise InvalidInput("irrelevant components must be nonempty")
             for name in component:
-                if name not in self.ring.variables:
+                if name not in ring.variables:
                     raise InvalidInput(f"unknown variable {name!r} in irrelevant ideal")
+        self.ring, self.weights, self.irrelevant = ring, weights, irrelevant
 
     @staticmethod
     def of(variables: Sequence[str], weights: Sequence[Sequence[int]],
@@ -146,7 +144,6 @@ def wps_collapse(f: ExactPolynomial) -> ExactPolynomial:
 # the elliptic-surface normal form
 
 
-@dataclass(frozen=True)
 class WeierstrassModel:
     """Relative sextic z^2 = s0^3 + j s0^2 s1^2 + k s0 s1^4 + l s1^6.
 
@@ -156,17 +153,16 @@ class WeierstrassModel:
     coefficient in the displayed form (ze - theta t1^3 s0 s1) ze = rhs.
     """
 
-    ring: PolyRing
-    j: ExactPolynomial
-    k: ExactPolynomial
-    l: ExactPolynomial
+    __slots__ = ("ring", "j", "k", "l")
 
-    def __post_init__(self):
-        for poly, deg in ((self.j, 6), (self.k, 12), (self.l, 18)):
+    def __init__(self, ring: PolyRing, j: ExactPolynomial, k: ExactPolynomial,
+                 l: ExactPolynomial):
+        for poly, deg in ((j, 6), (k, 12), (l, 18)):
             if not poly.is_zero():
                 d = poly.weighted_degree({"t0": 1, "t1": 1})
                 if d != deg:
                     raise InvalidInput(f"coefficient degree {d}, expected {deg}")
+        self.ring, self.j, self.k, self.l = ring, j, k, l
 
     def equation(self) -> ExactPolynomial:
         """rhs - lhs of the double cover equation, in the five Cox variables."""
@@ -193,8 +189,7 @@ def fiber_type(theta, tau) -> str:
     return "II" if tau != 0 else "III"
 
 
-@dataclass(frozen=True)
-class NormalizedModel:
+class NormalizedModel(NamedTuple):
     """(ze - theta t1^3 s0 s1) ze = s0^3 + t0 k1 s0 s1^4 + t0 (t0 l1 + tau t1^17) s1^6."""
 
     ring: PolyRing

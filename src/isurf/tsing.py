@@ -10,11 +10,10 @@ intersections (``chart_germ``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import CertificateFailed, InvalidInput, TruncationTooShallow
 from .poly import Coeff, ExactPolynomial, PolyRing
@@ -25,17 +24,22 @@ from .series import TruncatedSeries, solve_system
 # singularity types
 
 
-@dataclass(frozen=True)
 class TSingularity:
     """Cyclic quotient 1/(d n^2) (1, d n a - 1) with gcd(a, n) = 1."""
 
-    d: int
-    n: int
-    a: int
+    __slots__ = ("d", "n", "a")
 
-    def __post_init__(self):
-        if self.d < 1 or self.n < 2 or not (0 < self.a < self.n) or gcd(self.a, self.n) != 1:
-            raise InvalidInput(f"not an admissible type: d={self.d}, n={self.n}, a={self.a}")
+    def __init__(self, d: int, n: int, a: int):
+        if d < 1 or n < 2 or not (0 < a < n) or gcd(a, n) != 1:
+            raise InvalidInput(f"not an admissible type: d={d}, n={n}, a={a}")
+        self.d, self.n, self.a = d, n, a
+
+    def __eq__(self, other):
+        return (isinstance(other, TSingularity)
+                and (self.d, self.n, self.a) == (other.d, other.n, other.a))
+
+    def __hash__(self):
+        return hash((self.d, self.n, self.a))
 
     @property
     def order(self) -> int:
@@ -44,10 +48,6 @@ class TSingularity:
     @property
     def weight(self) -> int:
         return self.d * self.n * self.a - 1
-
-    @property
-    def index(self) -> int:
-        return self.n
 
     def conjugate(self) -> "TSingularity":
         """Reversing the resolving chain inverts the weight mod d n^2, which
@@ -62,28 +62,45 @@ class TSingularity:
         return f"1/{self.order}(1,{self.weight})"
 
 
-@dataclass(frozen=True)
 class RationalDoublePoint:
     """An A_r du Val point (comes from a chain of r (-2)-curves)."""
 
-    r: int
+    __slots__ = ("r",)
+
+    def __init__(self, r: int):
+        self.r = r
+
+    def __eq__(self, other):
+        return isinstance(other, RationalDoublePoint) and self.r == other.r
+
+    def __hash__(self):
+        return hash(self.r)
 
     def __str__(self):
         return f"A_{self.r}"
 
 
-@dataclass(frozen=True)
 class SmoothPoint:
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, SmoothPoint)
+
+    def __hash__(self):
+        return 0
+
     def __str__(self):
         return "smooth"
 
 
-@dataclass(frozen=True)
 class Unrecognized:
-    reason: str = ""
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
     def __str__(self):
-        return f"unrecognized({self.reason})" if self.reason else "unrecognized"
+        return f"unrecognized({self.reason})"
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +170,7 @@ def plane_quotient(n: int, wj: int, wk: int):
 # codiscrepancies
 
 
-@dataclass(frozen=True)
-class Codiscrepancy:
+class Codiscrepancy(NamedTuple):
     """The coefficients a_i = numerators[i] / n along the chain ``entries``."""
 
     entries: tuple[int, ...]
@@ -216,36 +232,29 @@ def ktilde_squared(sings: Sequence[Sequence[int]]) -> Fraction:
 # germ classification
 
 
-@dataclass(frozen=True)
 class QuotientGerm:
     """A hypersurface germ in a three-variable cyclic quotient.
 
     ``order`` is the group order n, ``action`` the weights of the three
-    variables mod n, ``equation`` a truncated series in those variables.
+    variables mod n, ``equation`` a truncated series in those variables, and
+    ``invariance_class`` the common weight of its terms mod n.
     """
 
-    order: int
-    action: tuple[int, int, int]
-    equation: TruncatedSeries
+    __slots__ = ("order", "action", "equation", "invariance_class")
 
-    def __post_init__(self):
-        ring = self.equation.ring
-        if ring.nvars != 3:
+    def __init__(self, order: int, action: tuple[int, int, int], equation: TruncatedSeries):
+        if equation.ring.nvars != 3:
             raise InvalidInput("quotient germs live in three variables")
-        n = self.order
-        if n < 1:
+        if order < 1:
             raise InvalidInput("group order must be positive")
         classes = {
-            sum(w * e for w, e in zip(self.action, exps)) % n
-            for exps in self.equation.poly.terms
-        } if n > 1 else {0}
+            sum(w * e for w, e in zip(action, exps)) % order
+            for exps in equation.poly.terms
+        } if order > 1 else {0}
         if len(classes) > 1:
             raise InvalidInput(f"equation is not semi-invariant: classes {sorted(classes)}")
-        object.__setattr__(self, "_class", classes.pop() if classes else 0)
-
-    @property
-    def invariance_class(self) -> int:
-        return getattr(self, "_class")
+        self.order, self.action, self.equation = order, action, equation
+        self.invariance_class = classes.pop() if classes else 0
 
 
 def classify_germ(germ: QuotientGerm):

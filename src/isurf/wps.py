@@ -8,9 +8,8 @@ interpolating between the index-2 and index-3 degenerations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import load_fixture
 from .errors import InvalidInput
@@ -27,8 +26,7 @@ def _t(power: int) -> ExactPolynomial:
     return T_RING.monomial({"t": power})
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(NamedTuple):
     """numerator / prod (1 - t^w) as an exact rational function."""
 
     numerator: ExactPolynomial
@@ -62,20 +60,13 @@ class HilbertSeries:
         return out
 
 
-@dataclass(frozen=True)
-class ResolutionData:
+class ResolutionData(NamedTuple):
     """Betti degree lists of the length-five self-dual resolution."""
 
     ambient_weights: tuple[int, ...]
     socle: int
     l1: tuple[int, ...]
     l2: tuple[int, ...]
-
-    def __post_init__(self):
-        ranks = (1, len(self.l1), len(self.l2), len(self.l2), len(self.l1), 1)
-        alternating = sum(r * (-1) ** i for i, r in enumerate(ranks))
-        if alternating != 0:
-            raise InvalidInput("alternating rank sum must vanish")
 
 
 def bundled_resolution() -> ResolutionData:
@@ -95,8 +86,7 @@ def hilbert_series_from_resolution(res: ResolutionData) -> HilbertSeries:
     return HilbertSeries(num, res.ambient_weights)
 
 
-@dataclass(frozen=True)
-class HypersurfaceInvariants:
+class HypersurfaceInvariants(NamedTuple):
     canonical_degree: int
     k_squared: Fraction
     series: HilbertSeries
@@ -173,8 +163,7 @@ def generic_f10(seed: int) -> ExactPolynomial:
     return seeded_form(FAMILY_RING, monos, seed, "f10")
 
 
-@dataclass(frozen=True)
-class TwoSingularityFamily:
+class TwoSingularityFamily(NamedTuple):
     """x0 y = x1^3 + mu u  and  z^2 = nu y^5 + f10(x0, x1, y, u)."""
 
     eq1: ExactPolynomial

@@ -3,6 +3,7 @@ or imports anything outside the standard library, and every defaulted
 parameter of a package function is passed by some caller."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -177,3 +178,12 @@ def test_checker_sees_positional_keyword_and_star_passes():
                "n": "f(0)\nK().m(**{})\n"}
     assert unused_defaults(package, []) == ["m.K.__init__(q)", "m.f(c)", "m.g(y)"]
     assert unused_defaults(package, ["g(1, 2)\nf(1, c=3)\nK(q=1)\n"]) == []
+
+
+def test_a_fresh_cli_import_loads_no_dataclasses_inspect_or_traceback():
+    """Each ``isurf --all`` run is a fresh process that pays for every module
+    it imports; the package needs none of these three."""
+    code = ("import sys, isurf.cli\n"
+            "print(*(m for m in ('dataclasses', 'inspect', 'traceback') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []

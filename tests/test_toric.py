@@ -40,7 +40,7 @@ def test_toric_blowup_chain_and_errors():
                                toric.intermediate_irrelevant())
     full = toric.toric_blowup(inter, "e", (1, 0, 0, 0, 1, 1, -1),
                               toric.FTILDE_IRRELEVANT)
-    assert full.weights == toric.FTILDE_PRESENTATION.weights
+    assert full.weights.rows == toric.FTILDE_PRESENTATION.weights.rows
     assert full.ring.variables == toric.FTILDE_VARS
     with pytest.raises(InconsistentRow):
         toric.toric_blowup(toric.F_PRESENTATION, "c", (0, 0, 0, 0, 0, 0),

@@ -13,10 +13,13 @@ def test_resolution_fixture_counts():
     assert res.ambient_weights == (1, 1, 2, 3, 4, 4, 5, 7)
 
 
-def test_resolution_alternating_rank_sum_vanishes():
+def test_series_from_resolution_rejects_a_wrong_betti_degree():
+    """Negative control: with the last degree of L2 moved from 19 to 17 the
+    resolution no longer gives the footnote's series."""
     res = wps.bundled_resolution()
-    ranks = (1, len(res.l1), len(res.l2), len(res.l2), len(res.l1), 1)
-    assert sum(r * (-1) ** i for i, r in enumerate(ranks)) == 0
+    assert res.l2[-1] == 19
+    wrong = res._replace(l2=res.l2[:-1] + (17,))
+    assert not wps.hilbert_series_from_resolution(wrong).equals(wps.footnote_series())
 
 
 def test_series_from_resolution_equals_footnote():
