@@ -9,6 +9,7 @@ scripts replay contraction sequences step by step.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import load_fixture
@@ -29,10 +30,10 @@ class Curve(NamedTuple):
 
 
 class CurveConfiguration:
-    __slots__ = ("curves", "incidence", "minimal_model", "kodaira_dimension_one")
+    __slots__ = ("curves", "incidence", "minimal_model")
 
     def __init__(self, curves: tuple[Curve, ...], incidence: Iterable[tuple[str, str, int]],
-                 minimal_model: bool = False, kodaira_dimension_one: bool = True):
+                 minimal_model: bool):
         names = [c.name for c in curves]
         if len(set(names)) != len(names):
             raise InvalidInput("duplicate curve names")
@@ -51,7 +52,7 @@ class CurveConfiguration:
             if m > 0:
                 norm.append((key[0], key[1], int(m)))
         self.curves, self.incidence = curves, tuple(sorted(norm))
-        self.minimal_model, self.kodaira_dimension_one = minimal_model, kodaira_dimension_one
+        self.minimal_model = minimal_model
 
     # -- access ----------------------------------------------------------
 
@@ -110,57 +111,36 @@ class CurveConfiguration:
                 m = self.pairing(na, nb) + mult[na] * mult[nb]
                 if m:
                     new_inc.append((na, nb, m))
-        return CurveConfiguration(tuple(new_curves), new_inc, self.minimal_model,
-                                  self.kodaira_dimension_one)
+        return CurveConfiguration(tuple(new_curves), new_inc, self.minimal_model)
 
     # -- rules -------------------------------------------------------------
 
-    def check_rules(self) -> list[dict]:
-        """All rule violations present in the configuration."""
-        violations = []
-        minus_one = [c for c in self.curves if c.self_int == -1 and c.pa == 0]
-        if self.kodaira_dimension_one:
-            for i in range(len(minus_one)):
-                for j in range(i + 1, len(minus_one)):
-                    if self.pairing(minus_one[i].name, minus_one[j].name) > 0:
-                        violations.append({
-                            "rule": "disjoint-(-1)-curves",
-                            "curves": [minus_one[i].name, minus_one[j].name],
-                            "detail": "two meeting (-1)-curves on a surface "
-                                      "of nonnegative Kodaira dimension",
-                        })
+    def check_rules(self) -> list[str]:
+        """The names of the rules the configuration violates, on a surface of
+        Kodaira dimension one."""
+        violated = []
+        minus_one = [c.name for c in self.curves if c.self_int == -1 and c.pa == 0]
+        # two (-1)-curves meet on a surface of nonnegative Kodaira dimension
+        if any(self.pairing(a, b) > 0 for a, b in combinations(minus_one, 2)):
+            violated.append("disjoint-(-1)-curves")
         if self.minimal_model:
-            for c in self.curves:
-                if c.k_degree() < 0:
-                    violations.append({
-                        "rule": "nef-canonical",
-                        "curves": [c.name],
-                        "detail": f"K.{c.name} = {c.k_degree()} < 0 on a minimal model",
-                    })
-            fibers = [c for c in self.curves if c.k_degree() == 0 and c.pa == 1]
-            for f in fibers:
-                for c in self.curves:
-                    if c.name != f.name and c.k_degree() == 0 and c.pa == 0 \
-                            and self.pairing(f.name, c.name) > 0:
-                        violations.append({
-                            "rule": "full-fiber",
-                            "curves": [f.name, c.name],
-                            "detail": "a K-trivial genus-one curve is a whole fiber "
-                                      "and cannot meet another K-trivial curve",
-                        })
-        if self.kodaira_dimension_one and not self.minimal_model:
+            # K.C < 0 for some curve C on a minimal model
+            if any(c.k_degree() < 0 for c in self.curves):
+                violated.append("nef-canonical")
+            # a K-trivial genus-one curve is a whole fiber and cannot meet
+            # another K-trivial curve
+            fibers = [c.name for c in self.curves if c.k_degree() == 0 and c.pa == 1]
+            if any(self.pairing(f, c.name) > 0 for f in fibers for c in self.curves
+                   if c.name != f and c.k_degree() == 0 and c.pa == 0):
+                violated.append("full-fiber")
+        else:
+            # a (-2)-curve surviving to the minimal model meets the
+            # contraction locus
             eps = [c.name for c in self.curves if "eps-exceptional" in c.roles]
-            for c in self.curves:
-                if c.self_int == -2 and c.pa == 0 and "eps-exceptional" not in c.roles:
-                    hits = sum(self.pairing(c.name, e) for e in eps)
-                    if hits > 0:
-                        violations.append({
-                            "rule": "minus-two-off-exceptional",
-                            "curves": [c.name],
-                            "detail": "a (-2)-curve surviving to the minimal model "
-                                      "meets the contraction locus",
-                        })
-        return violations
+            if any(sum(self.pairing(c.name, e) for e in eps) > 0 for c in self.curves
+                   if c.self_int == -2 and c.pa == 0 and "eps-exceptional" not in c.roles):
+                violated.append("minus-two-off-exceptional")
+        return violated
 
 
 def config_from_dict(data: Mapping) -> CurveConfiguration:
@@ -170,11 +150,7 @@ def config_from_dict(data: Mapping) -> CurveConfiguration:
         codisc=None if c.get("codisc") in (None, "") else Fraction(c["codisc"]),
     ) for c in data["curves"])
     incidence = tuple((a, b, int(m)) for a, b, m in data["incidence"])
-    return CurveConfiguration(
-        curves, incidence,
-        minimal_model=bool(data.get("minimal_model", False)),
-        kodaira_dimension_one=bool(data.get("kodaira_dimension_one", True)),
-    )
+    return CurveConfiguration(curves, incidence, False)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +159,7 @@ def config_from_dict(data: Mapping) -> CurveConfiguration:
 
 def enumerate_gamma_profiles(chains: Sequence[Sequence[int]],
                              kx_bounds: tuple[Fraction, Fraction],
-                             incidence_caps: Mapping[str, int] | None = None
+                             incidence_caps: Mapping[str, int]
                              ) -> list[dict[str, Fraction | dict]]:
     """Nonnegative incidence patterns of a (-1)-curve with the chain curves
     whose induced canonical degree lies within the bounds.
@@ -194,7 +170,7 @@ def enumerate_gamma_profiles(chains: Sequence[Sequence[int]],
     upper bound; an uncapped curve of coefficient 0 raises InvalidInput.
     """
     lo, hi = Fraction(kx_bounds[0]), Fraction(kx_bounds[1])
-    caps = dict(incidence_caps or {})
+    caps = dict(incidence_caps)
     menu: list[tuple[str, Fraction]] = []
     for j, chain in enumerate(chains, start=1):
         coeffs = codiscrepancy(chain).coefficients
@@ -235,8 +211,8 @@ def enumerate_gamma_profiles(chains: Sequence[Sequence[int]],
 def replay_script(cfg: CurveConfiguration, script: Sequence[Mapping]) -> dict:
     """Execute blow-down / flag / check steps; report the verdict.
 
-    Returns {"verdict": "contradiction" | "survives", "violations": [...],
-    "final": configuration}.  Illegal steps raise IllegalStep.
+    Returns {"verdict": "contradiction" | "survives", "violations": [rule
+    names], "final": configuration}.  Illegal steps raise IllegalStep.
     """
     current = cfg
     for step in script:
@@ -247,8 +223,7 @@ def replay_script(cfg: CurveConfiguration, script: Sequence[Mapping]) -> dict:
             except (NotContractible, KeyError) as exc:
                 raise IllegalStep(f"blow_down {step.get('curve')}: {exc}") from exc
         elif op == "set_minimal":
-            current = CurveConfiguration(current.curves, current.incidence, True,
-                                         current.kodaira_dimension_one)
+            current = CurveConfiguration(current.curves, current.incidence, True)
         elif op == "check":
             violations = current.check_rules()
             if violations:

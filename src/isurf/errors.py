@@ -28,16 +28,12 @@ class TruncationTooShallow(IsurfError):
 
 
 class NotHomogeneous(IsurfError):
-    def __init__(self, message: str, offending=None):
+    def __init__(self, message: str, offending: tuple):
         super().__init__(message)
-        self.offending = offending or ()
+        self.offending = offending
 
 
 class RankDeficient(IsurfError):
-    pass
-
-
-class NotPointed(IsurfError):
     pass
 
 

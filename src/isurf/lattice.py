@@ -2,9 +2,10 @@
 
 Hermite normal form with transformation, saturated kernel bases with a
 deterministic sign convention, Gale-dual ray generators for grading
-matrices, and Hilbert bases of pointed rational cones: the extreme rays by
-double description and the points of the half-open fundamental
-parallelepipeds of a placing triangulation, less the reducible ones.
+matrices, and Hilbert bases of the nonnegative solutions of integer
+equations: the extreme rays by double description and the points of the
+half-open fundamental parallelepipeds of a placing triangulation, less the
+reducible ones.
 Integer arithmetic throughout; IntegerMatrix checks what callers pass in,
 and the stages in between pass plain rows.
 """
@@ -16,7 +17,7 @@ from itertools import combinations, product
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .errors import InvalidInput, NotPointed, RankDeficient
+from .errors import InvalidInput, RankDeficient
 
 Vec = tuple[int, ...]
 
@@ -107,7 +108,7 @@ def _kernel(rows: Sequence[Sequence[int]], width: int) -> list[Vec]:
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     """Rows form an HNF-canonical Z-basis of {v : A v = 0}; rows primitive."""
-    return IntegerMatrix.of(_kernel(a.rows, a.ncols))
+    return IntegerMatrix(_kernel(a.rows, a.ncols))
 
 
 def unimodular_normal_form(vectors: Sequence[Sequence[int]]) -> list[Vec]:
@@ -147,19 +148,18 @@ def gale_rays(weights: IntegerMatrix) -> list[Vec]:
 
 
 class LatticeCone:
-    """{v in Z^n : equations * v = 0, v_i >= 0 for i in nonneg}."""
+    """{v in Z^n : equations * v = 0, v >= 0}."""
 
-    __slots__ = ("rank", "equations", "nonneg")
+    __slots__ = ("rank", "equations")
 
-    def __init__(self, rank: int, equations: IntegerMatrix, nonneg: Iterable[int]):
+    def __init__(self, rank: int, equations: IntegerMatrix):
         if equations.rows and equations.ncols != rank:
             raise ValueError("equation width does not match rank")
-        self.rank, self.equations, self.nonneg = rank, equations, tuple(sorted(set(nonneg)))
+        self.rank, self.equations = rank, equations
 
     @staticmethod
     def nonnegative_solutions(equations: IntegerMatrix) -> "LatticeCone":
-        n = equations.ncols
-        return LatticeCone(n, equations, tuple(range(n)))
+        return LatticeCone(equations.ncols, equations)
 
     @staticmethod
     def ray_preimage(mapping: IntegerMatrix, ray: Sequence[int]) -> "LatticeCone":
@@ -181,11 +181,10 @@ class LatticeCone:
                                "so v >= 0 does not keep mapping*v on the side of the ray")
         eqs = [tuple(ray[p] * a - ray[i] * b for a, b in zip(mapping.rows[i], mapping.rows[p]))
                for i in range(mapping.nrows) if i != p]
-        n = mapping.ncols
-        return LatticeCone(n, IntegerMatrix.of(eqs), tuple(range(n)))
+        return LatticeCone(mapping.ncols, IntegerMatrix(eqs))
 
     def contains(self, v: Sequence[int]) -> bool:
-        return len(v) == self.rank and all(v[i] >= 0 for i in self.nonneg) \
+        return len(v) == self.rank and all(x >= 0 for x in v) \
             and all(_dot(row, v) == 0 for row in self.equations.rows)
 
 
@@ -197,8 +196,7 @@ def _project(v: Vec, w: Vec, i: int) -> Vec:
 
 
 def extreme_rays(cone: LatticeCone) -> list[Vec]:
-    """The primitive generators of the one-dimensional faces, sorted;
-    NotPointed if the cone contains a line.
+    """The primitive generators of the one-dimensional faces, sorted.
 
     Double description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
     Prodon 1996): the cone starts as the kernel of the equations, all of it
@@ -207,12 +205,14 @@ def extreme_rays(cone: LatticeCone) -> list[Vec]:
     other lineality vectors and the rays are projected along it to x_i = 0.
     Otherwise the rays with x_i >= 0 stay, and each pair of rays with x_i > 0
     and x_i < 0 adds its combination at x_i = 0 if the two are adjacent: no
-    third ray is zero on every added constraint on which both are zero.
+    third ray is zero on every added constraint on which both are zero.  A
+    lineality vector left at the end would be 0 at every coordinate, so none
+    is: the cone holds no line.
     """
     lines = _kernel(cone.equations.rows, cone.rank)
     rays: list[tuple[Vec, int]] = []  # a ray, and the bit set of the added constraints it is 0 on
-    for k, i in enumerate(cone.nonneg):
-        bit = 1 << k
+    for i in range(cone.rank):
+        bit = 1 << i
         moving = [j for j, v in enumerate(lines) if v[i]]
         if moving:
             ray = lines.pop(moving[0])
@@ -230,8 +230,6 @@ def extreme_rays(cone: LatticeCone) -> list[Vec]:
                 if sum(1 for _, zeros in rays if zeros & common == common) == 2:
                     kept.append((_project(q, p, i), common | bit))
         rays = kept
-    if lines:
-        raise NotPointed("cone contains a line")
     return sorted(r for r, _ in rays)
 
 
@@ -243,8 +241,7 @@ MAX_LATTICE_INDEX = 5_000
 
 
 def hilbert_basis(cone: LatticeCone) -> list[Vec]:
-    """Minimal generating set of the monoid cone ∩ Z^n, sorted canonically;
-    NotPointed if the cone contains a line.
+    """Minimal generating set of the monoid cone ∩ Z^n, sorted canonically.
 
     The extreme rays are written in a basis of the lattice L = span(rays) ∩
     Z^n and triangulated by placing.  Every point of the monoid is a
@@ -262,32 +259,32 @@ def hilbert_basis(cone: LatticeCone) -> list[Vec]:
         return []
     lattice = _kernel(_kernel(rays, n), n)
     coords = [_coordinates(lattice, r) for r in rays]
-    simplices = [(simplex, [row[j] for j, row in enumerate(_hnf([coords[i] for i in simplex]))])
-                 for simplex in _placing_triangulation(coords)]
-    index = sum(prod(diagonal) for _, diagonal in simplices)
+    simplices = [(simplex, normals,
+                  [row[j] for j, row in enumerate(_hnf([coords[i] for i in simplex]))])
+                 for simplex, normals in _placing_triangulation(coords)]
+    index = sum(prod(diagonal) for _, _, diagonal in simplices)
     if index > MAX_LATTICE_INDEX:
         raise InvalidInput(f"hilbert basis: the triangulation has index {index}, "
                            f"above the cap {MAX_LATTICE_INDEX}")
     candidates = set(rays)
-    for simplex, diagonal in simplices:
-        candidates.update(_parallelepiped(
-            [rays[i] for i in simplex], [coords[i] for i in simplex], diagonal))
+    for simplex, normals, diagonal in simplices:
+        candidates.update(_parallelepiped([rays[i] for i in simplex], normals, diagonal))
     candidates.discard((0,) * n)
     return sorted(_irreducible(cone, candidates), key=lambda v: (sum(v), v))
 
 
 def _irreducible(cone: LatticeCone, candidates: Iterable[Vec]) -> list[Vec]:
-    """The candidates that are no sum of two nonzero points of the pointed
-    cone, given that they include every such point of lower degree.
+    """The candidates that are no sum of two nonzero points of the cone,
+    given that they include every such point of lower degree.
 
-    The degree, the sum over the sign-constrained coordinates, is positive
-    on every nonzero point of a pointed cone, so a reducible v is h plus a
-    cone point for an irreducible h of at most half its degree.  Taken by
+    The degree, the sum of the coordinates, is positive on every nonzero
+    point of the cone, so a reducible v is h plus a cone point for an
+    irreducible h of at most half its degree.  Taken by
     increasing degree, v is tested only against the kept irreducibles up to
     that bound (Bruns & Ichim, J. Algebra 324, 2010).
     """
     kept: list[tuple[int, Vec]] = []
-    for degree, v in sorted((sum(v[i] for i in cone.nonneg), v) for v in candidates):
+    for degree, v in sorted((sum(v), v) for v in candidates):
         for low, h in kept:
             if 2 * low > degree:
                 kept.append((degree, v))
@@ -325,9 +322,10 @@ def _facet_normal(points: Sequence[Vec], facet: Sequence[int], apex: int) -> tup
     return tuple(sign * x for x in normal), abs(height)
 
 
-def _placing_triangulation(points: Sequence[Vec]) -> list[tuple[int, ...]]:
+def _placing_triangulation(points: Sequence[Vec]) -> list[tuple[tuple[int, ...], list]]:
     """Simplices (sorted index tuples) of a placing triangulation of the cone
-    spanned by the points, which span Z^d rationally.
+    spanned by the points, which span Z^d rationally, each with the normals
+    and heights of its facets, the k-th opposite its k-th point.
 
     The first simplex takes the first independent points in order; each
     further point is joined to every boundary facet it lies strictly beyond.
@@ -337,33 +335,36 @@ def _placing_triangulation(points: Sequence[Vec]) -> list[tuple[int, ...]]:
     for i, p in enumerate(points):
         if len(first) < d and _rank([points[j] for j in first] + [p]) > len(first):
             first.append(i)
-    simplices = [tuple(first)]
+
+    def placed(s: tuple[int, ...]):
+        return s, [_facet_normal(points, s[:k] + s[k + 1:], s[k]) for k in range(d)]
+
+    simplices = [placed(tuple(first))]
     for i, p in enumerate(points):
         if i in first:
             continue
-        shared = Counter(f for s in simplices for f in combinations(s, d - 1))
+        shared = Counter(f for s, _ in simplices for f in combinations(s, d - 1))
         beyond = []
-        for s in simplices:
+        for s, normals in simplices:
             for k in range(d):
                 facet = s[:k] + s[k + 1:]
-                if shared[facet] == 1 and _dot(_facet_normal(points, facet, s[k])[0], p) < 0:
-                    beyond.append(tuple(sorted(facet + (i,))))
+                if shared[facet] == 1 and _dot(normals[k][0], p) < 0:
+                    beyond.append(placed(tuple(sorted(facet + (i,)))))
         simplices += beyond
     return simplices
 
 
-def _parallelepiped(rays: Sequence[Vec], coords: Sequence[Vec],
+def _parallelepiped(rays: Sequence[Vec], facets: Sequence[tuple[Vec, int]],
                     diagonal: Sequence[int]) -> list[Vec]:
-    """The points sum lam_i rays_i with 0 <= lam_i < 1 in the lattice L, for
-    rays with L-coordinates coords, one per class of L/<rays>.
+    """The points sum lam_i rays_i with 0 <= lam_i < 1 in the lattice L, one
+    per class of L/<rays>, for a simplex whose facets in L-coordinates are
+    given as (normal, height), the i-th opposite ray i.
 
     The classes are represented by the box of the Hermite normal form's
     diagonal; lam_i of a class is <n_i, y>/h_i with n_i the normal of the
     facet opposite ray i and h_i its height, so the point is
     sum ((<n_i, y> mod h_i) * (D/h_i)) rays_i / D with D = lcm(h_i).
     """
-    d = len(coords)
-    facets = [_facet_normal(coords, [j for j in range(d) if j != i], i) for i in range(d)]
     denominator = lcm(*(h for _, h in facets))
     columns = list(zip(*rays))
     out = []

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import inf, lcm
 from operator import add, itemgetter, mul
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import InvalidInput, NotDivisible, ParseError, UndeclaredIdentifier
 
@@ -77,7 +77,7 @@ class PolyRing:
 
     __slots__ = ("variables", "invertible")
 
-    def __init__(self, variables: tuple[str, ...], invertible: frozenset[str] = frozenset()):
+    def __init__(self, variables: tuple[str, ...], invertible: frozenset[str]):
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variable names in {variables}")
         unknown = invertible - set(variables)
@@ -93,8 +93,8 @@ class PolyRing:
         return hash((self.variables, self.invertible))
 
     @staticmethod
-    def of(*names: str, invertible: Iterable[str] = ()) -> "PolyRing":
-        return PolyRing(tuple(names), frozenset(invertible))
+    def of(*names: str) -> "PolyRing":
+        return PolyRing(tuple(names), frozenset())
 
     @property
     def nvars(self) -> int:

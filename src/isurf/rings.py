@@ -18,7 +18,6 @@ from .errors import (CertificateFailed, InvalidInput, NotDivisible,
                      NotFactorable, NotInvertible, NotLinear)
 from .lattice import IntegerMatrix, LatticeCone, hilbert_basis
 from .poly import ExactPolynomial, PolyRing
-from .series import DEFAULT_ORDER
 from .skew import SkewMatrix
 from .tsing import chart_germ
 from . import toric
@@ -27,7 +26,7 @@ _GEN = load_fixture("generators.json")
 _REL = load_fixture("relations.json")
 
 AMBIENT_VARS = tuple(_GEN["ambient"])
-AMBIENT_GRADING = IntegerMatrix.of(_GEN["grading"])
+AMBIENT_GRADING = IntegerMatrix(_GEN["grading"])
 CANONICAL_RAY = tuple(_GEN["ray"])
 GENERATOR_ORDER = tuple(entry[0] for entry in _GEN["generators"])
 GENERATOR_VECTORS = {entry[0]: tuple(entry[1]) for entry in _GEN["generators"]}
@@ -122,7 +121,7 @@ def seeded_form(ring: PolyRing, monomials: Sequence[Mapping[str, int]],
     return ring.from_terms({ring.exponents(m): c for m, c in zip(monomials, coeffs)})
 
 
-def relative_sextic(ring: PolyRing, seed: int = 0) -> ExactPolynomial:
+def relative_sextic(ring: PolyRing, seed: int) -> ExactPolynomial:
     """The relative sextic (rhs - lhs) over ``ring``, strict-transformed by the
     blowups whose exceptional variables c and e the ring has (1 when absent).
 
@@ -141,12 +140,12 @@ def relative_sextic(ring: PolyRing, seed: int = 0) -> ExactPolynomial:
     return rhs - lhs
 
 
-def parent_equation(seed: int = 0) -> ExactPolynomial:
+def parent_equation(seed: int) -> ExactPolynomial:
     """The relative sextic before blowing up, five Cox variables."""
     return relative_sextic(PolyRing.of(*toric.F_VARS, "theta", "tau"), seed)
 
 
-def double_blowup_equation(seed: int = 0) -> ExactPolynomial:
+def double_blowup_equation(seed: int) -> ExactPolynomial:
     """The proper transform of the relative sextic after the two blowups."""
     return relative_sextic(PolyRing.of(*toric.FTILDE_VARS, "theta", "tau"), seed)
 
@@ -160,7 +159,7 @@ def _binary_form_at(x: ExactPolynomial, y: ExactPolynomial,
     return total
 
 
-def ambient_surface_equation(seed: int = 0) -> ExactPolynomial:
+def ambient_surface_equation(seed: int) -> ExactPolynomial:
     """The double-blowup equation pushed into the fifth-root extension:
     s1 -> al^5, t0 -> be^5, c -> ga^5."""
     eq = double_blowup_equation(seed)
@@ -175,12 +174,10 @@ def ambient_surface_equation(seed: int = 0) -> ExactPolynomial:
 # monomial factorisation over the generator monoid
 
 
-def factor_over_generators(vec: Sequence[int], table: GeneratorTable | None = None
-                           ) -> dict[str, int] | None:
+def factor_over_generators(vec: Sequence[int], table: GeneratorTable) -> dict[str, int] | None:
     """Deterministic factorisation of an ambient exponent vector as a product
     of generator monomials: depth-first over generators in declared order,
     indices non-decreasing along a factorisation."""
-    table = table or expected_generator_table()
     gens = [(name, table.vector(name)) for name in table.names()]
     memo: dict[tuple[tuple[int, ...], int], dict[str, int] | None] = {}
 
@@ -336,8 +333,7 @@ def lam_theta_relations() -> RelationSystem:
     return _load_system("lam_theta")
 
 
-def r14_rewritten(ring: PolyRing | None = None) -> ExactPolynomial:
-    ring = ring or generator_ring("theta", "tau")
+def r14_rewritten(ring: PolyRing) -> ExactPolynomial:
     return ring.parse(_REL["standard"]["r14_rewritten"])
 
 
@@ -578,7 +574,7 @@ CHARTS = {
 }
 
 
-def chart_singularity(rels: RelationSystem, chart: ChartPlan, order: int = DEFAULT_ORDER):
+def chart_singularity(rels: RelationSystem, chart: ChartPlan, order: int):
     """Classify the local germ of the surface at a coordinate point.
 
     The relations must already be fully specialized (numeric parameters, P
@@ -591,7 +587,7 @@ def chart_singularity(rels: RelationSystem, chart: ChartPlan, order: int = DEFAU
                       chart.eliminate, chart.germ_relation, chart.local_vars, order)
 
 
-def specialize_standard(theta, tau, seed: int = 0) -> RelationSystem:
+def specialize_standard(theta, tau, seed: int) -> RelationSystem:
     """The fourteen relations with numeric parameters and P expanded."""
     rels = standard_relations()
     plain = generator_ring(with_p=False)

@@ -12,7 +12,6 @@ import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
-from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from . import curves as cv
@@ -21,13 +20,12 @@ from .errors import NotDivisible, NotFactorable, UnknownScenario
 from .lattice import (IntegerMatrix, gale_rays as lattice_gale_rays, kernel_basis,
                       unimodular_normal_form)
 from .poly import PolyRing
-from .series import DEFAULT_ORDER
 
 
 class Params(NamedTuple):
-    seed: int = 0
-    order: int = DEFAULT_ORDER
-    values: Mapping[str, Fraction] = MappingProxyType({})
+    seed: int
+    order: int
+    values: Mapping[str, Fraction]
 
     def get(self, name: str, default=None):
         return self.values.get(name, default)
@@ -87,9 +85,8 @@ def _raised_at(exc: BaseException) -> str:
     return f"{path.as_posix()}:{innermost.co_name}"
 
 
-def run(name: str, params: Params | None = None, timing: bool = False) -> dict:
+def run(name: str, params: Params, timing: bool) -> dict:
     runner = find_scenario(name).runner
-    params = params or Params()
     start = time.monotonic()
     status = "pass"
     try:
@@ -252,14 +249,12 @@ def _gale(params: Params) -> list[dict]:
     ve = tuple(a + b + c for a, b, c in zip(rays["t0"], rays["ze"], rays["c"]))
     out.append(check("v_e = v_t0 + v_ze + v_c", rays["e"], ve,
                      "reference", "second blowup ray relation"))
-    p2 = lattice_gale_rays(IntegerMatrix.of([[1, 1, 1]]))
+    p2 = lattice_gale_rays(IntegerMatrix([[1, 1, 1]]))
     out.append(check("projective plane rays sum to zero", "(0, 0)",
                      tuple(sum(c) for c in zip(*p2)), "direct",
                      "rank-one grading"))
-    inter = toric.toric_blowup(toric.F_PRESENTATION, "c", (2, 0, 0, 1, 1, -1),
-                               toric.intermediate_irrelevant())
-    full = toric.toric_blowup(inter, "e", (1, 0, 0, 0, 1, 1, -1),
-                              toric.FTILDE_IRRELEVANT)
+    inter = toric.toric_blowup(toric.F_PRESENTATION, "c", (2, 0, 0, 1, 1, -1))
+    full = toric.toric_blowup(inter, "e", (1, 0, 0, 0, 1, 1, -1))
     out.append(check("two blowups rebuild the bundled grading",
                      toric.FTILDE_PRESENTATION.weights.rows, full.weights.rows,
                      "reference", "extended grading matrix"))
@@ -270,10 +265,10 @@ def _gale(params: Params) -> list[dict]:
     out.append(check("old rays change by one unimodular transform under blowup",
                      True, same, "derived", "ray lattice comparison"))
     out.append(check("kernel of [[1, 1]]", ((1, -1),),
-                     kernel_basis(IntegerMatrix.of([[1, 1]])).rows, "direct",
+                     kernel_basis(IntegerMatrix([[1, 1]])).rows, "direct",
                      "rank-one kernel"))
     out.append(check("kernel of the identity is empty", (),
-                     kernel_basis(IntegerMatrix.of([[1, 0], [0, 1]])).rows,
+                     kernel_basis(IntegerMatrix([[1, 0], [0, 1]])).rows,
                      "direct", "trivial kernel"))
     return out
 
@@ -728,8 +723,8 @@ def _no52(params: Params) -> list[dict]:
                      "canonical degree of the exceptional curve"))
     for key, entry in cv.load_profile_scripts().items():
         result = cv.replay_script(entry["configuration"], entry["script"])
-        rules = sorted({v["rule"] for v in result["violations"]})
-        ok = result["verdict"] == "contradiction" and entry["expected_rule"] in rules
+        ok = result["verdict"] == "contradiction" \
+            and entry["expected_rule"] in result["violations"]
         out.append(check(f"profile ({key}) script reaches its contradiction",
                          True, ok, "reference",
                          f"case ({key}) of the argument"))

@@ -15,32 +15,20 @@ from .poly import Coeff, ExactPolynomial, PolyRing, exact_quotient
 
 
 class CoxPresentation:
-    """Variables, grading rows, and the components of the irrelevant ideal."""
+    """Variables and grading rows."""
 
-    __slots__ = ("ring", "weights", "irrelevant")
+    __slots__ = ("ring", "weights")
 
-    def __init__(self, ring: PolyRing, weights: IntegerMatrix,
-                 irrelevant: tuple[tuple[str, ...], ...]):
+    def __init__(self, ring: PolyRing, weights: IntegerMatrix):
         if weights.ncols != ring.nvars:
             raise InvalidInput("one weight column per variable required")
         if weights.rank() != weights.nrows:
             raise RankDeficient("weight matrix must have full row rank")
-        for component in irrelevant:
-            if not component:
-                raise InvalidInput("irrelevant components must be nonempty")
-            for name in component:
-                if name not in ring.variables:
-                    raise InvalidInput(f"unknown variable {name!r} in irrelevant ideal")
-        self.ring, self.weights, self.irrelevant = ring, weights, irrelevant
+        self.ring, self.weights = ring, weights
 
     @staticmethod
-    def of(variables: Sequence[str], weights: Sequence[Sequence[int]],
-           irrelevant: Sequence[Sequence[str]]) -> "CoxPresentation":
-        return CoxPresentation(
-            PolyRing.of(*variables),
-            IntegerMatrix.of(weights),
-            tuple(tuple(c) for c in irrelevant),
-        )
+    def of(variables: Sequence[str], weights: Sequence[Sequence[int]]) -> "CoxPresentation":
+        return CoxPresentation(PolyRing.of(*variables), IntegerMatrix(weights))
 
 
 def multidegree(f: ExactPolynomial, cox: CoxPresentation | IntegerMatrix) -> tuple[int, ...]:
@@ -64,8 +52,7 @@ def gale_rays(cox: CoxPresentation) -> dict[str, tuple[int, ...]]:
     return dict(zip(cox.ring.variables, rays))
 
 
-def toric_blowup(cox: CoxPresentation, new_var: str, new_row: Sequence[int],
-                 new_irrelevant: Sequence[Sequence[str]]) -> CoxPresentation:
+def toric_blowup(cox: CoxPresentation, new_var: str, new_row: Sequence[int]) -> CoxPresentation:
     """Extend a presentation by one variable and one grading row.
 
     The new row lists nonnegative multiplicities on the old variables (the
@@ -84,7 +71,7 @@ def toric_blowup(cox: CoxPresentation, new_var: str, new_row: Sequence[int],
         raise InconsistentRow(f"variable {new_var!r} already present")
     variables = cox.ring.variables + (new_var,)
     rows = [tuple(r) + (0,) for r in cox.weights.rows] + [new_row]
-    return CoxPresentation.of(variables, rows, new_irrelevant)
+    return CoxPresentation.of(variables, rows)
 
 
 def blowup_transform(f: ExactPolynomial, substitution: Mapping[str, ExactPolynomial],
@@ -101,30 +88,17 @@ def blowup_transform(f: ExactPolynomial, substitution: Mapping[str, ExactPolynom
 
 _TORIC = load_fixture("toric.json")
 
-F_PRESENTATION = CoxPresentation.of(**{
-    "variables": _TORIC["base"]["vars"],
-    "weights": _TORIC["base"]["weights"],
-    "irrelevant": _TORIC["base"]["irrelevant"],
-})
-FTILDE_PRESENTATION = CoxPresentation.of(**{
-    "variables": _TORIC["double_blowup"]["vars"],
-    "weights": _TORIC["double_blowup"]["weights"],
-    "irrelevant": _TORIC["double_blowup"]["irrelevant"],
-})
+F_PRESENTATION = CoxPresentation.of(_TORIC["base"]["vars"], _TORIC["base"]["weights"])
+FTILDE_PRESENTATION = CoxPresentation.of(_TORIC["double_blowup"]["vars"],
+                                         _TORIC["double_blowup"]["weights"])
 F_VARS = F_PRESENTATION.ring.variables
 FTILDE_VARS = FTILDE_PRESENTATION.ring.variables
-FTILDE_IRRELEVANT = FTILDE_PRESENTATION.irrelevant
 
 # the same grading after the unimodular change that sends s1, t0, c, e to the
 # standard basis; under it the last row reads off weighted-projective degrees
-SHIFTED_WEIGHTS = IntegerMatrix.of(_TORIC["shifted_weights"])
+SHIFTED_WEIGHTS = IntegerMatrix(_TORIC["shifted_weights"])
 
 WPS_WEIGHTS = {"e": 1, "t1": 3, "s0": 17, "ze": 25}
-
-
-def intermediate_irrelevant() -> tuple[tuple[str, ...], ...]:
-    """Irrelevant components for the single-blowup presentation (no e)."""
-    return tuple(c for c in FTILDE_IRRELEVANT if "e" not in c)
 
 
 def wps_collapse(f: ExactPolynomial) -> ExactPolynomial:

@@ -15,7 +15,6 @@ from . import load_fixture
 from .errors import InvalidInput
 from .poly import Coeff, ExactPolynomial, PolyRing, exact_quotient
 from .rings import seeded_form, weighted_monomials
-from .series import DEFAULT_ORDER
 from .toric import WPS_WEIGHTS
 from .tsing import chart_germ
 
@@ -127,7 +126,7 @@ def generic_p50(seed: int) -> ExactPolynomial:
     return seeded_form(S51_RING, monos, seed, "P50")
 
 
-def s51_equation(theta, tau, seed: int = 0) -> ExactPolynomial:
+def s51_equation(theta, tau, seed: int) -> ExactPolynomial:
     """e*P50 + tau*t1^17 + theta*t1^3*s0*ze + s0^3, weighted degree 51."""
     R = S51_RING
     p = generic_p50(seed)
@@ -135,7 +134,7 @@ def s51_equation(theta, tau, seed: int = 0) -> ExactPolynomial:
     return e * p + t1 ** 17 * Fraction(tau) + t1 ** 3 * s0 * ze * Fraction(theta) + s0 ** 3
 
 
-def s51_point_analysis(point: str, theta, tau, seed: int = 0, order: int = DEFAULT_ORDER):
+def s51_point_analysis(point: str, theta, tau, seed: int, order: int):
     """Local type of the degree-51 model at a coordinate point of the ambient.
 
     point is one of "e", "t1", "s0", "ze".  Returns a classification object,
@@ -170,19 +169,19 @@ class TwoSingularityFamily(NamedTuple):
     eq2: ExactPolynomial
 
     @staticmethod
-    def of(mu, nu, seed: int = 0) -> "TwoSingularityFamily":
+    def of(mu, nu, seed: int) -> "TwoSingularityFamily":
         R = FAMILY_RING
         eq1 = R.var("x0") * R.var("y") - R.var("x1") ** 3 - R.var("u") * mu
         eq2 = R.var("z") ** 2 - R.var("y") ** 5 * nu - generic_f10(seed)
         return TwoSingularityFamily(eq1, eq2)
 
-    def germ_at_y(self, order: int = DEFAULT_ORDER):
+    def germ_at_y(self, order: int):
         """Eliminate x0 with the first equation on the y-chart; classify the
         second in 1/2(1,1,1) on (x1, u, z)."""
         return chart_germ({"eq1": self.eq1, "eq2": self.eq2}, FAMILY_WEIGHTS, "y",
                           (("eq1", "x0"),), "eq2", ("x1", "u", "z"), order)
 
-    def germ_at_u(self, order: int = DEFAULT_ORDER):
+    def germ_at_u(self, order: int):
         """Eliminate x1 with the second equation on the u-chart; classify the
         first in 1/3(1,2,2) on (x0, y, z)."""
         return chart_germ({"eq1": self.eq1, "eq2": self.eq2}, FAMILY_WEIGHTS, "u",

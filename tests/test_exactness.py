@@ -50,7 +50,7 @@ def test_division_checker_sees_every_kind_of_division():
 
 
 def test_evaluate_at_a_negative_power_stays_a_fraction():
-    ring = PolyRing.of("x", "t", invertible=["t"])
+    ring = PolyRing.of("x", "t").with_invertible("t")
     value = evaluate(ring.parse("x*t^-2 + 1"), {"x": 3, "t": 2})
     assert type(value) is Fraction and value == Fraction(7, 4)
 

@@ -7,15 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from isurf import lattice, rings
-from isurf.errors import InvalidInput, NotPointed, RankDeficient
+from isurf.errors import InvalidInput, RankDeficient
 from isurf.lattice import (IntegerMatrix, LatticeCone, extreme_rays, gale_rays, hilbert_basis,
                            kernel_basis, unimodular_normal_form)
 
 
 def test_kernel_examples():
-    assert kernel_basis(IntegerMatrix.of([[1, 1]])).rows == ((1, -1),)
-    assert kernel_basis(IntegerMatrix.of([[1, 0], [0, 1]])).rows == ()
-    f_weights = IntegerMatrix.of([[1, 1, -3, 0, 0], [0, 0, 1, 2, 3]])
+    assert kernel_basis(IntegerMatrix([[1, 1]])).rows == ((1, -1),)
+    assert kernel_basis(IntegerMatrix([[1, 0], [0, 1]])).rows == ()
+    f_weights = IntegerMatrix([[1, 1, -3, 0, 0], [0, 0, 1, 2, 3]])
     assert kernel_basis(f_weights).nrows == 3
 
 
@@ -23,7 +23,7 @@ def test_kernel_examples():
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
                 min_size=1, max_size=3))
 def test_kernel_property(rows):
-    a = IntegerMatrix.of(rows)
+    a = IntegerMatrix(rows)
     k = kernel_basis(a)
     for row in k.rows:
         assert all(sum(x * y for x, y in zip(arow, row)) == 0 for arow in a.rows)
@@ -39,6 +39,8 @@ def gcd_of(v):
 
 
 def test_hnf_transformation_is_unimodular():
+    assert determinant([[2, 1, 0], [1, 3, 1], [0, 1, 4]]) == 18
+    assert determinant([[0, 1], [1, 0]]) == -1
     rng = random.Random(2)
     for _ in range(30):
         rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
@@ -48,10 +50,19 @@ def test_hnf_transformation_is_unimodular():
         for i in range(3):
             got = [sum(u[i][k] * rows[k][j] for k in range(3)) for j in range(3)]
             assert got == h[i]
+        assert determinant(u) in (1, -1)
+
+
+def determinant(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * determinant([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
 
 
 def test_hilbert_diagonal_example():
-    cone = LatticeCone.nonnegative_solutions(IntegerMatrix.of([[1, -1]]))
+    cone = LatticeCone.nonnegative_solutions(IntegerMatrix([[1, -1]]))
     assert hilbert_basis(cone) == [(1, 1)]
 
 
@@ -70,7 +81,7 @@ def brute_force_hilbert(equation_rows, bound):
 
 def test_hilbert_derived_example_against_bruteforce():
     rows = [[1, 1, -2]]
-    cone = LatticeCone.nonnegative_solutions(IntegerMatrix.of(rows))
+    cone = LatticeCone.nonnegative_solutions(IntegerMatrix(rows))
     got = hilbert_basis(cone)
     assert got == [(0, 2, 1), (1, 1, 1), (2, 0, 1)]
     assert got == brute_force_hilbert(rows, 3)
@@ -82,7 +93,7 @@ def test_hilbert_random_systems_against_bruteforce():
         rows = [[rng.randint(-3, 3) for _ in range(3)]]
         if not any(rows[0]):
             continue
-        cone = LatticeCone.nonnegative_solutions(IntegerMatrix.of(rows))
+        cone = LatticeCone.nonnegative_solutions(IntegerMatrix(rows))
         got = hilbert_basis(cone)
         expect = brute_force_hilbert(rows, 7)
         small = [v for v in got if all(x <= 7 for x in v)]
@@ -93,7 +104,7 @@ def test_hilbert_random_systems_against_bruteforce():
 
 def test_hilbert_minimality_no_nonneg_combination():
     rows = [[1, 1, -2], [0, 1, -1]]
-    cone = LatticeCone.nonnegative_solutions(IntegerMatrix.of(rows))
+    cone = LatticeCone.nonnegative_solutions(IntegerMatrix(rows))
     basis = hilbert_basis(cone)
     for v in basis:
         others = [w for w in basis if w != v]
@@ -107,27 +118,12 @@ def test_hilbert_minimality_no_nonneg_combination():
 def test_hilbert_unit_cone():
     cone = LatticeCone.nonnegative_solutions(IntegerMatrix(()))
     # no equations: there is no IntegerMatrix shape, emulate with zero row
-    cone = LatticeCone.nonnegative_solutions(IntegerMatrix.of([[0, 0]]))
+    cone = LatticeCone.nonnegative_solutions(IntegerMatrix([[0, 0]]))
     assert hilbert_basis(cone) == [(0, 1), (1, 0)]
 
 
-def test_not_pointed_detection():
-    cone = LatticeCone(2, IntegerMatrix.of([[1, -1]]), ())
-    with pytest.raises(NotPointed):
-        hilbert_basis(cone)
-    with pytest.raises(NotPointed):
-        extreme_rays(cone)
-    pointed = LatticeCone(2, IntegerMatrix.of([[1, -1]]), (1,))
-    assert is_pointed(pointed)
-    assert hilbert_basis(pointed) == [(1, 1)]
-    plane = LatticeCone(2, IntegerMatrix(()), ())
-    assert not is_pointed(plane)
-    with pytest.raises(NotPointed):
-        extreme_rays(plane)
-
-
 def test_seven_variable_cone_full():
-    grading = IntegerMatrix.of([
+    grading = IntegerMatrix([
         [1, 0, 0, 0, 0, 10, 15],
         [0, 1, 0, 0, 5, 30, 45],
         [0, 0, 1, 0, 10, 55, 85],
@@ -147,7 +143,7 @@ def test_seven_variable_cone_full():
 
 def test_seven_variable_cone_spot_check_decomposition():
     """Low points of the monoid decompose over the computed basis."""
-    grading = IntegerMatrix.of([
+    grading = IntegerMatrix([
         [1, 0, 0, 0, 0, 10, 15],
         [0, 1, 0, 0, 5, 30, 45],
         [0, 0, 1, 0, 10, 55, 85],
@@ -178,14 +174,14 @@ def test_seven_variable_cone_spot_check_decomposition():
 
 
 def test_gale_rays_examples():
-    rays = gale_rays(IntegerMatrix.of([[1, 1, 1]]))
+    rays = gale_rays(IntegerMatrix([[1, 1, 1]]))
     assert tuple(sum(c) for c in zip(*rays)) == (0, 0)
     with pytest.raises(RankDeficient):
-        gale_rays(IntegerMatrix.of([[1, 1], [2, 2]]))
+        gale_rays(IntegerMatrix([[1, 1], [2, 2]]))
 
 
 def test_gale_rays_deterministic():
-    w = IntegerMatrix.of([[1, 1, -3, 0, 0], [0, 0, 1, 2, 3]])
+    w = IntegerMatrix([[1, 1, -3, 0, 0], [0, 0, 1, 2, 3]])
     assert gale_rays(w) == gale_rays(w)
     for ray in gale_rays(w):
         assert abs(gcd_of(ray)) == 1
@@ -234,13 +230,6 @@ def unit_rows(n, coordinates):
     return [tuple(int(j == i) for j in range(n)) for i in coordinates]
 
 
-def is_pointed(cone):
-    """No line: a kernel vector vanishing on every signed coordinate is zero."""
-    n = cone.rank
-    rows = list(cone.equations.rows) + unit_rows(n, cone.nonneg)
-    return kernel_basis(IntegerMatrix.of(rows or [(0,) * n])).nrows == 0
-
-
 def rays_over_all_zero_sets(cone):
     """Signed primitive generators of every one-dimensional solution space of
     the equations with some coordinates set to zero: the extreme rays and
@@ -249,15 +238,15 @@ def rays_over_all_zero_sets(cone):
     fewer than dim ker - 1 coordinates are skipped."""
     n = cone.rank
     eqs = [row for row in cone.equations.rows if any(row)]
-    dim = n - IntegerMatrix.of(eqs).rank() if eqs else n
+    dim = n - IntegerMatrix(eqs).rank() if eqs else n
     found = set()
     for size in range(max(dim - 1, 0), n):
         for zeros in itertools.combinations(range(n), size):
-            basis = kernel_basis(IntegerMatrix.of(eqs + unit_rows(n, zeros) or [(0,) * n]))
+            basis = kernel_basis(IntegerMatrix(eqs + unit_rows(n, zeros) or [(0,) * n]))
             if basis.nrows != 1:
                 continue
             g = basis.rows[0]
-            signs = [g[i] for i in cone.nonneg if g[i]]
+            signs = [x for x in g if x]
             if signs and all(x > 0 for x in signs):
                 found.add(g)
             elif signs and all(x < 0 for x in signs):
@@ -267,10 +256,10 @@ def rays_over_all_zero_sets(cone):
 
 def is_extreme(cone, ray):
     """A cone vector spans a one-dimensional face exactly when the equations
-    and the signed coordinates on which it is zero have rank n - 1."""
-    zeros = [i for i in cone.nonneg if ray[i] == 0]
+    and the coordinates on which it is zero have rank n - 1."""
+    zeros = [i for i, x in enumerate(ray) if x == 0]
     rows = list(cone.equations.rows) + unit_rows(cone.rank, zeros)
-    return IntegerMatrix.of(rows or [(0,) * cone.rank]).rank() == cone.rank - 1
+    return IntegerMatrix(rows or [(0,) * cone.rank]).rank() == cone.rank - 1
 
 
 def extreme_rays_oracle(cone):
@@ -285,9 +274,9 @@ def all_pairs_irreducible(cone, candidates):
 
 
 def ray_box(cone, rays):
-    """Bounds of the box spanned by the rays, cut at 0 on constrained
-    coordinates; every minimal generator lies in it."""
-    lo = [0 if j in cone.nonneg else sum(min(r[j], 0) for r in rays) for j in range(cone.rank)]
+    """Bounds of the box spanned by the rays, from 0; every minimal
+    generator lies in it."""
+    lo = [0] * cone.rank
     hi = [sum(max(r[j], 0) for r in rays) for j in range(cone.rank)]
     return lo, hi
 
@@ -341,16 +330,12 @@ def box_volume(cone, rays):
 
 @st.composite
 def small_cones(draw):
-    """Pointed cones in 3-5 variables cut out by 1-2 equations with
-    |coefficients| <= 4, nonnegative in all or only some coordinates, whose
-    ray box the oracle can walk."""
+    """The nonnegative solutions in 3-5 variables of 1-2 equations with
+    |coefficients| <= 4, whose ray box the oracle can walk."""
     n = draw(st.integers(3, 5))
     rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
                          min_size=1, max_size=2))
-    free = draw(st.one_of(st.just(set()), st.sets(st.integers(0, n - 1), min_size=1, max_size=2)))
-    nonneg = tuple(i for i in range(n) if i not in free)
-    cone = LatticeCone(n, IntegerMatrix.of(rows), nonneg)
-    assume(is_pointed(cone))
+    cone = LatticeCone.nonnegative_solutions(IntegerMatrix(rows))
     assume(box_volume(cone, rays_over_all_zero_sets(cone)) <= 20_000)
     return cone
 
@@ -382,23 +367,18 @@ def test_degree_filter_equals_the_all_pairs_oracle(cone):
 
 @st.composite
 def wide_cones(draw):
-    """Cones in 6-7 variables cut out by 1-3 equations with |coefficients|
-    <= 4, nonnegative in all or all but one or two coordinates: too large
-    for the box oracle, not for the rank test."""
+    """The nonnegative solutions in 6-7 variables of 1-3 equations with
+    |coefficients| <= 4: too large for the box oracle, not for the rank
+    test."""
     n = draw(st.integers(6, 7))
     rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
                          min_size=1, max_size=3))
-    free = draw(st.one_of(st.just(set()), st.sets(st.integers(0, n - 1), min_size=1, max_size=2)))
-    return LatticeCone(n, IntegerMatrix.of(rows), tuple(i for i in range(n) if i not in free))
+    return LatticeCone.nonnegative_solutions(IntegerMatrix(rows))
 
 
 @settings(max_examples=120, deadline=None)
 @given(wide_cones())
 def test_double_description_gives_exactly_the_extreme_rays(cone):
-    if not is_pointed(cone):
-        with pytest.raises(NotPointed):
-            extreme_rays(cone)
-        return
     rays = extreme_rays(cone)
     assert rays == extreme_rays_oracle(cone)
     for r in rays:
@@ -406,7 +386,7 @@ def test_double_description_gives_exactly_the_extreme_rays(cone):
 
 
 def cone_dimension(rays):
-    return IntegerMatrix.of(rays).rank()
+    return IntegerMatrix(rays).rank()
 
 
 @pytest.mark.parametrize("rows,dimension,basis", [
@@ -416,20 +396,19 @@ def cone_dimension(rays):
 def test_lower_dimensional_cone_in_the_kernel(rows, dimension, basis):
     """x_0 = x_1 = 0 on the cone, so it spans less than ker(E); the
     parallelepipeds live in span(rays) ∩ Z^n."""
-    cone = LatticeCone.nonnegative_solutions(IntegerMatrix.of(rows))
+    cone = LatticeCone.nonnegative_solutions(IntegerMatrix(rows))
     assert kernel_basis(cone.equations).nrows == dimension + 1
     assert cone_dimension(extreme_rays(cone)) == dimension
     assert hilbert_basis(cone) == basis == box_hilbert_basis(cone)
 
 
-@pytest.mark.parametrize("rows,nonneg", [
-    ([[1, 1, 1, -1, -1, -1]], (0, 1, 2, 3, 4, 5)),    # 9 rays in dimension 5
-    ([[2, 3, -1, -4]], (0, 1, 2, 3)),
-    ([[1, 0, 2, -2, -2], [-1, 1, -1, 1, 1]], (0, 1, 2, 3, 4)),
-    ([[1, 1, -1, -1, 0], [1, 0, -1, 0, -1]], (0, 1, 2, 3)),  # one free coordinate
+@pytest.mark.parametrize("rows", [
+    [[1, 1, 1, -1, -1, -1]],    # 9 rays in dimension 5
+    [[2, 3, -1, -4]],
+    [[1, 0, 2, -2, -2], [-1, 1, -1, 1, 1]],
 ])
-def test_non_simplicial_cones_against_the_oracle(rows, nonneg):
-    cone = LatticeCone(len(rows[0]), IntegerMatrix.of(rows), nonneg)
+def test_non_simplicial_cones_against_the_oracle(rows):
+    cone = LatticeCone.nonnegative_solutions(IntegerMatrix(rows))
     rays = extreme_rays(cone)
     assert len(rays) > cone_dimension(rays)
     assert hilbert_basis(cone) == box_hilbert_basis(cone)
@@ -439,7 +418,7 @@ def test_non_simplicial_cones_against_the_oracle(rows, nonneg):
                                (3, 7, 3, -2, -1), (3, 3, -3, -2, -7)])
 def test_exact_algebra_shaped_cones_against_the_oracle(a):
     """Five variables, mixed signs, |a_i| <= 7 and six extreme rays."""
-    cone = LatticeCone.nonnegative_solutions(IntegerMatrix.of([a]))
+    cone = LatticeCone.nonnegative_solutions(IntegerMatrix([a]))
     assert len(extreme_rays(cone)) == 6
     assert hilbert_basis(cone) == box_hilbert_basis(cone)
 
@@ -484,17 +463,17 @@ def test_index_cap_raises_before_any_enumeration(monkeypatch):
 
 
 def test_ray_preimage_of_a_one_row_mapping():
-    cone = LatticeCone.ray_preimage(IntegerMatrix.of([[1, 2]]), (3,))
+    cone = LatticeCone.ray_preimage(IntegerMatrix([[1, 2]]), (3,))
     assert cone.rank == 2
     assert hilbert_basis(cone) == [(0, 1), (1, 0)]
-    flipped = LatticeCone.ray_preimage(IntegerMatrix.of([[-1, -2]]), (-3,))
+    flipped = LatticeCone.ray_preimage(IntegerMatrix([[-1, -2]]), (-3,))
     assert hilbert_basis(flipped) == [(0, 1), (1, 0)]
 
 
 def test_ray_preimage_rejects_a_sign_it_cannot_enforce():
     # v = (2, 1) >= 0 maps to 0 and v = (1, 1) to -1, the wrong side of 3
     with pytest.raises(InvalidInput, match="negative entry"):
-        LatticeCone.ray_preimage(IntegerMatrix.of([[1, -2]]), (3,))
+        LatticeCone.ray_preimage(IntegerMatrix([[1, -2]]), (3,))
     with pytest.raises(InvalidInput, match="negative entry"):
-        LatticeCone.ray_preimage(IntegerMatrix.of([[0, 1], [1, 2]]), (-1, 4))
-    assert LatticeCone.ray_preimage(IntegerMatrix.of([[0, 1], [1, -2]]), (1, 4)).rank == 2
+        LatticeCone.ray_preimage(IntegerMatrix([[0, 1], [1, 2]]), (-1, 4))
+    assert LatticeCone.ray_preimage(IntegerMatrix([[0, 1], [1, -2]]), (1, 4)).rank == 2

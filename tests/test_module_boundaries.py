@@ -1,6 +1,7 @@
 """No isurf module uses a private (``_``-prefixed) name of another isurf module
 or imports anything outside the standard library, and every defaulted
-parameter of a package function is passed by some caller."""
+parameter of a package function is passed by some caller and omitted by
+another."""
 
 import ast
 import subprocess
@@ -129,33 +130,52 @@ def _defaulted_parameters(tree: ast.Module, module: str):
     return out
 
 
-def unused_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
-    """``module.function(parameter)`` for each defaulted parameter of a package
-    function that no call in the package or in ``callers`` passes, by position
-    or by keyword.  Calls match by the called name; a call through ``*`` or
-    ``**`` passes everything."""
-    passed: dict[str, tuple[int, set[str], bool]] = {}
-    for source in [*package.values(), *callers]:
+def _calls(sources: list[str]) -> dict[str, list[tuple[int, set[str], bool, bool]]]:
+    """Per called name, each call's number of positional arguments, its
+    keywords, and whether it passes ``*`` and ``**`` arguments."""
+    calls: dict[str, list[tuple[int, set[str], bool, bool]]] = {}
+    for source in sources:
         for node in ast.walk(ast.parse(source)):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else \
                 func.attr if isinstance(func, ast.Attribute) else None
-            if name is None:
-                continue
-            most, keywords, everything = passed.get(name, (0, set(), False))
-            everything |= any(isinstance(a, ast.Starred) for a in node.args) \
-                or any(k.arg is None for k in node.keywords)
-            keywords |= {k.arg for k in node.keywords}
-            passed[name] = (max(most, len(node.args)), keywords, everything)
+            if name is not None:
+                calls.setdefault(name, []).append((
+                    len(node.args), {k.arg for k in node.keywords},
+                    any(isinstance(a, ast.Starred) for a in node.args),
+                    any(k.arg is None for k in node.keywords)))
+    return calls
+
+
+def _defaults_flagged(package: dict[str, str], callers: list[str], flag) -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter of a package
+    function for which ``flag`` holds of the list, over the calls in the
+    package and in ``callers``, of whether each call may pass it: by position
+    or keyword, through ``**``, or through ``*`` if it is positional.  Calls
+    match by the called name."""
+    calls = _calls([*package.values(), *callers])
     found = []
     for module, source in package.items():
         for callee, label, index, param in _defaulted_parameters(ast.parse(source), module):
-            most, keywords, everything = passed.get(callee, (0, set(), False))
-            if not (everything or param in keywords or (index is not None and most > index)):
+            passes = [double_star or param in keywords
+                      or index is not None and (star or count > index)
+                      for count, keywords, star, double_star in calls.get(callee, ())]
+            if flag(passes):
                 found.append(f"{label}({param})")
     return sorted(found)
+
+
+def unused_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """The defaulted parameters that no call passes."""
+    return _defaults_flagged(package, callers, lambda passes: not any(passes))
+
+
+def defaults_no_call_omits(package: dict[str, str], callers: list[str]) -> list[str]:
+    """The defaulted parameters that every call passes, so that nothing but
+    tests relies on the default."""
+    return _defaults_flagged(package, callers, all)
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
@@ -178,6 +198,33 @@ def test_checker_sees_positional_keyword_and_star_passes():
                "n": "f(0)\nK().m(**{})\n"}
     assert unused_defaults(package, []) == ["m.K.__init__(q)", "m.f(c)", "m.g(y)"]
     assert unused_defaults(package, ["g(1, 2)\nf(1, c=3)\nK(q=1)\n"]) == []
+
+
+def test_every_defaulted_parameter_is_omitted_somewhere():
+    """Calls match by name, so this cannot see ``wps.TwoSingularityFamily.of`` (other
+    ``of`` methods share the name) or ``scenarios.run`` (``subprocess.run``
+    shares it); both take their arguments without defaults, checked by
+    reading."""
+    package = {p.stem: p.read_text() for p in MODULES}
+    assert defaults_no_call_omits(package, [p.read_text() for p in PERFBENCH]) == []
+
+
+def test_checker_sees_omitted_keyword_and_star_calls():
+    package = {"m": ("def f(a, b=1, c=2, *, d=3):\n"
+                     "    g(1, 2)\n"
+                     "def g(x, y=0):\n"
+                     "    return h(*x)\n"
+                     "def h(z=0, *, w=1):\n"
+                     "    return z\n"
+                     "class K:\n"
+                     "    def __init__(self, p=0, q=1):\n"
+                     "        f(1, 2, d=4)\n"
+                     "    def m(self, r=0):\n"
+                     "        K(5, q=2)\n"),
+               "n": "f(0, c=1, d=2)\nK(1, 2).m(**{})\n"}
+    assert defaults_no_call_omits(package, []) == \
+        ["m.K.__init__(p)", "m.K.__init__(q)", "m.K.m(r)", "m.f(d)", "m.g(y)", "m.h(z)"]
+    assert defaults_no_call_omits(package, ["f(1)\ng(1)\nh(w=0)\nK(q=1)\nK().m()\n"]) == []
 
 
 def test_a_fresh_cli_import_loads_no_dataclasses_inspect_or_traceback():

@@ -5,6 +5,7 @@ import pytest
 from isurf import poly, rings
 from isurf.errors import (CertificateFailed, NotFactorable, NotInvertible,
                           NotLinear)
+from isurf.series import DEFAULT_ORDER
 from isurf.tsing import TSingularity
 
 
@@ -65,15 +66,16 @@ def test_binomials_vanish_and_control():
 def test_factorisation_choices_match_displayed_monomials():
     # the ambiguous monomials must factor the displayed way, not via the
     # binomially-equivalent alternative
-    assert rings.factor_over_generators((8, 9, 17, 4, 3, 1, 1)) == \
+    table = rings.expected_generator_table()
+    assert rings.factor_over_generators((8, 9, 17, 4, 3, 1, 1), table) == \
         {"x1": 2, "u1": 1, "z": 1}
-    assert rings.factor_over_generators((7, 6, 13, 2, 3, 2, 1)) == \
+    assert rings.factor_over_generators((7, 6, 13, 2, 3, 2, 1), table) == \
         {"x1": 1, "u1": 2, "z": 1}
-    assert rings.factor_over_generators((33, 14, 17, 4, 17, 0, 0)) == \
+    assert rings.factor_over_generators((33, 14, 17, 4, 17, 0, 0), table) == \
         {"x1": 2, "w": 3}
-    assert rings.factor_over_generators((3, 9, 22, 4, 0, 3, 0)) == \
+    assert rings.factor_over_generators((3, 9, 22, 4, 0, 3, 0), table) == \
         {"u0": 1, "t": 1}
-    assert rings.factor_over_generators((1, 1, 1, 1, 1, 1, 1)) is None
+    assert rings.factor_over_generators((1, 1, 1, 1, 1, 1, 1), table) is None
 
 
 def test_derive_relation_shapes_and_roundtrip():
@@ -246,22 +248,22 @@ def test_solving_r13_on_the_z_chart_for_y():
 
 def test_chart_uz_classifies_index_25():
     specialized = rings.specialize_standard(Fraction(3), Fraction(2), seed=0)
-    cls = rings.chart_singularity(specialized, rings.CHARTS["Uz"])
+    cls = rings.chart_singularity(specialized, rings.CHARTS["Uz"], DEFAULT_ORDER)
     assert cls.same_singularity(TSingularity(1, 5, 3))
 
 
 def test_chart_pw_classifies_index_9_and_18():
     spec1 = rings.specialize_standard(Fraction(3), Fraction(0), seed=0)
-    cls1 = rings.chart_singularity(spec1, rings.CHARTS["Pw"])
+    cls1 = rings.chart_singularity(spec1, rings.CHARTS["Pw"], DEFAULT_ORDER)
     assert cls1.same_singularity(TSingularity(1, 3, 2))
     spec2 = rings.specialize_standard(Fraction(0), Fraction(0), seed=0)
-    cls2 = rings.chart_singularity(spec2, rings.CHARTS["Pw"])
+    cls2 = rings.chart_singularity(spec2, rings.CHARTS["Pw"], DEFAULT_ORDER)
     assert cls2.same_singularity(TSingularity(2, 3, 1))
 
 
 def test_chart_pw_absent_when_the_surface_misses_the_point():
     spec = rings.specialize_standard(Fraction(3), Fraction(2), seed=0)
-    assert rings.chart_singularity(spec, rings.CHARTS["Pw"]) == "absent"
+    assert rings.chart_singularity(spec, rings.CHARTS["Pw"], DEFAULT_ORDER) == "absent"
 
 
 def test_fixed_part_shapes():

@@ -328,7 +328,7 @@ def test_chord_sweeps_solve_the_system_or_raise(system):
 def test_invertible_variables_are_rejected():
     # t^-1 has degree -1: times the x^4 that the image x + x^4 drops at order
     # 4 it would give x^4*t^-1, of degree 3, which a truncated result would miss
-    laurent = PolyRing.of("x", "t", invertible=["t"])
+    laurent = PolyRing.of("x", "t").with_invertible("t")
     for f in ("x*t^-1", "x + t"):
         with pytest.raises(InvalidInput):
             TruncatedSeries(laurent.parse(f), 4)

@@ -21,7 +21,7 @@ from isurf.skew import SkewMatrix
 
 R3 = PolyRing.of("x", "y", "z")
 GENS = sympy.symbols("x y z")
-LAURENT = PolyRing.of("x", "y", "lam", invertible=("lam",))
+LAURENT = PolyRing.of("x", "y", "lam").with_invertible("lam")
 LAURENT_GENS = sympy.symbols("x y lam")
 
 

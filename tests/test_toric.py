@@ -13,7 +13,6 @@ from oracles import evaluate
 def test_bundled_presentations_validate():
     assert toric.F_PRESENTATION.weights.rank() == 2
     assert toric.FTILDE_PRESENTATION.weights.rank() == 4
-    assert len(toric.FTILDE_PRESENTATION.irrelevant) == 9
 
 
 def test_multidegree_of_proper_transform():
@@ -36,18 +35,14 @@ def test_multidegree_error_reports_two_terms():
 
 
 def test_toric_blowup_chain_and_errors():
-    inter = toric.toric_blowup(toric.F_PRESENTATION, "c", (2, 0, 0, 1, 1, -1),
-                               toric.intermediate_irrelevant())
-    full = toric.toric_blowup(inter, "e", (1, 0, 0, 0, 1, 1, -1),
-                              toric.FTILDE_IRRELEVANT)
+    inter = toric.toric_blowup(toric.F_PRESENTATION, "c", (2, 0, 0, 1, 1, -1))
+    full = toric.toric_blowup(inter, "e", (1, 0, 0, 0, 1, 1, -1))
     assert full.weights.rows == toric.FTILDE_PRESENTATION.weights.rows
     assert full.ring.variables == toric.FTILDE_VARS
     with pytest.raises(InconsistentRow):
-        toric.toric_blowup(toric.F_PRESENTATION, "c", (0, 0, 0, 0, 0, 0),
-                           toric.intermediate_irrelevant())
+        toric.toric_blowup(toric.F_PRESENTATION, "c", (0, 0, 0, 0, 0, 0))
     with pytest.raises(InconsistentRow):
-        toric.toric_blowup(toric.F_PRESENTATION, "c", (2, 0, 0, 1, 1, 1),
-                           toric.intermediate_irrelevant())
+        toric.toric_blowup(toric.F_PRESENTATION, "c", (2, 0, 0, 1, 1, 1))
 
 
 def test_blowup_transform_monomial_example():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from isurf import rings, scenarios, toric, wps
+from isurf.series import DEFAULT_ORDER
 from isurf.tsing import TSingularity
 
 
@@ -66,13 +67,14 @@ def test_hypersurface_invariants():
 
 
 def test_s51_point_analysis_cases():
-    assert wps.s51_point_analysis("ze", 3, 2).same_singularity(TSingularity(1, 5, 3))
-    assert wps.s51_point_analysis("s0", 3, 2) == "absent"
-    assert wps.s51_point_analysis("t1", 3, 2) == "absent"
-    tau0 = wps.s51_point_analysis("t1", 3, 0)
-    assert tau0.same_singularity(TSingularity(1, 3, 2))
-    both0 = wps.s51_point_analysis("t1", 0, 0)
-    assert both0.same_singularity(TSingularity(2, 3, 1))
+    def at(point, theta, tau):
+        return wps.s51_point_analysis(point, theta, tau, 0, DEFAULT_ORDER)
+
+    assert at("ze", 3, 2).same_singularity(TSingularity(1, 5, 3))
+    assert at("s0", 3, 2) == "absent"
+    assert at("t1", 3, 2) == "absent"
+    assert at("t1", 3, 0).same_singularity(TSingularity(1, 3, 2))
+    assert at("t1", 0, 0).same_singularity(TSingularity(2, 3, 1))
 
 
 def test_germ_cases_hold_at_order_12():
@@ -118,22 +120,22 @@ def test_weighted_monomials_are_enumerated_once_per_key():
 
 
 def test_family_two_singularities():
-    fam00 = wps.TwoSingularityFamily.of(0, 0)
-    assert fam00.germ_at_y().same_singularity(TSingularity(1, 2, 1))
-    assert fam00.germ_at_u().same_singularity(TSingularity(2, 3, 1))
-    fam10 = wps.TwoSingularityFamily.of(1, 0)
-    assert fam10.germ_at_y().same_singularity(TSingularity(1, 2, 1))
-    assert fam10.germ_at_u() == "absent"
-    fam01 = wps.TwoSingularityFamily.of(0, 1)
-    assert fam01.germ_at_y() == "absent"
-    assert fam01.germ_at_u().same_singularity(TSingularity(2, 3, 1))
-    fam11 = wps.TwoSingularityFamily.of(1, 1)
-    assert fam11.germ_at_y() == "absent"
-    assert fam11.germ_at_u() == "absent"
+    fam00 = wps.TwoSingularityFamily.of(0, 0, 0)
+    assert fam00.germ_at_y(DEFAULT_ORDER).same_singularity(TSingularity(1, 2, 1))
+    assert fam00.germ_at_u(DEFAULT_ORDER).same_singularity(TSingularity(2, 3, 1))
+    fam10 = wps.TwoSingularityFamily.of(1, 0, 0)
+    assert fam10.germ_at_y(DEFAULT_ORDER).same_singularity(TSingularity(1, 2, 1))
+    assert fam10.germ_at_u(DEFAULT_ORDER) == "absent"
+    fam01 = wps.TwoSingularityFamily.of(0, 1, 0)
+    assert fam01.germ_at_y(DEFAULT_ORDER) == "absent"
+    assert fam01.germ_at_u(DEFAULT_ORDER).same_singularity(TSingularity(2, 3, 1))
+    fam11 = wps.TwoSingularityFamily.of(1, 1, 0)
+    assert fam11.germ_at_y(DEFAULT_ORDER) == "absent"
+    assert fam11.germ_at_u(DEFAULT_ORDER) == "absent"
 
 
 def test_family_equations_shape():
-    fam = wps.TwoSingularityFamily.of(Fraction(1, 2), 3)
+    fam = wps.TwoSingularityFamily.of(Fraction(1, 2), 3, 0)
     R = wps.FAMILY_RING
     assert fam.eq1 == R.parse("x0*y - x1^3 - 1/2*u")
     assert fam.eq2.coefficient(tuple(0 if v != "y" else 5 for v in R.variables)) == -3

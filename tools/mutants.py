@@ -93,8 +93,6 @@ MUTANTS = (
            "_irreducible", "2 * low > degree", "low >= degree"),
     Mutant("stop the filter below deg(v)/2", "src/isurf/lattice.py",
            "_irreducible", "2 * low > degree", "2 * low >= degree"),
-    Mutant("the degree sums all coordinates", "src/isurf/lattice.py",
-           "_irreducible", "sum(v[i] for i in cone.nonneg)", "sum(v)"),
     Mutant("no reduction above the pivot", "src/isurf/lattice.py",
            "_hnf", "range(pivot_row)", "range(0)"),
 )
