@@ -3,9 +3,10 @@
 Hermite normal form with transformation, saturated kernel bases with a
 deterministic sign convention, Gale-dual ray generators for grading
 matrices, and Hilbert bases of the nonnegative solutions of integer
-equations: the extreme rays by double description and the points of the
-half-open fundamental parallelepipeds of a placing triangulation, less the
-reducible ones.
+equations: the extreme rays by double description, a placing triangulation
+with one fraction-free elimination per simplex, and the points of its
+half-open fundamental parallelepipeds, walked one box coordinate at a time,
+less the reducible ones.
 Integer arithmetic throughout; IntegerMatrix checks what callers pass in,
 and the stages in between pass plain rows.
 """
@@ -13,8 +14,8 @@ and the stages in between pass plain rows.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product
-from math import gcd, lcm, prod
+from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, RankDeficient
@@ -250,8 +251,8 @@ def hilbert_basis(cone: LatticeCone) -> list[Vec]:
     sum lam_i r_i of L with 0 <= lam_i < 1, one per class of L/<r_i>), so
     the rays and those points generate the monoid and contain its minimal
     generators (Bruns & Koch 2001; Bruns, Ichim & Söger 2016), which
-    _irreducible keeps.  An index sum above MAX_LATTICE_INDEX raises an
-    explicit error before any enumeration.
+    _irreducible keeps.  An index sum (the D of each simplex's _dual) above
+    MAX_LATTICE_INDEX raises an explicit error before any enumeration.
     """
     n = cone.rank
     rays = extreme_rays(cone)
@@ -259,16 +260,15 @@ def hilbert_basis(cone: LatticeCone) -> list[Vec]:
         return []
     lattice = _kernel(_kernel(rays, n), n)
     coords = [_coordinates(lattice, r) for r in rays]
-    simplices = [(simplex, normals,
-                  [row[j] for j, row in enumerate(_hnf([coords[i] for i in simplex]))])
-                 for simplex, normals in _placing_triangulation(coords)]
-    index = sum(prod(diagonal) for _, _, diagonal in simplices)
+    simplices = _placing_triangulation(coords)
+    index = sum(denominator for _, _, denominator in simplices)
     if index > MAX_LATTICE_INDEX:
         raise InvalidInput(f"hilbert basis: the triangulation has index {index}, "
                            f"above the cap {MAX_LATTICE_INDEX}")
     candidates = set(rays)
-    for simplex, normals, diagonal in simplices:
-        candidates.update(_parallelepiped([rays[i] for i in simplex], normals, diagonal))
+    for simplex, normals, denominator in simplices:
+        candidates.update(_parallelepiped([rays[i] for i in simplex],
+                                          [coords[i] for i in simplex], normals, denominator))
     candidates.discard((0,) * n)
     return sorted(_irreducible(cone, candidates), key=lambda v: (sum(v), v))
 
@@ -313,19 +313,30 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _facet_normal(points: Sequence[Vec], facet: Sequence[int], apex: int) -> tuple[Vec, int]:
-    """Primitive normal of the hyperplane through the facet points, pointing
-    to the apex point, and the apex's height over it (points of full rank)."""
-    normal = _kernel([points[i] for i in facet], len(points[apex]))[0]
-    height = _dot(normal, points[apex])
-    sign = 1 if height > 0 else -1
-    return tuple(sign * x for x in normal), abs(height)
+def _dual(points: Sequence[Vec]) -> tuple[list[Vec], int]:
+    """The columns of A, and D = |det M|, with M*A = D*I for the matrix M whose
+    rows are the points: column k is a normal of the facet opposite point k,
+    positive on it.  Fraction-free Gauss-Jordan elimination of [M | I], each
+    step dividing exactly by the previous pivot (Bareiss, Math. Comp. 22, 1968)."""
+    d = len(points)
+    rows = _with_identity(points)
+    previous = 1
+    for k in range(d):
+        i = next(i for i in range(k, d) if rows[i][k])
+        rows[k], rows[i] = rows[i], rows[k]
+        pivot = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                rows[i] = [(pivot[k] * a - row[k] * b) // previous for a, b in zip(row, pivot)]
+        previous = pivot[k]
+    sign = 1 if previous > 0 else -1
+    return [tuple(sign * row[d + k] for row in rows) for k in range(d)], abs(previous)
 
 
-def _placing_triangulation(points: Sequence[Vec]) -> list[tuple[tuple[int, ...], list]]:
+def _placing_triangulation(points: Sequence[Vec]) -> list[tuple[tuple[int, ...], list[Vec], int]]:
     """Simplices (sorted index tuples) of a placing triangulation of the cone
-    spanned by the points, which span Z^d rationally, each with the normals
-    and heights of its facets, the k-th opposite its k-th point.
+    spanned by the points, which span Z^d rationally, each with its _dual:
+    the facet normals, the k-th opposite its k-th point, and |det|.
 
     The first simplex takes the first independent points in order; each
     further point is joined to every boundary facet it lies strictly beyond.
@@ -337,38 +348,45 @@ def _placing_triangulation(points: Sequence[Vec]) -> list[tuple[tuple[int, ...],
             first.append(i)
 
     def placed(s: tuple[int, ...]):
-        return s, [_facet_normal(points, s[:k] + s[k + 1:], s[k]) for k in range(d)]
+        return (s, *_dual([points[i] for i in s]))
 
     simplices = [placed(tuple(first))]
     for i, p in enumerate(points):
         if i in first:
             continue
-        shared = Counter(f for s, _ in simplices for f in combinations(s, d - 1))
+        shared = Counter(f for s, _, _ in simplices for f in combinations(s, d - 1))
         beyond = []
-        for s, normals in simplices:
+        for s, normals, _ in simplices:
             for k in range(d):
                 facet = s[:k] + s[k + 1:]
-                if shared[facet] == 1 and _dot(normals[k][0], p) < 0:
+                if shared[facet] == 1 and _dot(normals[k], p) < 0:
                     beyond.append(placed(tuple(sorted(facet + (i,)))))
         simplices += beyond
     return simplices
 
 
-def _parallelepiped(rays: Sequence[Vec], facets: Sequence[tuple[Vec, int]],
-                    diagonal: Sequence[int]) -> list[Vec]:
+def _parallelepiped(rays: Sequence[Vec], coords: Sequence[Vec], normals: Sequence[Vec],
+                    denominator: int) -> list[Vec]:
     """The points sum lam_i rays_i with 0 <= lam_i < 1 in the lattice L, one
-    per class of L/<rays>, for a simplex whose facets in L-coordinates are
-    given as (normal, height), the i-th opposite ray i.
+    per class of L/<rays>, for a simplex with L-coordinates coords and their
+    _dual (normals, denominator D).
 
-    The classes are represented by the box of the Hermite normal form's
-    diagonal; lam_i of a class is <n_i, y>/h_i with n_i the normal of the
-    facet opposite ray i and h_i its height, so the point is
-    sum ((<n_i, y> mod h_i) * (D/h_i)) rays_i / D with D = lcm(h_i).
+    The classes are the box y of the diagonal of coords' Hermite normal form,
+    lam_i = (<n_i, y> mod D)/D.  A step in y_k adds n_i[k] mod D to numerator
+    i and sum_i (n_i[k] mod D) rays_i / D, an integer vector, to the point; a
+    numerator that reaches D wraps and takes ray i off the point.
     """
-    denominator = lcm(*(h for _, h in facets))
-    columns = list(zip(*rays))
-    out = []
-    for y in product(*(range(a) for a in diagonal)):
-        weights = [_dot(normal, y) % h * (denominator // h) for normal, h in facets]
-        out.append(tuple(_dot(weights, column) // denominator for column in columns))
-    return out
+    states = [([0] * len(rays), (0,) * len(rays[0]))]
+    for k, row in enumerate(_hnf(coords)):
+        step = [normal[k] % denominator for normal in normals]
+        shift = [_dot(step, column) // denominator for column in zip(*rays)]
+        for numerators, point in states[:]:
+            for _ in range(row[k] - 1):
+                numerators = [x + c for x, c in zip(numerators, step)]
+                point = [p + s for p, s in zip(point, shift)]
+                for i, x in enumerate(numerators):
+                    if x >= denominator:
+                        numerators[i] = x - denominator
+                        point = [p - r for p, r in zip(point, rays[i])]
+                states.append((numerators, point))
+    return [tuple(point) for _, point in states]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import random
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import load_fixture
 from .errors import (CertificateFailed, InvalidInput, NotDivisible,
@@ -174,10 +174,10 @@ def ambient_surface_equation(seed: int) -> ExactPolynomial:
 # monomial factorisation over the generator monoid
 
 
-def factor_over_generators(vec: Sequence[int], table: GeneratorTable) -> dict[str, int] | None:
-    """Deterministic factorisation of an ambient exponent vector as a product
-    of generator monomials: depth-first over generators in declared order,
-    indices non-decreasing along a factorisation."""
+def factor_over_generators(table: GeneratorTable) -> Callable[[Sequence[int]], dict[str, int] | None]:
+    """Deterministic factorisation of ambient exponent vectors as products of
+    generator monomials: depth-first over generators in declared order, indices
+    non-decreasing along a factorisation; one memo for all, results read-only."""
     gens = [(name, table.vector(name)) for name in table.names()]
     memo: dict[tuple[tuple[int, ...], int], dict[str, int] | None] = {}
 
@@ -199,7 +199,7 @@ def factor_over_generators(vec: Sequence[int], table: GeneratorTable) -> dict[st
         memo[key] = result
         return result
 
-    return go(tuple(vec), 0)
+    return lambda vec: go(tuple(vec), 0)
 
 
 def derive_relation(surface_eq: ExactPolynomial, excess: Mapping[str, int],
@@ -218,7 +218,8 @@ def derive_relation(surface_eq: ExactPolynomial, excess: Mapping[str, int],
     param_idx = [i for i in range(ring.nvars) if i not in core_idx]
     lead = _detect_lead(surface_eq, excess_vec, table, ring)
     out_ring = generator_ring(*(ring.variables[i] for i in param_idx), with_p=False)
-    out = out_ring.zero()
+    factor = factor_over_generators(table)
+    terms = {}
     lead_vec = table.vector(lead) if lead else None
     for exps, coeff in product.terms.items():
         core = tuple(exps[i] for i in core_idx)
@@ -227,14 +228,15 @@ def derive_relation(surface_eq: ExactPolynomial, excess: Mapping[str, int],
         if lead_vec is not None and all(a >= b for a, b in zip(core, lead_vec)):
             pieces[lead] = 1
             core = tuple(a - b for a, b in zip(core, lead_vec))
-        factored = factor_over_generators(core, table)
+        factored = factor(core)
         if factored is None:
             raise NotFactorable(f"monomial {core} does not factor over the generators")
         for name, mult in factored.items():
             pieces[name] = pieces.get(name, 0) + mult
         pieces.update(params)
-        out = out + out_ring.monomial(pieces, coeff)
-    return out
+        key = out_ring.exponents(pieces)
+        terms[key] = terms.get(key, 0) + coeff
+    return out_ring.from_terms(terms)
 
 
 def _detect_lead(surface_eq: ExactPolynomial, excess_vec: tuple[int, ...],

@@ -1,9 +1,9 @@
 import itertools
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isurf import lattice, rings
@@ -116,10 +116,11 @@ def test_hilbert_minimality_no_nonneg_combination():
 
 
 def test_hilbert_unit_cone():
-    cone = LatticeCone.nonnegative_solutions(IntegerMatrix(()))
-    # no equations: there is no IntegerMatrix shape, emulate with zero row
-    cone = LatticeCone.nonnegative_solutions(IntegerMatrix([[0, 0]]))
-    assert hilbert_basis(cone) == [(0, 1), (1, 0)]
+    """No equations: the whole orthant, generated by the unit vectors."""
+    for rank in range(4):
+        cone = LatticeCone(rank, IntegerMatrix(()))
+        assert hilbert_basis(cone) == sorted(unit_rows(rank, range(rank)),
+                                             key=lambda v: (sum(v), v))
 
 
 def test_seven_variable_cone_full():
@@ -455,11 +456,84 @@ def test_index_cap_raises_before_any_enumeration(monkeypatch):
     hilbert_basis(cone)
     monkeypatch.setattr(lattice, "MAX_LATTICE_INDEX", 24)
     calls = count_contains(monkeypatch)
+    boxes = []
+    walk = lattice._parallelepiped
+    monkeypatch.setattr(lattice, "_parallelepiped", lambda *args: boxes.append(args) or walk(*args))
     with pytest.raises(InvalidInput, match="index 25"):
         hilbert_basis(cone)
-    assert calls == []
+    assert calls == [] and boxes == []
     monkeypatch.setattr(lattice, "MAX_LATTICE_INDEX", 25)
     assert len(hilbert_basis(cone)) == 9
+
+
+# ---------------------------------------------------------------------------
+# oracles for the per-simplex kernels: each facet normal from an HNF kernel,
+# and the parallelepiped points from dot products with them
+
+
+def facet_normal(points, facet, apex):
+    """Primitive normal of the hyperplane through the facet points, pointing
+    to the apex point, and the apex's height over it (points of full rank)."""
+    normal = lattice._kernel([points[i] for i in facet], len(points[apex]))[0]
+    height = lattice._dot(normal, points[apex])
+    sign = 1 if height > 0 else -1
+    return tuple(sign * x for x in normal), abs(height)
+
+
+def parallelepiped_by_dot_products(rays, coords, diagonal):
+    """lam_i of the class of y is <n_i, y>/h_i for the primitive normal n_i
+    of the facet opposite ray i and the height h_i of ray i over it."""
+    d = len(coords)
+    facets = [facet_normal(coords, [j for j in range(d) if j != k], k) for k in range(d)]
+    denominator = lcm(*(h for _, h in facets))
+    columns = list(zip(*rays))
+    out = []
+    for y in itertools.product(*(range(a) for a in diagonal)):
+        weights = [lattice._dot(normal, y) % h * (denominator // h) for normal, h in facets]
+        out.append(tuple(lattice._dot(weights, column) // denominator for column in columns))
+    return out
+
+
+@st.composite
+def full_rank_simplices(draw, bound=5, max_det=None):
+    """d points of Z^d, d = 3..5, with |entries| <= bound and det != 0."""
+    d = draw(st.integers(3, 5))
+    points = draw(st.lists(st.tuples(*[st.integers(-bound, bound)] * d), min_size=d, max_size=d))
+    det = determinant([list(p) for p in points])
+    assume(det != 0 and (max_det is None or abs(det) <= max_det))
+    return points
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_simplices())
+@example([(0, 1, 0), (0, 0, 1), (2, 0, 0)])         # a zero leading pivot
+@example([(0, 0, 1), (0, 1, 0), (1, 0, 0)])         # determinant -1
+def test_bareiss_dual_against_laplace_and_hnf_normals(points):
+    d = len(points)
+    for m in (points, [points[1], points[0], *points[2:]]):  # both signs of det
+        normals, denominator = lattice._dual(m)
+        assert denominator == abs(determinant([list(p) for p in m]))
+        assert [[lattice._dot(p, n) for n in normals] for p in m] == \
+            [[denominator * int(j == k) for k in range(d)] for j in range(d)]
+        for k, normal in enumerate(normals):
+            primitive, _ = facet_normal(m, [j for j in range(d) if j != k], k)
+            g = gcd_of(normal)
+            assert g > 0 and normal == tuple(g * x for x in primitive)
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_rank_simplices(bound=4, max_det=300))
+@example([(2, 0, 0), (0, 3, 0), (0, 0, 1)])         # two non-trivial diagonal entries
+@example([(2, 1, 0), (0, 3, 1), (0, 0, 5)])         # three
+@example([(2, 0, 0), (0, 2, 0), (1, 1, 3)])
+def test_incremental_parallelepiped_equals_the_dot_product_formula(points):
+    """In L = Z^d and lifted to Z^(d+2) by an integral linear map."""
+    diagonal = [row[j] for j, row in enumerate(lattice._hnf(points))]
+    normals, denominator = lattice._dual(points)
+    for rays in (points, [p + (sum(p), p[0] - 2 * p[-1]) for p in points]):
+        got = lattice._parallelepiped(rays, points, normals, denominator)
+        assert len(set(got)) == denominator
+        assert set(got) == set(parallelepiped_by_dot_products(rays, points, diagonal))
 
 
 def test_ray_preimage_of_a_one_row_mapping():

@@ -66,16 +66,36 @@ def test_binomials_vanish_and_control():
 def test_factorisation_choices_match_displayed_monomials():
     # the ambiguous monomials must factor the displayed way, not via the
     # binomially-equivalent alternative
-    table = rings.expected_generator_table()
-    assert rings.factor_over_generators((8, 9, 17, 4, 3, 1, 1), table) == \
+    factor = rings.factor_over_generators(rings.expected_generator_table())
+    assert factor((8, 9, 17, 4, 3, 1, 1)) == \
         {"x1": 2, "u1": 1, "z": 1}
-    assert rings.factor_over_generators((7, 6, 13, 2, 3, 2, 1), table) == \
+    assert factor((7, 6, 13, 2, 3, 2, 1)) == \
         {"x1": 1, "u1": 2, "z": 1}
-    assert rings.factor_over_generators((33, 14, 17, 4, 17, 0, 0), table) == \
+    assert factor((33, 14, 17, 4, 17, 0, 0)) == \
         {"x1": 2, "w": 3}
-    assert rings.factor_over_generators((3, 9, 22, 4, 0, 3, 0), table) == \
+    assert factor((3, 9, 22, 4, 0, 3, 0)) == \
         {"u0": 1, "t": 1}
-    assert rings.factor_over_generators((1, 1, 1, 1, 1, 1, 1), table) is None
+    assert factor((1, 1, 1, 1, 1, 1, 1)) is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_one_factoriser_for_many_vectors_equals_a_fresh_one_per_vector(seed):
+    """The memo derive_relation shares across the terms of one call gives
+    each term's core, before and after the lead is taken off, the
+    factorisation of a fresh memo."""
+    table = rings.expected_generator_table()
+    F = rings.ambient_surface_equation(seed)
+    ring = F.ring
+    core_idx = [ring.index(v) for v in rings.AMBIENT_VARS]
+    shared = rings.factor_over_generators(table)
+    for excess in rings.EXCESS_MONOMIALS.values():
+        lead = rings._detect_lead(F, ring.exponents(excess), table, ring)
+        for exps in (F * ring.monomial(excess)).terms:
+            core = tuple(exps[i] for i in core_idx)
+            cores = [core, tuple(a - b for a, b in zip(core, table.vector(lead)))]
+            for vec in cores:
+                if min(vec) >= 0:
+                    assert shared(vec) == rings.factor_over_generators(table)(vec), vec
 
 
 def test_derive_relation_shapes_and_roundtrip():

@@ -2,7 +2,7 @@
 classification and the Hilbert-basis stage: each named mutant must make the
 fast tests fail.
 
-    python tools/mutants.py     # about 5 minutes on 2 cores
+    python tools/mutants.py     # about 8 minutes on 2 cores
 
 The tree (``src``, ``tests``, ``pyproject.toml``) is copied to a temporary
 directory, and only that copy is ever changed.  A mutant replaces the source
@@ -95,6 +95,16 @@ MUTANTS = (
            "_irreducible", "2 * low > degree", "2 * low >= degree"),
     Mutant("no reduction above the pivot", "src/isurf/lattice.py",
            "_hnf", "range(pivot_row)", "range(0)"),
+    Mutant("the Bareiss step divides by 1, not the previous pivot", "src/isurf/lattice.py",
+           "_dual", "(pivot[k] * a - row[k] * b) // previous", "(pivot[k] * a - row[k] * b) // 1"),
+    Mutant("the dual keeps the sign of det", "src/isurf/lattice.py",
+           "_dual", "1 if previous > 0 else -1", "1"),
+    Mutant("place a point on a facet's hyperplane too", "src/isurf/lattice.py",
+           "_placing_triangulation", "_dot(normals[k], p) < 0", "_dot(normals[k], p) <= 0"),
+    Mutant("wrap a numerator only past the denominator", "src/isurf/lattice.py",
+           "_parallelepiped", "x >= denominator", "x > denominator"),
+    Mutant("a wrap keeps its ray on the point", "src/isurf/lattice.py",
+           "_parallelepiped", "[p - r for p, r in zip(point, rays[i])]", "point"),
 )
 
 
