@@ -29,7 +29,6 @@ AMBIENT_VARS = tuple(_GEN["ambient"])
 AMBIENT_GRADING = IntegerMatrix(_GEN["grading"])
 CANONICAL_RAY = tuple(_GEN["ray"])
 GENERATOR_ORDER = tuple(entry[0] for entry in _GEN["generators"])
-GENERATOR_VECTORS = {entry[0]: tuple(entry[1]) for entry in _GEN["generators"]}
 # the generators' canonical degrees, and P, the general degree-10 element of the relations
 GENERATOR_DEGREES = {**{name: int(deg) for name, _, deg in _GEN["generators"]}, "P": 10}
 
@@ -87,7 +86,7 @@ def canonical_generators() -> GeneratorTable:
     """
     cone = LatticeCone.ray_preimage(AMBIENT_GRADING, CANONICAL_RAY)
     basis = hilbert_basis(cone)
-    known = {tuple(v): n for n, v in GENERATOR_VECTORS.items()}
+    known = {v: n for n, v, _ in expected_generator_table().entries}
     entries = []
     extras = []
     for vec in basis:
@@ -266,18 +265,8 @@ EXCESS_MONOMIALS = {
 
 def split_by_lead(rel: ExactPolynomial, lead: str) -> tuple[ExactPolynomial, ExactPolynomial]:
     """(quotient of the lead-divisible part, the remaining terms)."""
-    ring = rel.ring
-    i = ring.index(lead)
-    divisible = {}
-    rest = {}
-    for exps, c in rel.terms.items():
-        if exps[i] >= 1:
-            new = list(exps)
-            new[i] -= 1
-            divisible[tuple(new)] = c
-        else:
-            rest[exps] = c
-    return ExactPolynomial(ring, divisible), ExactPolynomial(ring, rest)
+    rest = rel.coefficients_in(lead).get(0, rel.ring.zero())
+    return (rel - rest).exact_divide(rel.ring.var(lead)), rest
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +274,12 @@ def split_by_lead(rel: ExactPolynomial, lead: str) -> tuple[ExactPolynomial, Exa
 
 
 class RelationSystem:
-    """Named homogeneous relations in the generator variables."""
+    """Named homogeneous relations in the generator variables (checked where
+    they enter, when a fixture is loaded)."""
 
     __slots__ = ("ring", "relations")
 
     def __init__(self, ring: PolyRing, relations: tuple[tuple[str, ExactPolynomial], ...]):
-        for name, rel in relations:
-            rel.weighted_degree(GENERATOR_DEGREES)  # raises NotHomogeneous
         self.ring, self.relations = ring, relations
 
     def get(self, name: str) -> ExactPolynomial:
@@ -311,11 +299,14 @@ class RelationSystem:
 
 @functools.cache
 def _load_system(key: str) -> RelationSystem:
-    """The relation system of a fixture key, parsed once per process.  The
+    """The relation system of a fixture key, parsed once per process, each
+    relation checked weighted-homogeneous (NotHomogeneous otherwise).  The
     result is cached and shared, so callers must not change it."""
     data = _REL[key]
     ring = generator_ring(*data["params"])
     rels = tuple((name, ring.parse(text)) for name, text in data["relations"].items())
+    for _, rel in rels:
+        rel.weighted_degree(GENERATOR_DEGREES)
     return RelationSystem(ring, rels)
 
 
@@ -339,29 +330,15 @@ def r14_rewritten(ring: PolyRing) -> ExactPolynomial:
     return ring.parse(_REL["standard"]["r14_rewritten"])
 
 
-def verify_binomials(table: GeneratorTable,
-                     rels: RelationSystem | Mapping[str, ExactPolynomial]) -> list[dict]:
-    """Substitute the generator monomials into the binomial relations and
-    report the residual of each (all must vanish).
-
-    Accepts a plain name-to-polynomial mapping as well, so corrupted inputs
-    can be fed through as negative controls.
-    """
-    if isinstance(rels, RelationSystem):
-        items = [(n, rels.get(n)) for n in rels.names()
-                 if n in {"R%d" % i for i in range(1, 11)}]
-        ring_vars = rels.ring.variables
-    else:
-        items = list(rels.items())
-        ring_vars = items[0][1].ring.variables if items else ()
-    ring = ambient_ring(*(v for v in ring_vars if v not in GENERATOR_ORDER + ("P",)))
-    report = []
-    for name, rel in items:
-        assignment = {gn: table.monomial(gn, ring) for gn in table.names()}
-        residual = rel.substitute(assignment, ring=ring)
-        report.append({"relation": name, "residual": str(residual),
-                       "ok": residual.is_zero()})
-    return report
+def verify_binomials(table: GeneratorTable, rels: RelationSystem) -> list[dict]:
+    """Substitute the generator monomials into the binomial relations R1-R10
+    and report the residual of each (all must vanish)."""
+    binomials = {"R%d" % i for i in range(1, 11)}
+    ring = ambient_ring(*(v for v in rels.ring.variables if v not in GENERATOR_ORDER + ("P",)))
+    assignment = {gn: table.monomial(gn, ring) for gn in table.names()}
+    residuals = [(name, rel.substitute(assignment, ring=ring))
+                 for name, rel in rels.relations if name in binomials]
+    return [{"relation": name, "residual": str(r), "ok": r.is_zero()} for name, r in residuals]
 
 
 def generic_degree_10(seed: int) -> ExactPolynomial:
@@ -517,14 +494,12 @@ def smoothing_eliminate(rels: RelationSystem, invertible: Sequence[str],
             raise NotLinear(f"{rel_name} is not linear in {var}")
         coeff = by_var.get(1)
         rest = by_var.get(0, ring.zero())
-        if coeff is None or len(coeff.terms) != 1:
+        if coeff is None or len(coeff) != 1:
             raise NotLinear(f"{rel_name} has a non-monomial coefficient on {var}")
-        (cexp, cval), = coeff.terms.items()
-        for i, e in enumerate(cexp):
-            if e and ring.variables[i] not in ring.invertible:
+        for name in ring.variables:
+            if name not in ring.invertible and coeff.degree_in(name):
                 raise NotInvertible(
-                    f"coefficient of {var} in {rel_name} involves the "
-                    f"non-invertible {ring.variables[i]}")
+                    f"coefficient of {var} in {rel_name} involves the non-invertible {name}")
         solution = -rest * coeff.monomial_inverse()
         for known in subs:
             subs[known] = subs[known].substitute({var: solution})
@@ -536,17 +511,15 @@ def smoothing_eliminate(rels: RelationSystem, invertible: Sequence[str],
         if value.is_zero():
             identities.append(name)
             continue
-        clear = _clearing_monomial(value, ring)
+        clear = _clearing_monomial(value)
         residuals.append((name, clear, value * clear))
     return Elimination(tuple(identities), tuple(residuals))
 
 
-def _clearing_monomial(p: ExactPolynomial, ring: PolyRing) -> ExactPolynomial:
-    lows = [0] * ring.nvars
-    for exps in p.terms:
-        for i, e in enumerate(exps):
-            lows[i] = min(lows[i], e)
-    return ExactPolynomial(ring, {tuple(-x for x in lows): 1})
+def _clearing_monomial(p: ExactPolynomial) -> ExactPolynomial:
+    """The least monomial in the invertible variables that clears p's denominators."""
+    ring = p.ring
+    return ring.monomial({name: -min(0, *p.coefficients_in(name)) for name in ring.invertible})
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,8 @@ def _table1(params: Params) -> list[dict]:
         out.append(check(f"recognition of {chain}", expect,
                          tsing.recognize_tchain(chain), "reference",
                          "chain recognition"))
-    index2 = next(r for r in tsing.SINGLE_SINGULARITY_TABLE if r["index"] == 2)
     out.append(check("index-2 catalogue row records the bound d <= 32", 32,
-                     index2["d_max"], "reference",
+                     tsing.INDEX_TWO_D_MAX, "reference",
                      "catalogue metadata (not enforced arithmetically)"))
     return out
 
@@ -380,7 +379,8 @@ def _binomials(params: Params) -> list[dict]:
     for entry in report:
         out.append(check(f"{entry['relation']} vanishes identically", "0",
                          entry["residual"], "reference", "binomial relations"))
-    bad = {"corrupted": rings.standard_relations().ring.parse("x0*y - x1^2*y")}
+    ring = rings.standard_relations().ring
+    bad = rings.RelationSystem(ring, (("R1", ring.parse("x0*y - x1^2*y")),))
     control = rings.verify_binomials(table, bad)
     out.append(check("corrupted relation leaves a residual", False,
                      control[0]["ok"], "direct", "negative control"))

@@ -8,8 +8,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from . import load_fixture
-from .errors import (CertificateFailed, InconsistentRow, InvalidInput, NotHomogeneous,
-                     RankDeficient)
+from .errors import CertificateFailed, InconsistentRow, InvalidInput, RankDeficient
 from .lattice import IntegerMatrix, gale_rays as _gale_rays
 from .poly import Coeff, ExactPolynomial, PolyRing, exact_quotient
 
@@ -32,18 +31,12 @@ class CoxPresentation:
 
 
 def multidegree(f: ExactPolynomial, cox: CoxPresentation | IntegerMatrix) -> tuple[int, ...]:
-    """Common degree vector of all terms of f under the grading rows."""
+    """Common degree vector of all terms of f under the grading rows;
+    NotHomogeneous (from ``weighted_degree``) when the terms differ."""
     weights = cox.weights if isinstance(cox, CoxPresentation) else cox
     if f.is_zero():
         raise InvalidInput("the zero polynomial has no multidegree")
-    degrees = {}
-    for exps in f.terms:
-        deg = tuple(sum(w * e for w, e in zip(row, exps)) for row in weights.rows)
-        degrees.setdefault(deg, exps)
-    if len(degrees) > 1:
-        two = list(degrees.values())[:2]
-        raise NotHomogeneous("polynomial is not multihomogeneous", tuple(two))
-    return next(iter(degrees))
+    return tuple(f.weighted_degree(dict(zip(f.ring.variables, row))) for row in weights.rows)
 
 
 def gale_rays(cox: CoxPresentation) -> dict[str, tuple[int, ...]]:
@@ -255,16 +248,9 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
 
 def reduce_square(p: ExactPolynomial, name: str, square_value: ExactPolynomial) -> ExactPolynomial:
     """Apply the rewrite rule name^2 -> square_value exhaustively."""
-    ring = p.ring
-    i = ring.index(name)
-    out = ring.zero()
-    for exps, c in p.terms.items():
-        e = exps[i]
-        rest = list(exps)
-        rest[i] = e % 2
-        term = ExactPolynomial(ring, {tuple(rest): c}) * square_value ** (e // 2)
-        out = out + term
-    return out
+    x = p.ring.var(name)
+    return sum((c * x ** (e % 2) * square_value ** (e // 2)
+                for e, c in p.coefficients_in(name).items()), p.ring.zero())
 
 
 def _rational_sqrt(x: Coeff) -> Fraction | None:
@@ -282,19 +268,10 @@ def _coefficient_of(eq: ExactPolynomial, fiber_powers: Mapping[str, int],
                     t_ring: PolyRing) -> ExactPolynomial:
     """Coefficient of the exact (s0, s1, ze)-monomial given by fiber_powers,
     moved into ``t_ring``."""
-    ring = eq.ring
-    fiber = {"s0": 0, "s1": 0, "ze": 0}
-    fiber.update(fiber_powers)
-    idx = {ring.index(name): e for name, e in fiber.items()}
-    collected = {}
-    for exps, c in eq.terms.items():
-        if all(exps[i] == e for i, e in idx.items()):
-            rest = list(exps)
-            for i in idx:
-                rest[i] = 0
-            collected[tuple(rest)] = c
-    partial = ExactPolynomial(ring, collected)
-    for name in ring.variables:
+    partial = eq
+    for name in ("s0", "s1", "ze"):
+        partial = partial.coefficients_in(name).get(fiber_powers.get(name, 0), eq.ring.zero())
+    for name in eq.ring.variables:
         if name not in t_ring.variables and partial.degree_in(name) != 0:
             raise InvalidInput(f"coefficient unexpectedly involves {name}")
     return partial.substitute({}, t_ring)

@@ -385,7 +385,7 @@ def chart_germ(equations: Mapping[str, ExactPolynomial], weights: Mapping[str, i
 
 
 # ---------------------------------------------------------------------------
-# the one-singularity catalogue (index, d, chain family)
+# the index-2 family of the one-singularity catalogue
 
 
 def index_two_chain(d: int) -> list[int]:
@@ -397,8 +397,5 @@ def index_two_chain(d: int) -> list[int]:
     return [3] + [2] * (d - 2) + [3]
 
 
-SINGLE_SINGULARITY_TABLE = (
-    {"index": 2, "d_max": 32, "family": "1/(4d)(1,2d-1)"},
-    {"index": 3, "d": 2, "type": TSingularity(2, 3, 1)},
-    {"index": 5, "d": 1, "type": TSingularity(1, 5, 3)},
-)
+# the catalogue's bound d <= 32 on the family 1/(4d)(1, 2d-1), recorded, not derived
+INDEX_TWO_D_MAX = 32

@@ -149,8 +149,8 @@ def s51_point_analysis(point: str, theta, tau, seed: int, order: int):
 # the two-equation family in P(1, 1, 2, 3, 5)
 
 
-FAMILY_RING = PolyRing.of("x0", "x1", "y", "u", "z")
 FAMILY_WEIGHTS = {"x0": 1, "x1": 1, "y": 2, "u": 3, "z": 5}
+FAMILY_RING = PolyRing.of(*FAMILY_WEIGHTS)
 
 
 def generic_f10(seed: int) -> ExactPolynomial:

@@ -1,7 +1,7 @@
 """No isurf module uses a private (``_``-prefixed) name of another isurf module
-or imports anything outside the standard library, and every defaulted
-parameter of a package function is passed by some caller and omitted by
-another."""
+or imports anything outside the standard library, only ``poly`` and
+``series`` build polynomials from raw terms, and every defaulted parameter of
+a package function is passed by some caller and omitted by another."""
 
 import ast
 import subprocess
@@ -65,6 +65,41 @@ def test_checker_sees_both_kinds_of_use():
               "from .poly import ExactPolynomial as P\n"
               "z = P._closed(ring, {}) + P.unchecked(ring, {})\n")
     assert private_uses(source) == ["2: lattice._det", "3: r._binary_form_at", "6: P._closed"]
+
+
+def polynomial_constructions(source: str) -> list[str]:
+    """``line: call`` for each call of ``ExactPolynomial(...)`` or
+    ``ExactPolynomial.unchecked(...)``, which build a polynomial from raw
+    terms."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "ExactPolynomial":
+            found.append(f"{node.lineno}: ExactPolynomial")
+        elif isinstance(func, ast.Attribute) and func.attr == "unchecked" \
+                and isinstance(func.value, ast.Name) and func.value.id == "ExactPolynomial":
+            found.append(f"{node.lineno}: ExactPolynomial.unchecked")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("poly.py", "series.py")],
+                         ids=lambda p: p.name)
+def test_only_poly_and_series_build_polynomials_from_raw_terms(path):
+    """Other modules read and build polynomials through ``poly``'s operations
+    (``coefficients_in``, ``exact_divide``, ``PolyRing.monomial`` ...)."""
+    assert polynomial_constructions(path.read_text()) == []
+
+
+def test_construction_checker_sees_both_constructors():
+    source = ("from .poly import ExactPolynomial, PolyRing\n"
+              "a = ExactPolynomial(ring, {(1,): 2})\n"
+              "b = ExactPolynomial.unchecked(ring, {})\n"
+              "c = PolyRing.of('x').monomial({'x': 1}) + ring.from_terms({})\n"
+              "d = isinstance(a, ExactPolynomial) and other.unchecked(ring, {})\n")
+    assert polynomial_constructions(source) == \
+        ["2: ExactPolynomial", "3: ExactPolynomial.unchecked"]
 
 
 def imported_roots(source: str) -> set[str]:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from isurf import poly, rings
-from isurf.errors import (CertificateFailed, NotFactorable, NotInvertible,
+from isurf.errors import (CertificateFailed, NotFactorable, NotHomogeneous, NotInvertible,
                           NotLinear)
 from isurf.series import DEFAULT_ORDER
 from isurf.tsing import TSingularity
@@ -59,8 +59,20 @@ def test_binomials_vanish_and_control():
     report = rings.verify_binomials(table, rings.standard_relations())
     assert len(report) == 10 and all(r["ok"] for r in report)
     ring = rings.standard_relations().ring
-    control = rings.verify_binomials(table, {"bad": ring.parse("x0*y - x1^2*y")})
-    assert not control[0]["ok"]
+    bad = rings.RelationSystem(ring, (("R1", ring.parse("x0*y - x1^2*y")),))
+    control = rings.verify_binomials(table, bad)
+    assert [r["relation"] for r in control] == ["R1"] and not control[0]["ok"]
+
+
+def test_a_non_homogeneous_fixture_relation_is_rejected_at_load(monkeypatch):
+    # x0 has degree 1 and y degree 2; the relations are checked once, as parsed
+    monkeypatch.setitem(rings._REL, "broken", {"params": [], "relations": {
+        "R1": "x0*y - x1^3", "R2": "x0*y - x1^2"}})
+    with pytest.raises(NotHomogeneous):
+        rings._load_system("broken")
+    monkeypatch.setitem(rings._REL, "broken", {"params": [], "relations": {"R1": "x0*y - x1^3"}})
+    assert rings._load_system("broken").names() == ("R1",)
+    rings._load_system.cache_clear()
 
 
 def test_factorisation_choices_match_displayed_monomials():

@@ -135,6 +135,24 @@ def test_normalize_rejects_smooth_fiber():
         toric.weierstrass_normalize(toric.WeierstrassModel(R5, T.zero(), k, l))
 
 
+def test_normalize_rejects_a_pure_t1_l_without_a_pure_t1_k():
+    # alpha = 0 and beta = 1: no eps has -3 eps^2 = 0 and 2 eps^3 = 1
+    k = T.parse("t0*t1^11")
+    l = T.parse("t1^18")
+    with pytest.raises(InvalidInput, match="not singular"):
+        toric.weierstrass_normalize(toric.WeierstrassModel(R5, T.zero(), k, l))
+
+
+def test_normalize_rejects_a_coefficient_outside_the_base_ring():
+    # j carries a parameter lam that the ring of k and l lacks
+    j = PolyRing.of("t0", "t1", "lam").parse("lam*t1^6")
+    k = T.parse("t0*t1^11")
+    l = T.parse("t0*t1^17")
+    model = toric.WeierstrassModel(PolyRing.of(*toric.F_VARS, "lam"), j, k, l)
+    with pytest.raises(InvalidInput, match="unexpectedly involves lam"):
+        toric.weierstrass_normalize(model)
+
+
 def test_normalize_preserves_cubic_discriminant_at_random_points():
     # rational eps branch: alpha = -12, beta = 16 gives eps = 2, 12 eps = 24?
     # use eps = 3: alpha = -27, beta = 54, 12 eps = 36 = 6^2 rational

@@ -1,8 +1,8 @@
 """Mutation check of the polynomial kernel, the series solver, germ
-classification and the Hilbert-basis stage: each named mutant must make the
-fast tests fail.
+classification, the Hilbert-basis stage and the coefficient reads of
+``toric`` and ``rings``: each named mutant must make the fast tests fail.
 
-    python tools/mutants.py     # about 8 minutes on 2 cores
+    python tools/mutants.py     # about 10 minutes on 2 cores
 
 The tree (``src``, ``tests``, ``pyproject.toml``) is copied to a temporary
 directory, and only that copy is ever changed.  A mutant replaces the source
@@ -28,7 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = ("tests/test_poly.py", "tests/test_series.py", "tests/test_tsing.py",
-         "tests/test_lattice.py")
+         "tests/test_lattice.py", "tests/test_toric.py", "tests/test_rings.py")
 TIMEOUT_S = 600
 
 # No packed key equals the limit, nor does a sum of two keys: the limit lies
@@ -105,6 +105,20 @@ MUTANTS = (
            "_parallelepiped", "x >= denominator", "x > denominator"),
     Mutant("a wrap keeps its ray on the point", "src/isurf/lattice.py",
            "_parallelepiped", "[p - r for p, r in zip(point, rays[i])]", "point"),
+    Mutant("the square rule keeps the full power", "src/isurf/toric.py",
+           "reduce_square", "x ** (e % 2)", "x ** e"),
+    Mutant("an unlisted fiber variable is read at power 1", "src/isurf/toric.py",
+           "_coefficient_of", "fiber_powers.get(name, 0)", "fiber_powers.get(name, 1)"),
+    Mutant("no stray-variable check on a fiber coefficient", "src/isurf/toric.py",
+           "_coefficient_of", "partial.degree_in(name) != 0", "False"),
+    Mutant("divide the whole relation by the lead", "src/isurf/rings.py",
+           "split_by_lead", "rel - rest", "rel"),
+    Mutant("the rest is the lead-linear part", "src/isurf/rings.py",
+           "split_by_lead", "rel.coefficients_in(lead).get(0, rel.ring.zero())",
+           "rel.coefficients_in(lead).get(1, rel.ring.zero())"),
+    Mutant("the clearing monomial is the inverse one", "src/isurf/rings.py",
+           "_clearing_monomial", "-min(0, *p.coefficients_in(name))",
+           "min(0, *p.coefficients_in(name))"),
 )
 
 
