@@ -7,11 +7,11 @@ runner (``isurf`` on the command line).
 """
 
 import json
-from importlib import resources
+from pathlib import Path
 
 __version__ = "0.1.0"
 
 
 def load_fixture(name: str):
     """The parsed contents of the bundled JSON file ``fixtures/<name>``."""
-    return json.loads(resources.files("isurf.fixtures").joinpath(name).read_text())
+    return json.loads((Path(__file__).parent / "fixtures" / name).read_text())

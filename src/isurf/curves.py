@@ -13,8 +13,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import load_fixture
-from .errors import (IllegalStep, InvalidInput, MissingCoefficients,
-                     NotContractible, UnknownRecipe)
+from .errors import InvalidInput, NotContractible
 from .tsing import codiscrepancy, recognize_tchain
 
 
@@ -83,7 +82,7 @@ class CurveConfiguration:
         for other in self.curves:
             if other.codisc is None:
                 if "f-exceptional" in other.roles:
-                    raise MissingCoefficients(
+                    raise InvalidInput(
                         f"{other.name} is f-exceptional but has no coefficient")
                 continue
             total += other.codisc * self.pairing(name, other.name)
@@ -212,7 +211,7 @@ def replay_script(cfg: CurveConfiguration, script: Sequence[Mapping]) -> dict:
     """Execute blow-down / flag / check steps; report the verdict.
 
     Returns {"verdict": "contradiction" | "survives", "violations": [rule
-    names], "final": configuration}.  Illegal steps raise IllegalStep.
+    names], "final": configuration}.  Illegal steps raise InvalidInput.
     """
     current = cfg
     for step in script:
@@ -221,7 +220,7 @@ def replay_script(cfg: CurveConfiguration, script: Sequence[Mapping]) -> dict:
             try:
                 current = current.blow_down(step["curve"])
             except (NotContractible, KeyError) as exc:
-                raise IllegalStep(f"blow_down {step.get('curve')}: {exc}") from exc
+                raise InvalidInput(f"blow_down {step.get('curve')}: {exc}") from exc
         elif op == "set_minimal":
             current = CurveConfiguration(current.curves, current.incidence, True)
         elif op == "check":
@@ -230,7 +229,7 @@ def replay_script(cfg: CurveConfiguration, script: Sequence[Mapping]) -> dict:
                 return {"verdict": "contradiction", "violations": violations,
                         "final": current}
         else:
-            raise IllegalStep(f"unknown op {op!r}")
+            raise InvalidInput(f"unknown op {op!r}")
     violations = current.check_rules()
     if violations:
         return {"verdict": "contradiction", "violations": violations,
@@ -263,7 +262,7 @@ def build_example(recipe: str) -> dict:
     """
     recipes = load_fixture("recipes.json")
     if recipe not in recipes:
-        raise UnknownRecipe(f"unknown recipe {recipe!r}")
+        raise InvalidInput(f"unknown recipe {recipe!r}")
     entry = recipes[recipe]
     cfg = config_from_dict(entry["configuration"])
     chains = {}

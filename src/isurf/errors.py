@@ -1,21 +1,43 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Bad input raises ``InvalidInput``, which is a ``ValueError``; a subclass
+exists only where some ``except`` names it or it carries data.
+"""
 
 
 class IsurfError(Exception):
     """Base class for all package errors."""
 
 
-class ParseError(IsurfError):
+class InvalidInput(IsurfError, ValueError):
+    """Input the package cannot work with."""
+
+
+class ParseError(InvalidInput):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-class UndeclaredIdentifier(ParseError):
+class NotHomogeneous(InvalidInput):
+    def __init__(self, message: str, offending: tuple):
+        super().__init__(message)
+        self.offending = offending
+
+
+class NotContractible(InvalidInput):
+    pass
+
+
+class UnknownScenario(InvalidInput):
     pass
 
 
 class NotDivisible(IsurfError):
+    pass
+
+
+class NotFactorable(IsurfError):
     pass
 
 
@@ -27,55 +49,5 @@ class TruncationTooShallow(IsurfError):
     pass
 
 
-class NotHomogeneous(IsurfError):
-    def __init__(self, message: str, offending: tuple):
-        super().__init__(message)
-        self.offending = offending
-
-
-class RankDeficient(IsurfError):
-    pass
-
-
-class InvalidInput(IsurfError):
-    pass
-
-
-class InconsistentRow(IsurfError):
-    pass
-
-
-class NotLinear(IsurfError):
-    pass
-
-
-class NotInvertible(IsurfError):
-    pass
-
-
-class NotFactorable(IsurfError):
-    pass
-
-
 class CertificateFailed(IsurfError):
-    pass
-
-
-class NotContractible(IsurfError):
-    pass
-
-
-class IllegalStep(IsurfError):
-    pass
-
-
-class UnknownRecipe(IsurfError):
-    pass
-
-
-class UnknownScenario(IsurfError):
-    pass
-
-
-class MissingCoefficients(IsurfError):
     pass

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import InvalidInput, RankDeficient
+from .errors import InvalidInput
 
 Vec = tuple[int, ...]
 
@@ -29,7 +29,7 @@ class IntegerMatrix:
     def __init__(self, rows: Iterable[Iterable[int]]):
         self.rows = tuple(tuple(int(x) for x in r) for r in rows)
         if any(len(r) != len(self.rows[0]) for r in self.rows):
-            raise ValueError("ragged matrix")
+            raise InvalidInput("ragged matrix")
 
     @staticmethod
     def of(rows: Iterable[Iterable[int]]) -> "IntegerMatrix":
@@ -119,7 +119,7 @@ def unimodular_normal_form(vectors: Sequence[Sequence[int]]) -> list[Vec]:
     Two configurations differ by one unimodular transform exactly when their
     normal forms agree.  A square block is unimodular exactly when its
     Hermite normal form is the identity, and then U is its inverse.
-    RankDeficient if no block is unimodular.
+    InvalidInput if no block is unimodular.
     """
     d = len(vectors[0])
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -127,7 +127,7 @@ def unimodular_normal_form(vectors: Sequence[Sequence[int]]) -> list[Vec]:
         hu = _hnf(_with_identity([[vectors[i][k] for i in subset] for k in range(d)]))
         if [r[:d] for r in hu] == identity:
             return [tuple(_dot(r[d:], v) for r in hu) for v in vectors]
-    raise RankDeficient("no unimodular block among the vectors")
+    raise InvalidInput("no unimodular block among the vectors")
 
 
 def gale_rays(weights: IntegerMatrix) -> list[Vec]:
@@ -137,7 +137,7 @@ def gale_rays(weights: IntegerMatrix) -> list[Vec]:
     kernel columns in unimodular normal form.
     """
     if weights.rank() != weights.nrows:
-        raise RankDeficient("weight matrix does not have full row rank")
+        raise InvalidInput("weight matrix does not have full row rank")
     basis = _kernel(weights.rows, weights.ncols)  # (n-r) x n
     if not basis:
         return [() for _ in range(weights.ncols)]
@@ -155,7 +155,7 @@ class LatticeCone:
 
     def __init__(self, rank: int, equations: IntegerMatrix):
         if equations.rows and equations.ncols != rank:
-            raise ValueError("equation width does not match rank")
+            raise InvalidInput("equation width does not match rank")
         self.rank, self.equations = rank, equations
 
     @staticmethod
@@ -173,9 +173,9 @@ class LatticeCone:
         """
         ray = tuple(int(x) for x in ray)
         if len(ray) != mapping.nrows:
-            raise ValueError("ray length does not match mapping rows")
+            raise InvalidInput("ray length does not match mapping rows")
         if not any(ray):
-            raise ValueError("ray must be nonzero")
+            raise InvalidInput("ray must be nonzero")
         p = next(i for i, x in enumerate(ray) if x)
         if any(ray[p] * a < 0 for a in mapping.rows[p]):
             raise InvalidInput(f"row {p} of the mapping times ray[{p}] has a negative entry, "

@@ -2,8 +2,8 @@
 
 Coefficients are `int` until a division makes a proper fraction, then
 `fractions.Fraction`.  Every coefficient division is ``exact_quotient``, since
-``int / int`` is a float; it, the constructors and the kernel's products
-store integral values as `int`.  Terms are exponent tuples.  Variables listed in ``PolyRing.invertible``
+``int / int`` is a float; it, ``PolyRing.from_terms`` and ``constant`` and
+the kernel's products store integral values as `int`.  Terms are exponent tuples.  Variables listed in ``PolyRing.invertible``
 may carry negative exponents; this is how rational-function coefficients in
 distinguished parameters are represented (every denominator that occurs is a
 monomial in those parameters).
@@ -47,7 +47,7 @@ from math import inf, lcm
 from operator import add, itemgetter, mul
 from typing import Mapping, Union
 
-from .errors import InvalidInput, NotDivisible, ParseError, UndeclaredIdentifier
+from .errors import InvalidInput, NotDivisible, ParseError
 
 Coeff = Union[Fraction, int]
 
@@ -79,18 +79,15 @@ class PolyRing:
 
     def __init__(self, variables: tuple[str, ...], invertible: frozenset[str]):
         if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable names in {variables}")
+            raise InvalidInput(f"duplicate variable names in {variables}")
         unknown = invertible - set(variables)
         if unknown:
-            raise ValueError(f"invertible names not declared: {sorted(unknown)}")
+            raise InvalidInput(f"invertible names not declared: {sorted(unknown)}")
         self.variables, self.invertible = variables, invertible
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing)
                 and (self.variables, self.invertible) == (other.variables, other.invertible))
-
-    def __hash__(self):
-        return hash((self.variables, self.invertible))
 
     @staticmethod
     def of(*names: str) -> "PolyRing":
@@ -138,11 +135,17 @@ class PolyRing:
         return _Parser(self, text).parse()
 
     def from_terms(self, terms: Mapping[tuple[int, ...], Coeff]) -> "ExactPolynomial":
+        """The polynomial of raw terms: coefficients normalised, zeros
+        dropped, and a negative exponent allowed on invertible variables only."""
         clean = {}
         for exps, c in terms.items():
             c = _coeff(c)
             if c != 0:
-                clean[tuple(exps)] = c
+                exps = tuple(exps)
+                for name, e in zip(self.variables, exps):
+                    if e < 0 and name not in self.invertible:
+                        raise InvalidInput(f"negative exponent on non-invertible variable {name}")
+                clean[exps] = c
         return ExactPolynomial(self, clean)
 
 
@@ -151,28 +154,18 @@ def _grlex_key(exps: tuple[int, ...]):
 
 
 class ExactPolynomial:
-    """Immutable sparse polynomial attached to a PolyRing."""
+    """Immutable sparse polynomial attached to a PolyRing.
 
-    __slots__ = ("ring", "terms", "_hash", "_packed")
+    The constructor stores normalised, nonzero terms as given, for results of
+    operations closed on valid terms (sums, products, derivatives,
+    truncations); ``PolyRing.from_terms`` is the entry for raw terms."""
+
+    __slots__ = ("ring", "terms", "_packed")
 
     def __init__(self, ring: PolyRing, terms: dict[tuple[int, ...], Coeff]):
         self.ring = ring
         self.terms = terms
-        self._hash = self._packed = None
-        for exps in terms:
-            for name, e in zip(ring.variables, exps):
-                if e < 0 and name not in ring.invertible:
-                    raise ValueError(f"negative exponent on non-invertible variable {name}")
-
-    @classmethod
-    def unchecked(cls, ring: PolyRing, terms: dict[tuple[int, ...], Coeff]) -> "ExactPolynomial":
-        """Result of an operation closed on valid terms (sums, products,
-        derivatives, truncations): its exponents need no check."""
-        p = object.__new__(cls)
-        p.ring = ring
-        p.terms = terms
-        p._hash = p._packed = None
-        return p
+        self._packed = None
 
     # -- basic structure -------------------------------------------------
 
@@ -210,7 +203,7 @@ class ExactPolynomial:
     def _coerce(self, other) -> "ExactPolynomial":
         if isinstance(other, ExactPolynomial):
             if other.ring != self.ring:
-                raise ValueError("ring mismatch")
+                raise InvalidInput("ring mismatch")
             return other
         return self.ring.constant(other)
 
@@ -223,12 +216,12 @@ class ExactPolynomial:
                 terms[exps] = _coeff(s)
             else:
                 terms.pop(exps, None)
-        return ExactPolynomial.unchecked(self.ring, terms)
+        return ExactPolynomial(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial.unchecked(self.ring, {e: -c for e, c in self.terms.items()})
+        return ExactPolynomial(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "ExactPolynomial":
         return self + (-self._coerce(other))
@@ -238,7 +231,7 @@ class ExactPolynomial:
 
     def __mul__(self, other) -> "ExactPolynomial":
         product = multiply_terms(self.terms, self._coerce(other).terms, None)
-        return ExactPolynomial.unchecked(self.ring, product)
+        return ExactPolynomial(self.ring, product)
 
     __rmul__ = __mul__
 
@@ -254,7 +247,7 @@ class ExactPolynomial:
         _check_reach(n * reach)
         keys = _keys(self.ring.nvars)
         power = power_terms(base, n, keys.limit(None), keys, {})
-        return ExactPolynomial.unchecked(self.ring, keys.decoded(dict(power), d ** n))
+        return ExactPolynomial(self.ring, keys.decoded(dict(power), d ** n))
 
     def packed_form(self) -> tuple[list, int, int]:
         """(graded, d, reach) of the kernel: the terms cleared, packed and
@@ -271,7 +264,7 @@ class ExactPolynomial:
         if len(self.terms) != 1:
             raise NotDivisible(f"not a monomial: {self}")
         (exps, c), = self.terms.items()
-        return ExactPolynomial(self.ring, {tuple(-e for e in exps): exact_quotient(1, c)})
+        return self.ring.from_terms({tuple(-e for e in exps): exact_quotient(1, c)})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExactPolynomial):
@@ -279,11 +272,6 @@ class ExactPolynomial:
         if isinstance(other, (int, Fraction)):
             return self == self.ring.constant(other)
         return NotImplemented
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, frozenset(self.terms.items())))
-        return self._hash
 
     # -- calculus / division --------------------------------------------
 
@@ -295,7 +283,7 @@ class ExactPolynomial:
             if e:
                 # distinct terms differentiate to distinct terms: nothing to collect
                 terms[exps[:i] + (e - 1,) + exps[i + 1:]] = _coeff(c * e)
-        return ExactPolynomial.unchecked(self.ring, terms)
+        return ExactPolynomial(self.ring, terms)
 
     def exact_divide(self, g: "ExactPolynomial") -> "ExactPolynomial":
         """Exact quotient q with q*g == self; raises NotDivisible otherwise.
@@ -346,7 +334,7 @@ class ExactPolynomial:
         ``substitute({}, ring)`` moves the polynomial into ``ring``."""
         target = ring if ring is not None else self.ring
         terms = substitute_terms(self.terms, self.ring, assignment, target, None)
-        return ExactPolynomial.unchecked(target, terms)
+        return ExactPolynomial(target, terms)
 
     # -- grading ----------------------------------------------------------
 
@@ -548,8 +536,8 @@ def substitute_terms(terms: Mapping[tuple[int, ...], Coeff], source: PolyRing,
     constant of ``target``; a negative exponent takes the monomial inverse.
     Only a variable that occurs is read, so only it raises: a name missing
     from ``target``, a polynomial of another ring or a negative power onto a
-    non-invertible variable (ValueError), and at a finite order an image with
-    a constant term (InvalidInput: it would bring dropped terms back below).
+    non-invertible variable, and at a finite order an image with a constant
+    term (it would bring dropped terms back below): InvalidInput each.
     With images cleared to N_i / d_i and L the lcm of the terms'
     D = c.denominator * prod d_i**|e_i|, one int dict sums c.numerator * L/D *
     prod N_i**e_i, and is divided by L at the end.  An image keeps only its
@@ -571,9 +559,9 @@ def substitute_terms(terms: Mapping[tuple[int, ...], Coeff], source: PolyRing,
         name, k = source.variables[i], abs(e)
         if name not in assignment:
             if name not in target.variables:
-                raise ValueError(f"{name} is neither assigned nor a variable of the target")
+                raise InvalidInput(f"{name} is neither assigned nor a variable of the target")
             if e < 0 and name not in target.invertible:
-                raise ValueError(f"negative exponent on non-invertible variable {name}")
+                raise InvalidInput(f"negative exponent on non-invertible variable {name}")
             return e * keys.weights[target.index(name)], 1, None, 1, k
         which = (name, e < 0)
         if which not in bases:
@@ -581,7 +569,7 @@ def substitute_terms(terms: Mapping[tuple[int, ...], Coeff], source: PolyRing,
             if not isinstance(img, ExactPolynomial):
                 img = target.constant(img)
             elif img.ring != target:
-                raise ValueError(f"image of {name} lies in the wrong ring")
+                raise InvalidInput(f"image of {name} lies in the wrong ring")
             if order is not None and img.constant_term() != 0:
                 raise InvalidInput(f"image of {name} has a constant term")
             graded, d, reach = (img.monomial_inverse() if e < 0 else img).packed_form()
@@ -649,7 +637,7 @@ class _Parser:
         terms = self.expr()
         if self.peek():
             raise ParseError(f"unexpected character {self.text[self.pos]!r}", self.pos)
-        return ExactPolynomial.unchecked(self.ring, terms)
+        return ExactPolynomial(self.ring, terms)
 
     def peek(self) -> str:
         """The next character after whitespace, "" at the end."""
@@ -710,7 +698,7 @@ class _Parser:
                     raise ParseError(f"expected identifier or number, found {ch!r}", self.pos)
                 name = m.group(0)
                 if name not in self.ring.variables:
-                    raise UndeclaredIdentifier(f"undeclared identifier {name!r}", self.pos)
+                    raise ParseError(f"undeclared identifier {name!r}", self.pos)
                 self.pos = m.end()
                 power = 1
                 if self.peek() == "^":

@@ -14,8 +14,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import load_fixture
-from .errors import (CertificateFailed, InvalidInput, NotDivisible,
-                     NotFactorable, NotInvertible, NotLinear)
+from .errors import CertificateFailed, InvalidInput, NotDivisible, NotFactorable
 from .lattice import IntegerMatrix, LatticeCone, hilbert_basis
 from .poly import ExactPolynomial, PolyRing
 from .skew import SkewMatrix
@@ -491,14 +490,14 @@ def smoothing_eliminate(rels: RelationSystem, invertible: Sequence[str],
         rel = rels.get(rel_name).substitute(subs, ring)
         by_var = rel.coefficients_in(var)
         if max(by_var) > 1:
-            raise NotLinear(f"{rel_name} is not linear in {var}")
+            raise InvalidInput(f"{rel_name} is not linear in {var}")
         coeff = by_var.get(1)
         rest = by_var.get(0, ring.zero())
         if coeff is None or len(coeff) != 1:
-            raise NotLinear(f"{rel_name} has a non-monomial coefficient on {var}")
+            raise InvalidInput(f"{rel_name} has a non-monomial coefficient on {var}")
         for name in ring.variables:
             if name not in ring.invertible and coeff.degree_in(name):
-                raise NotInvertible(
+                raise InvalidInput(
                     f"coefficient of {var} in {rel_name} involves the non-invertible {name}")
         solution = -rest * coeff.monomial_inverse()
         for known in subs:

@@ -3,7 +3,7 @@
 A ``TruncatedSeries`` is a polynomial modulo the terms of total degree >=
 order.  Its variables are ordinary (a ring with invertible variables raises
 InvalidInput), so no term below the order comes from one dropped above it.
-Series of different orders do not mix (ValueError).  Products and
+Series of different orders do not mix (InvalidInput).  Products and
 substitutions are the ``poly`` kernel (``multiply_terms``, ``substitute_terms``)
 called with the series' order, so a dropped term pair is never formed.
 ``solve_system`` eliminates variables by chord sweeps at the relations'
@@ -34,7 +34,7 @@ class TruncatedSeries:
         if ring.invertible:
             raise InvalidInput(f"truncated series over invertible {sorted(ring.invertible)}")
         terms = {e: c for e, c in poly.terms.items() if sum(e) < order}
-        self.poly, self.order = ExactPolynomial.unchecked(ring, terms), order
+        self.poly, self.order = ExactPolynomial(ring, terms), order
 
     @property
     def ring(self) -> PolyRing:
@@ -45,15 +45,15 @@ class TruncatedSeries:
 
     def _coerce(self, other) -> ExactPolynomial:
         """``other`` (series of this order, polynomial or number) truncated like
-        this series; a series of another order raises ValueError."""
+        this series; a series of another order raises InvalidInput."""
         if isinstance(other, TruncatedSeries):
             if other.order != self.order:
-                raise ValueError(f"order mismatch: O({self.order}) and O({other.order})")
+                raise InvalidInput(f"order mismatch: O({self.order}) and O({other.order})")
             other = other.poly
         if not isinstance(other, ExactPolynomial):
             other = self.ring.constant(other)
         elif other.ring != self.ring:
-            raise ValueError("ring mismatch")
+            raise InvalidInput("ring mismatch")
         return self._wrap(other).poly
 
     def __add__(self, other):
@@ -64,7 +64,7 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         product = multiply_terms(self.poly.terms, self._coerce(other).terms, self.order)
-        return self._wrap(ExactPolynomial.unchecked(self.ring, product))
+        return self._wrap(ExactPolynomial(self.ring, product))
 
     def __neg__(self):
         return self._wrap(-self.poly)
@@ -86,7 +86,7 @@ class TruncatedSeries:
         with only its terms below the order, so one with a single such term
         folds."""
         result = substitute_terms(self.poly.terms, self.ring, assignment, self.ring, self.order)
-        return self._wrap(ExactPolynomial.unchecked(self.ring, result))
+        return self._wrap(ExactPolynomial(self.ring, result))
 
     def inverse(self) -> "TruncatedSeries":
         """Inverse of a unit series (nonzero constant term)."""
@@ -114,7 +114,7 @@ def solve_system(relations: Sequence[TruncatedSeries],
 
     Each relation must be a nonzero constant unit u_i times its variable plus
     higher-order terms, with no constant term (NotSolvable otherwise);
-    relations of different orders raise ValueError.  The Gauss-Seidel chord
+    relations of different orders raise InvalidInput.  The Gauss-Seidel chord
     sweeps, all at the relations' order, set variables[i] -= residual_i / u_i
     (Newton's step with the Jacobian frozen at its constant diagonal); the
     first sweep that leaves every residual zero is the certificate.  A system
@@ -123,12 +123,12 @@ def solve_system(relations: Sequence[TruncatedSeries],
     series that does not solve it.
     """
     if len(relations) != len(variables):
-        raise ValueError("need one relation per variable")
+        raise InvalidInput("need one relation per variable")
     if not relations:
         return {}
     order, ring = relations[0].order, relations[0].ring
     if any(r.order != order for r in relations):
-        raise ValueError(f"relations of different orders {sorted({r.order for r in relations})}")
+        raise InvalidInput(f"relations of different orders {sorted({r.order for r in relations})}")
     if order <= 1:
         raise TruncationTooShallow(f"order {order} drops the linear terms of the relations")
     inverse_units = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
+from .errors import InvalidInput
 from .poly import ExactPolynomial, PolyRing
 
 
@@ -18,7 +19,7 @@ class SkewMatrix:
         self.upper = {}
         for (i, j), p in upper.items():
             if not (0 <= i < j < size):
-                raise ValueError(f"bad upper index {(i, j)}")
+                raise InvalidInput(f"bad upper index {(i, j)}")
             if not p.is_zero():
                 self.upper[(i, j)] = p
 
@@ -32,7 +33,7 @@ class SkewMatrix:
         upper = {}
         for i, row in enumerate(rows):
             if len(row) != size - 1 - i:
-                raise ValueError(f"row {i} should have {size - 1 - i} entries")
+                raise InvalidInput(f"row {i} should have {size - 1 - i} entries")
             for k, entry in enumerate(row):
                 j = i + 1 + k
                 p = entry if isinstance(entry, ExactPolynomial) else ring.parse(entry)
@@ -67,7 +68,7 @@ class SkewMatrix:
 
     def multiply_vector(self, vector: Sequence[ExactPolynomial]) -> list[ExactPolynomial]:
         if len(vector) != self.size:
-            raise ValueError("vector length mismatch")
+            raise InvalidInput("vector length mismatch")
         return [
             sum((self.entry(i, j) * vector[j] for j in range(self.size)), self.ring.zero())
             for i in range(self.size)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from . import load_fixture
-from .errors import CertificateFailed, InconsistentRow, InvalidInput, RankDeficient
+from .errors import CertificateFailed, InvalidInput
 from .lattice import IntegerMatrix, gale_rays as _gale_rays
 from .poly import Coeff, ExactPolynomial, PolyRing, exact_quotient
 
@@ -22,7 +22,7 @@ class CoxPresentation:
         if weights.ncols != ring.nvars:
             raise InvalidInput("one weight column per variable required")
         if weights.rank() != weights.nrows:
-            raise RankDeficient("weight matrix must have full row rank")
+            raise InvalidInput("weight matrix must have full row rank")
         self.ring, self.weights = ring, weights
 
     @staticmethod
@@ -54,14 +54,14 @@ def toric_blowup(cox: CoxPresentation, new_var: str, new_row: Sequence[int]) -> 
     """
     new_row = tuple(int(x) for x in new_row)
     if len(new_row) != cox.ring.nvars + 1:
-        raise InconsistentRow("row length must cover the old variables plus the new one")
+        raise InvalidInput("row length must cover the old variables plus the new one")
     if new_row[-1] != -1:
-        raise InconsistentRow("the new variable's entry must be -1")
+        raise InvalidInput("the new variable's entry must be -1")
     old_part = new_row[:-1]
     if any(x < 0 for x in old_part) or not any(old_part):
-        raise InconsistentRow("centre multiplicities must be nonnegative and not all zero")
+        raise InvalidInput("centre multiplicities must be nonnegative and not all zero")
     if new_var in cox.ring.variables:
-        raise InconsistentRow(f"variable {new_var!r} already present")
+        raise InvalidInput(f"variable {new_var!r} already present")
     variables = cox.ring.variables + (new_var,)
     rows = [tuple(r) + (0,) for r in cox.weights.rows] + [new_row]
     return CoxPresentation.of(variables, rows)

@@ -38,9 +38,6 @@ class TSingularity:
         return (isinstance(other, TSingularity)
                 and (self.d, self.n, self.a) == (other.d, other.n, other.a))
 
-    def __hash__(self):
-        return hash((self.d, self.n, self.a))
-
     @property
     def order(self) -> int:
         return self.d * self.n * self.n
@@ -73,9 +70,6 @@ class RationalDoublePoint:
     def __eq__(self, other):
         return isinstance(other, RationalDoublePoint) and self.r == other.r
 
-    def __hash__(self):
-        return hash(self.r)
-
     def __str__(self):
         return f"A_{self.r}"
 
@@ -85,9 +79,6 @@ class SmoothPoint:
 
     def __eq__(self, other):
         return isinstance(other, SmoothPoint)
-
-    def __hash__(self):
-        return 0
 
     def __str__(self):
         return "smooth"

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isurf import lattice, rings
-from isurf.errors import InvalidInput, RankDeficient
+from isurf.errors import InvalidInput
 from isurf.lattice import (IntegerMatrix, LatticeCone, extreme_rays, gale_rays, hilbert_basis,
                            kernel_basis, unimodular_normal_form)
 
@@ -177,7 +177,7 @@ def test_seven_variable_cone_spot_check_decomposition():
 def test_gale_rays_examples():
     rays = gale_rays(IntegerMatrix([[1, 1, 1]]))
     assert tuple(sum(c) for c in zip(*rays)) == (0, 0)
-    with pytest.raises(RankDeficient):
+    with pytest.raises(InvalidInput, match="weight matrix does not have full row rank"):
         gale_rays(IntegerMatrix([[1, 1], [2, 2]]))
 
 
@@ -196,7 +196,7 @@ def test_unimodular_normal_form_is_invariant_and_separating():
         vectors = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(d + 2)]
         try:
             form = unimodular_normal_form(vectors)
-        except RankDeficient:
+        except InvalidInput:
             continue
         # a random unimodular T: elementary row operations and a sign change
         t = [[int(i == j) for j in range(d)] for i in range(d)]
@@ -214,10 +214,10 @@ def test_unimodular_normal_form_is_invariant_and_separating():
         scaled[i] = tuple(2 * x for x in vectors[i])
         try:
             assert unimodular_normal_form(scaled) != form
-        except RankDeficient:
+        except InvalidInput:
             pass
         checked += 1
-    with pytest.raises(RankDeficient):
+    with pytest.raises(InvalidInput, match="no unimodular block among the vectors"):
         unimodular_normal_form([(2, 0), (0, 2)])
 
 
@@ -542,6 +542,18 @@ def test_ray_preimage_of_a_one_row_mapping():
     assert hilbert_basis(cone) == [(0, 1), (1, 0)]
     flipped = LatticeCone.ray_preimage(IntegerMatrix([[-1, -2]]), (-3,))
     assert hilbert_basis(flipped) == [(0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: IntegerMatrix([[1, 2], [3]]), "ragged matrix"),
+    (lambda: LatticeCone(3, IntegerMatrix([[1, 1]])), "equation width does not match rank"),
+    (lambda: LatticeCone.ray_preimage(IntegerMatrix([[1, 2]]), (1, 1)),
+     "ray length does not match mapping rows"),
+    (lambda: LatticeCone.ray_preimage(IntegerMatrix([[1, 2]]), (0,)), "ray must be nonzero"),
+], ids=["ragged", "cone-width", "ray-length", "zero-ray"])
+def test_bad_input_raises_invalid_input(build, message):
+    with pytest.raises(InvalidInput, match=message):
+        build()
 
 
 def test_ray_preimage_rejects_a_sign_it_cannot_enforce():

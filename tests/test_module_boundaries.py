@@ -1,7 +1,8 @@
 """No isurf module uses a private (``_``-prefixed) name of another isurf module
 or imports anything outside the standard library, only ``poly`` and
-``series`` build polynomials from raw terms, and every defaulted parameter of
-a package function is passed by some caller and omitted by another."""
+``series`` build polynomials from raw terms, every defaulted parameter of
+a package function is passed by some caller and omitted by another, and each
+exception class is one that some code reads."""
 
 import ast
 import subprocess
@@ -68,20 +69,11 @@ def test_checker_sees_both_kinds_of_use():
 
 
 def polynomial_constructions(source: str) -> list[str]:
-    """``line: call`` for each call of ``ExactPolynomial(...)`` or
-    ``ExactPolynomial.unchecked(...)``, which build a polynomial from raw
-    terms."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "ExactPolynomial":
-            found.append(f"{node.lineno}: ExactPolynomial")
-        elif isinstance(func, ast.Attribute) and func.attr == "unchecked" \
-                and isinstance(func.value, ast.Name) and func.value.id == "ExactPolynomial":
-            found.append(f"{node.lineno}: ExactPolynomial.unchecked")
-    return sorted(found)
+    """``line: call`` for each call of ``ExactPolynomial(...)``, which stores
+    raw terms unchecked."""
+    return sorted(f"{node.lineno}: ExactPolynomial" for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "ExactPolynomial")
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("poly.py", "series.py")],
@@ -92,14 +84,74 @@ def test_only_poly_and_series_build_polynomials_from_raw_terms(path):
     assert polynomial_constructions(path.read_text()) == []
 
 
-def test_construction_checker_sees_both_constructors():
+def test_construction_checker_sees_direct_constructor_calls():
     source = ("from .poly import ExactPolynomial, PolyRing\n"
               "a = ExactPolynomial(ring, {(1,): 2})\n"
-              "b = ExactPolynomial.unchecked(ring, {})\n"
               "c = PolyRing.of('x').monomial({'x': 1}) + ring.from_terms({})\n"
-              "d = isinstance(a, ExactPolynomial) and other.unchecked(ring, {})\n")
-    assert polynomial_constructions(source) == \
-        ["2: ExactPolynomial", "3: ExactPolynomial.unchecked"]
+              "d = isinstance(a, ExactPolynomial) and other.ExactPolynomial(ring, {})\n")
+    assert polynomial_constructions(source) == ["2: ExactPolynomial"]
+
+
+ERRORS = Path(isurf.__file__).resolve().parent / "errors.py"
+
+# Outcomes on valid input that no package code catches yet; each is kept so
+# that a caller can tell it from bad input.
+OUTCOMES = {
+    "NotSolvable": "solve_system meets a system its chord sweeps cannot solve: an outcome, not bad input",
+    "CertificateFailed": "an exact certificate does not verify: an outcome, not bad input",
+}
+
+
+def unread_error_classes(errors_source: str, sources: list[str]) -> list[str]:
+    """The classes of ``errors_source`` that no ``except`` in ``sources``
+    names and that define no ``__init__`` (carry no data), other than the
+    two bases and the ``OUTCOMES``."""
+    caught = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(t.attr if isinstance(t, ast.Attribute) else getattr(t, "id", None)
+                              for t in types)
+    return sorted(node.name for node in ast.parse(errors_source).body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name not in {"IsurfError", "InvalidInput", *caught, *OUTCOMES}
+                  and not any(isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                              for f in node.body))
+
+
+def value_error_raises(source: str) -> list[int]:
+    """The lines that raise ``ValueError`` itself."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Raise) and node.exc is not None
+                  and getattr(getattr(node.exc, "func", node.exc), "id", None) == "ValueError")
+
+
+def test_bad_input_is_one_exception_and_every_error_class_is_read():
+    package = {p.name: p.read_text() for p in MODULES}
+    assert unread_error_classes(ERRORS.read_text(), list(package.values())) == []
+    assert {name: lines for name, source in package.items() if name != "cli.py"
+            for lines in [value_error_raises(source)] if lines} == {}
+
+
+def test_taxonomy_checkers_see_excepts_data_outcomes_and_raises():
+    errors = ("class IsurfError(Exception): pass\n"
+              "class InvalidInput(IsurfError, ValueError): pass\n"
+              "class Caught(InvalidInput): pass\n"
+              "class AlsoCaught(IsurfError): pass\n"
+              "class Carries(InvalidInput):\n"
+              "    def __init__(self, message, position):\n"
+              "        super().__init__(message)\n"
+              "class NotSolvable(IsurfError): pass\n"
+              "class Unread(InvalidInput): pass\n"
+              "class OnlyRaised(IsurfError): pass\n")
+    sources = ["try:\n    f()\nexcept Caught:\n    pass\n"
+               "except (errors.AlsoCaught, KeyError) as exc:\n    pass\n",
+               "raise OnlyRaised('x')\n"]
+    assert unread_error_classes(errors, sources) == ["OnlyRaised", "Unread"]
+    assert value_error_raises("raise ValueError('a')\nraise ValueError\n"
+                              "raise InvalidInput('b')\nraise\n"
+                              "raise errors.ValueError('c')\n") == [1, 2]
 
 
 def imported_roots(source: str) -> set[str]:
@@ -268,4 +320,15 @@ def test_a_fresh_cli_import_loads_no_dataclasses_inspect_or_traceback():
     code = ("import sys, isurf.cli\n"
             "print(*(m for m in ('dataclasses', 'inspect', 'traceback') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
+
+
+def test_a_fresh_cli_import_without_site_loads_no_importlib_resources_or_zipfile():
+    """Fixtures are read by path: on a host whose ``site`` does not preload
+    them (here ``python -S``), these modules would cost each fresh process."""
+    src = Path(isurf.__file__).resolve().parents[1]
+    code = (f"import sys\nsys.path.insert(0, {str(src)!r})\nimport isurf.cli\n"
+            "print(*(m for m in ('importlib.resources', 'zipfile') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, check=True)
     assert proc.stdout.split() == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isurf import poly, wps
-from isurf.errors import InvalidInput, NotDivisible, ParseError, UndeclaredIdentifier
+from isurf.errors import InvalidInput, NotDivisible, ParseError
 from isurf.poly import ExactPolynomial, PolyRing, multiply_terms
 from isurf.series import TruncatedSeries
 from isurf.tsing import TSingularity
@@ -41,8 +41,9 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         R3.parse("x0 + + y")
     assert err.value.position == 5
-    with pytest.raises(UndeclaredIdentifier):
+    with pytest.raises(ParseError, match="undeclared identifier 'q'") as err:
         R3.parse("x0 + q")
+    assert err.value.position == 5
 
 
 def test_parse_rational_coefficients_and_parens():
@@ -155,8 +156,8 @@ def test_laurent_exponents_require_declaration():
     assert p.coefficient((1, -2)) == 1
     with pytest.raises(ParseError):
         ring.parse("x^-1")
-    with pytest.raises(ValueError):
-        ExactPolynomial(ring, {(-1, 0): Fraction(1)})
+    with pytest.raises(InvalidInput, match="negative exponent on non-invertible variable x"):
+        ring.from_terms({(-1, 0): Fraction(1)})
 
 
 def test_monomial_inverse_and_clearing():
@@ -224,6 +225,18 @@ def test_floats_and_other_non_exact_coefficients_are_rejected(bad):
         p + bad
     with pytest.raises(InvalidInput):
         p.substitute({"x": bad})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PolyRing(("x", "x"), frozenset()), r"duplicate variable names in \('x', 'x'\)"),
+    (lambda: PolyRing(("x",), frozenset({"y"})), r"invertible names not declared: \['y'\]"),
+    (lambda: R3.var("x0") + PolyRing.of("x0").var("x0"), "ring mismatch"),
+    (lambda: R3.var("x0").substitute({"x0": PolyRing.of("x0").var("x0")}),
+     "image of x0 lies in the wrong ring"),
+], ids=["duplicate-names", "undeclared-invertible", "ring-mismatch", "image-ring"])
+def test_bad_input_raises_invalid_input(build, message):
+    with pytest.raises(InvalidInput, match=message):
+        build()
 
 
 def test_int_and_fraction_coefficients_stay_exact():

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from isurf import poly, rings
-from isurf.errors import (CertificateFailed, NotFactorable, NotHomogeneous, NotInvertible,
-                          NotLinear)
+from isurf.errors import CertificateFailed, InvalidInput, NotFactorable, NotHomogeneous
 from isurf.series import DEFAULT_ORDER
 from isurf.tsing import TSingularity
 
@@ -245,10 +244,14 @@ def test_smoothing_elimination_plan_order_independence():
 
 def test_smoothing_elimination_errors():
     fam = rings.family_relations()
-    with pytest.raises(NotInvertible):
+    with pytest.raises(InvalidInput, match="coefficient of w in R1 involves the non-invertible tau"):
         rings.smoothing_eliminate(fam, ["lam"], [("R1", "w")])
-    with pytest.raises(NotLinear):
+    with pytest.raises(InvalidInput, match="R13 is not linear in u1"):
         rings.smoothing_eliminate(fam, ["lam", "tau"], [("R13", "u1")])
+    ring = poly.PolyRing.of("x", "y", "z")
+    two_terms = rings.RelationSystem(ring, (("R", ring.parse("x*z + y*z + 1")),))
+    with pytest.raises(InvalidInput, match="R has a non-monomial coefficient on z"):
+        rings.smoothing_eliminate(two_terms, [], [("R", "z")])
 
 
 def test_m1_pfaffians_are_signed_relations():

@@ -340,6 +340,17 @@ def test_image_below_its_weight_is_rejected():
         TruncatedSeries(S.parse("x^2 + y"), 3).substitute({"x": S.parse("1 + y")})
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: TruncatedSeries(S.parse("x"), 4) + TruncatedSeries(PolyRing.of("x", "z").var("x"), 4),
+     "ring mismatch"),
+    (lambda: solve_system([TruncatedSeries(S.parse("x"), 4)], []),
+     "need one relation per variable"),
+], ids=["ring-mismatch", "relation-count"])
+def test_bad_input_raises_invalid_input(build, message):
+    with pytest.raises(InvalidInput, match=message):
+        build()
+
+
 @pytest.mark.parametrize("relation", ["x - 1 - y", "1 + x"])
 def test_a_relation_with_a_constant_term_is_not_solvable(relation, monkeypatch):
     # its solution would have a constant term; the relation is named before

@@ -1,6 +1,9 @@
 import itertools
 import random
 
+import pytest
+
+from isurf.errors import InvalidInput
 from isurf.poly import PolyRing
 from isurf.skew import SkewMatrix
 
@@ -114,3 +117,14 @@ def test_multiply_vector():
     out = m.multiply_vector([ring.var("v1"), ring.var("v2")])
     assert out[0] == ring.parse("a*v2")
     assert out[1] == ring.parse("-a*v1")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SkewMatrix(K, 3, {(1, 0): K.var("a")}), r"bad upper index \(1, 0\)"),
+    (lambda: SkewMatrix.from_upper_rows(K, [["a", "b"], ["c", "d"]]), "row 1 should have 1 entries"),
+    (lambda: SkewMatrix.from_upper_rows(K, [["a"]]).multiply_vector([K.var("b")]),
+     "vector length mismatch"),
+], ids=["upper-index", "row-length", "vector-length"])
+def test_bad_input_raises_invalid_input(build, message):
+    with pytest.raises(InvalidInput, match=message):
+        build()

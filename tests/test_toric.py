@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from isurf import rings, toric
-from isurf.errors import InconsistentRow, InvalidInput, NotHomogeneous
+from isurf.errors import InvalidInput, NotHomogeneous
 from isurf.poly import PolyRing
 
 from oracles import evaluate
@@ -39,10 +39,25 @@ def test_toric_blowup_chain_and_errors():
     full = toric.toric_blowup(inter, "e", (1, 0, 0, 0, 1, 1, -1))
     assert full.weights.rows == toric.FTILDE_PRESENTATION.weights.rows
     assert full.ring.variables == toric.FTILDE_VARS
-    with pytest.raises(InconsistentRow):
+    with pytest.raises(InvalidInput, match="the new variable's entry must be -1"):
         toric.toric_blowup(toric.F_PRESENTATION, "c", (0, 0, 0, 0, 0, 0))
-    with pytest.raises(InconsistentRow):
+    with pytest.raises(InvalidInput, match="the new variable's entry must be -1"):
         toric.toric_blowup(toric.F_PRESENTATION, "c", (2, 0, 0, 1, 1, 1))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: toric.CoxPresentation.of(("x", "y"), ((1, 1), (2, 2))),
+     "weight matrix must have full row rank"),
+    (lambda: toric.toric_blowup(toric.F_PRESENTATION, "c", (1, -1)),
+     "row length must cover the old variables plus the new one"),
+    (lambda: toric.toric_blowup(toric.F_PRESENTATION, "c", (0, 0, 0, 0, 0, -1)),
+     "centre multiplicities must be nonnegative and not all zero"),
+    (lambda: toric.toric_blowup(toric.F_PRESENTATION, "ze", (1, 0, 0, 0, 0, -1)),
+     "variable 'ze' already present"),
+], ids=["rank-deficient", "row-length", "centre", "existing-variable"])
+def test_bad_input_raises_invalid_input(build, message):
+    with pytest.raises(InvalidInput, match=message):
+        build()
 
 
 def test_blowup_transform_monomial_example():

@@ -1,6 +1,7 @@
 """Mutation check of the polynomial kernel, the series solver, germ
-classification, the Hilbert-basis stage and the coefficient reads of
-``toric`` and ``rings``: each named mutant must make the fast tests fail.
+classification, the Hilbert-basis stage, the coefficient reads of ``toric``
+and ``rings``, and the input checks of ``PolyRing.from_terms`` and
+``toric.toric_blowup``: each named mutant must make the fast tests fail.
 
     python tools/mutants.py     # about 10 minutes on 2 cores
 
@@ -49,6 +50,8 @@ class Mutant:
 
 
 MUTANTS = (
+    Mutant("raw terms without the invertibility check", "src/isurf/poly.py",
+           "from_terms", "e < 0 and name not in self.invertible", "False"),
     Mutant("identity fold without the invertibility check", "src/isurf/poly.py",
            "substitute_terms", "e < 0 and name not in target.invertible", "False"),
     Mutant("no constant-term check on images", "src/isurf/poly.py",
@@ -107,6 +110,10 @@ MUTANTS = (
            "_parallelepiped", "[p - r for p, r in zip(point, rays[i])]", "point"),
     Mutant("the square rule keeps the full power", "src/isurf/toric.py",
            "reduce_square", "x ** (e % 2)", "x ** e"),
+    Mutant("a blowup row of any length", "src/isurf/toric.py",
+           "toric_blowup", "len(new_row) != cox.ring.nvars + 1", "False"),
+    Mutant("a blowup centre of any multiplicities", "src/isurf/toric.py",
+           "toric_blowup", "any(x < 0 for x in old_part) or not any(old_part)", "False"),
     Mutant("an unlisted fiber variable is read at power 1", "src/isurf/toric.py",
            "_coefficient_of", "fiber_powers.get(name, 0)", "fiber_powers.get(name, 1)"),
     Mutant("no stray-variable check on a fiber coefficient", "src/isurf/toric.py",
