@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import UnknownScenario
 from .scenarios import Params, find_scenario, list_scenarios, run
-from .series import DEFAULT_ORDER
+from .tsing import DEFAULT_ORDER
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -172,9 +172,6 @@ class ExactPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -225,9 +222,6 @@ class ExactPolynomial:
 
     def __sub__(self, other) -> "ExactPolynomial":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "ExactPolynomial":
-        return self._coerce(other) - self
 
     def __mul__(self, other) -> "ExactPolynomial":
         product = multiply_terms(self.terms, self._coerce(other).terms, None)
@@ -296,8 +290,6 @@ class ExactPolynomial:
         g = self._coerce(g)
         if g.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return self.ring.zero()
         if len(g.terms) == 1:
             (ge, gc), = g.terms.items()
             terms = {}
@@ -427,11 +419,8 @@ class _Keys:
         their coefficients."""
         d = lcm(*(c.denominator for c in terms.values()))
         weights = self.weights
-        if d == 1:
-            numerators = {sum(map(mul, e, weights)): c for e, c in terms.items()}
-        else:
-            numerators = {sum(map(mul, e, weights)): c.numerator * (d // c.denominator)
-                          for e, c in terms.items()}
+        numerators = {sum(map(mul, e, weights)): c.numerator * (d // c.denominator)
+                      for e, c in terms.items()}
         reach = max((sum(map(abs, e)) for e in terms), default=0)
         _check_reach(reach)
         return numerators, d, reach

@@ -21,8 +21,6 @@ from .errors import InvalidInput, NotSolvable, TruncationTooShallow
 from .poly import (Coeff, ExactPolynomial, PolyRing, exact_quotient, multiply_terms,
                    substitute_terms)
 
-DEFAULT_ORDER = 10
-
 
 class TruncatedSeries:
     """A polynomial known modulo terms of total degree >= order."""

@@ -60,8 +60,6 @@ def toric_blowup(cox: CoxPresentation, new_var: str, new_row: Sequence[int]) -> 
     old_part = new_row[:-1]
     if any(x < 0 for x in old_part) or not any(old_part):
         raise InvalidInput("centre multiplicities must be nonnegative and not all zero")
-    if new_var in cox.ring.variables:
-        raise InvalidInput(f"variable {new_var!r} already present")
     variables = cox.ring.variables + (new_var,)
     rows = [tuple(r) + (0,) for r in cox.weights.rows] + [new_row]
     return CoxPresentation.of(variables, rows)

@@ -74,16 +74,6 @@ class RationalDoublePoint:
         return f"A_{self.r}"
 
 
-class SmoothPoint:
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, SmoothPoint)
-
-    def __str__(self):
-        return "smooth"
-
-
 class Unrecognized:
     __slots__ = ("reason",)
 
@@ -226,7 +216,7 @@ def ktilde_squared(sings: Sequence[Sequence[int]]) -> Fraction:
 class QuotientGerm:
     """A hypersurface germ in a three-variable cyclic quotient.
 
-    ``order`` is the group order n, ``action`` the weights of the three
+    ``order`` is the group order n >= 2, ``action`` the weights of the three
     variables mod n, ``equation`` a truncated series in those variables, and
     ``invariance_class`` the common weight of its terms mod n.
     """
@@ -236,12 +226,10 @@ class QuotientGerm:
     def __init__(self, order: int, action: tuple[int, int, int], equation: TruncatedSeries):
         if equation.ring.nvars != 3:
             raise InvalidInput("quotient germs live in three variables")
-        if order < 1:
-            raise InvalidInput("group order must be positive")
-        classes = {
-            sum(w * e for w, e in zip(action, exps)) % order
-            for exps in equation.poly.terms
-        } if order > 1 else {0}
+        if order < 2:
+            raise InvalidInput("group order must be at least 2")
+        classes = {sum(w * e for w, e in zip(action, exps)) % order
+                   for exps in equation.poly.terms}
         if len(classes) > 1:
             raise InvalidInput(f"equation is not semi-invariant: classes {sorted(classes)}")
         self.order, self.action, self.equation = order, action, equation
@@ -270,10 +258,8 @@ def classify_germ(germ: QuotientGerm):
     for i in range(3):
         exps = tuple(1 if j == i else 0 for j in range(3))
         if f.poly.coefficient(exps) != 0:
-            if n == 1:
-                return SmoothPoint()
             return plane_quotient(n, *(w for j, w in enumerate(germ.action) if j != i))
-    if n > 1 and germ.invariance_class != 0:
+    if germ.invariance_class != 0:
         return Unrecognized("equation is not invariant")
     if f.order <= 2:
         raise TruncationTooShallow(f"order {f.order} drops the quadratic part of the germ")
@@ -287,9 +273,8 @@ def classify_germ(germ: QuotientGerm):
 
 def _classify_with_pair(germ: QuotientGerm, i: int, j: int):
     f = germ.equation
-    ring = f.ring
     n = germ.order
-    names = ring.variables
+    names = f.ring.variables
     k_index = next(k for k in range(3) if k not in (i, j))
 
     def e(a, b, c):
@@ -301,26 +286,19 @@ def _classify_with_pair(germ: QuotientGerm, i: int, j: int):
                      2 * f.poly.coefficient(e(0, 2, 0)))
     if hxx * hyy - hxy * hxy == 0:
         return None
-    if n > 1:
-        wi, wj, wk = germ.action[i], germ.action[j], germ.action[k_index]
-        if (wi + wj) % n != 0:
-            return None
-        if gcd(wi % n, n) != 1:
-            return None
+    wi, wj, wk = (germ.action[v] % n for v in (i, j, k_index))
+    if (wi + wj) % n != 0 or gcd(wi, n) != 1:
+        return None
     residual = _critical_residual(f, names[i], names[j], hxx, hxy, hyy)
     if residual.is_zero():
         raise TruncationTooShallow(
             f"residual in {names[k_index]} vanishes to order {f.order}")
-    k = min(exps[ring.index(names[k_index])] for exps in residual.terms)
-    if n == 1:
-        return RationalDoublePoint(k - 1)
-    wi = germ.action[i] % n
-    wk = germ.action[k_index] % n
+    k = min(exps[k_index] for exps in residual.terms)
     if k % n != 0:
         return Unrecognized(f"residual multiplicity {k} not divisible by the order {n}")
     d = k // n
     a = (pow(wi, -1, n) * wk) % n
-    if a == 0 or gcd(a, n) != 1:
+    if gcd(a, n) != 1:
         return Unrecognized(f"normalised weight {a} not coprime to {n}")
     return TSingularity(d, n, a)
 
@@ -336,6 +314,10 @@ def _critical_residual(f: TruncatedSeries, x: str, y: str,
     fx, fy = f.derivative(x), f.derivative(y)
     critical = solve_system([fx * hyy - fy * hxy, fy * hxx - fx * hxy], [x, y])
     return f.substitute(critical).poly
+
+
+# the default cap on the order of ``chart_germ`` (the CLI's --order)
+DEFAULT_ORDER = 10
 
 
 def chart_germ(equations: Mapping[str, ExactPolynomial], weights: Mapping[str, int],

@@ -17,8 +17,7 @@ from pathlib import Path
 from isurf import curves as cv
 from isurf import rings, toric, tsing, wps
 from isurf.poly import PolyRing
-from isurf.series import DEFAULT_ORDER
-from isurf.tsing import TSingularity
+from isurf.tsing import DEFAULT_ORDER, TSingularity
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -1,8 +1,9 @@
 """No isurf module uses a private (``_``-prefixed) name of another isurf module
 or imports anything outside the standard library, only ``poly`` and
 ``series`` build polynomials from raw terms, every defaulted parameter of
-a package function is passed by some caller and omitted by another, and each
-exception class is one that some code reads."""
+a package function is passed by some caller and omitted by another, each
+exception class is one that some code reads, and each function is named
+outside its own body."""
 
 import ast
 import subprocess
@@ -312,6 +313,81 @@ def test_checker_sees_omitted_keyword_and_star_calls():
     assert defaults_no_call_omits(package, []) == \
         ["m.K.__init__(p)", "m.K.__init__(q)", "m.K.m(r)", "m.f(d)", "m.g(y)", "m.h(z)"]
     assert defaults_no_call_omits(package, ["f(1)\ng(1)\nh(w=0)\nK(q=1)\nK().m()\n"]) == []
+
+
+# Functions that nothing in the package names, kept because ``perfbench`` pins
+# them (ROADMAP item 2 frees them).
+PINNED_BY_THE_BENCHMARK = {
+    "lattice.LatticeCone.nonnegative_solutions": "perfbench/workloads.py builds its cones with it",
+    "series.TruncatedSeries.inverse": "perfbench/tracer.py times it",
+}
+
+
+def unnamed_definitions(package: dict[str, str]) -> list[str]:
+    """``module.Class.function`` for each function or method of the package
+    that no name, attribute or import names outside its own body, other than
+    dunders and the ``@scenario`` runners (the registry runs them).  Names
+    match by spelling alone, so this cannot see a method whose name another
+    one shares, such as ``IntegerMatrix.of`` beside ``PolyRing.of``."""
+    uses = []
+    for module, source in package.items():
+        for node in ast.walk(ast.parse(source)):
+            name = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else \
+                node.name if isinstance(node, ast.alias) else None
+            if name is not None:
+                uses.append((module, name, node.lineno))
+    found = []
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                runner = any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "scenario"
+                             for d in child.decorator_list)
+                named = any(n == name and (m != module or not child.lineno <= line <= child.end_lineno)
+                            for m, n, line in uses)
+                if not (name.startswith("__") and name.endswith("__") or runner or named):
+                    found.append(f"{module}.{prefix}{name}")
+                visit(child, module, f"{prefix}{name}.")
+            else:
+                visit(child, module, prefix)
+
+    for module, source in package.items():
+        visit(ast.parse(source), module, "")
+    return sorted(found)
+
+
+def test_every_function_is_named_outside_its_own_body():
+    package = {p.stem: p.read_text() for p in MODULES}
+    assert unnamed_definitions(package) == sorted(PINNED_BY_THE_BENCHMARK)
+
+
+def test_unnamed_definition_checker_sees_calls_attributes_imports_and_recursion():
+    package = {"m": ("from .n import imported\n"
+                     "def called():\n"
+                     "    def inner():\n"
+                     "        return 1\n"
+                     "    return inner()\n"
+                     "def only_recursive(k):\n"
+                     "    return only_recursive(k - 1)\n"
+                     "def unused():\n"
+                     "    return called()\n"
+                     "@scenario('x', (), '', ())\n"
+                     "def _runner(params):\n"
+                     "    return []\n"
+                     "class K:\n"
+                     "    def __eq__(self, other):\n"
+                     "        return self.method() is other\n"
+                     "    def method(self):\n"
+                     "        return 0\n"
+                     "    def dead(self):\n"
+                     "        return 0\n"),
+               "n": "def imported():\n    return K.elsewhere\nclass L:\n    def elsewhere(self):\n"
+                    "        return 0\n"}
+    assert unnamed_definitions(package) == ["m.K.dead", "m.only_recursive", "m.unused"]
 
 
 def test_a_fresh_cli_import_loads_no_dataclasses_inspect_or_traceback():

@@ -4,8 +4,7 @@ import pytest
 
 from isurf import poly, rings
 from isurf.errors import CertificateFailed, InvalidInput, NotFactorable, NotHomogeneous
-from isurf.series import DEFAULT_ORDER
-from isurf.tsing import TSingularity
+from isurf.tsing import DEFAULT_ORDER, TSingularity
 
 
 def test_canonical_generators_match_expected():

@@ -16,8 +16,9 @@ from sympy.polys.rings import ring as sympy_ring
 from isurf import load_fixture, rings, scenarios, tsing, wps
 from isurf.errors import TruncationTooShallow
 from isurf.poly import PolyRing, multiply_terms
-from isurf.series import DEFAULT_ORDER, TruncatedSeries
+from isurf.series import TruncatedSeries
 from isurf.skew import SkewMatrix
+from isurf.tsing import DEFAULT_ORDER
 
 R3 = PolyRing.of("x", "y", "z")
 GENS = sympy.symbols("x y z")

@@ -53,7 +53,7 @@ def test_toric_blowup_chain_and_errors():
     (lambda: toric.toric_blowup(toric.F_PRESENTATION, "c", (0, 0, 0, 0, 0, -1)),
      "centre multiplicities must be nonnegative and not all zero"),
     (lambda: toric.toric_blowup(toric.F_PRESENTATION, "ze", (1, 0, 0, 0, 0, -1)),
-     "variable 'ze' already present"),
+     "duplicate variable names"),
 ], ids=["rank-deficient", "row-length", "centre", "existing-variable"])
 def test_bad_input_raises_invalid_input(build, message):
     with pytest.raises(InvalidInput, match=message):

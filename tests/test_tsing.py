@@ -1,4 +1,3 @@
-import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -12,11 +11,10 @@ from isurf import rings, scenarios, tsing, wps
 from isurf.errors import InvalidInput, TruncationTooShallow
 from isurf.poly import PolyRing
 from isurf.series import TruncatedSeries
-from isurf.tsing import (QuotientGerm, RationalDoublePoint, SmoothPoint,
-                         TSingularity, Unrecognized, classify_germ,
-                         codiscrepancy, delta_squared, hj_expand,
-                         index_two_chain, ktilde_squared, plane_quotient,
-                         recognize_tchain)
+from isurf.tsing import (QuotientGerm, RationalDoublePoint, TSingularity,
+                         Unrecognized, classify_germ, codiscrepancy,
+                         delta_squared, hj_expand, index_two_chain,
+                         ktilde_squared, plane_quotient, recognize_tchain)
 
 from oracles import admissible_type_search, hj_value, single_solve_chart_germ
 
@@ -260,14 +258,12 @@ def test_germ_with_linear_term_is_the_plane_quotient():
     germ = QuotientGerm(25, (1, 3, 17), TruncatedSeries(ring.parse("e + s0^3"), 10))
     got = classify_germ(germ)
     assert got == TSingularity(1, 5, 3) and str(got) == "1/25(1,14)"
-    trivial = QuotientGerm(1, (0, 0, 0), TruncatedSeries(ring.parse("e + s0^3"), 10))
-    assert classify_germ(trivial) == SmoothPoint()
 
 
-def test_germ_a1_trivial_group():
+def test_germ_of_group_order_one_is_rejected():
     ring = PolyRing.of("x", "y", "z")
-    germ = QuotientGerm(1, (0, 0, 0), TruncatedSeries(ring.parse("x*y - z^2"), 10))
-    assert classify_germ(germ) == RationalDoublePoint(1)
+    with pytest.raises(InvalidInput, match="group order must be at least 2"):
+        QuotientGerm(1, (0, 0, 0), TruncatedSeries(ring.parse("x*y - z^2"), 10))
 
 
 def test_germ_index_18_with_supplied_tail():
@@ -298,12 +294,31 @@ def test_germ_invariance_under_permutation_and_units():
 
 
 def test_germ_unit_series_multiplication():
+    # x*y - z^3 in 1/3(1, 2, 1) is 1/9(1,2); an invariant unit keeps it so
     ring = PolyRing.of("x", "y", "z")
     base = ring.parse("x*y - z^3")
-    unit = ring.parse("1 + x + 2*z")
-    got = classify_germ(QuotientGerm(1, (0, 0, 0),
-                                     TruncatedSeries(base * unit, 10)))
-    assert got == RationalDoublePoint(2)
+    unit = ring.parse("1 + x*y + 2*z^3")
+    got = classify_germ(QuotientGerm(3, (1, 2, 1), TruncatedSeries(base * unit, 10)))
+    assert got == TSingularity(1, 3, 1) and str(got) == "1/9(1,2)"
+
+
+@pytest.mark.parametrize("n, action, equation, expected", [
+    (2, (1, 0, 1), "x^2 + y^2 + z^2", "unrecognized(normalised weight 0 not coprime to 2)"),
+    (4, (2, 2, 1), "x*y + z^4", "unrecognized(no hyperbolic variable pair found)"),
+    (4, (1, 3, 2), "x*y - z^2",
+     "unrecognized(residual multiplicity 2 not divisible by the order 4)"),
+    (7, (2, 5, 1), "x*y - z^7", "1/49(1,27)"),
+    (3, (1, 1, 1), "x^2 + y^2 + z^2", "unrecognized(equation is not invariant)"),
+    (2, (1, 1, 1), "x^2 + 2*x*y + y^2 + z^2 + y^4", "1/8(1,3)"),
+], ids=["weights-of-the-pair", "pair-weight-unit", "multiplicity", "normalised-weight",
+        "invariance", "degenerate-pair"])
+def test_each_classifier_guard_decides_a_germ(n, action, equation, expected):
+    """One germ per guard of the quotient classifier, each read differently
+    with that guard deleted, its weight left unnormalised or, for the
+    degenerate pair (x, y), the Hessian read without its factor 2."""
+    ring = PolyRing.of("x", "y", "z")
+    germ = QuotientGerm(n, action, TruncatedSeries(ring.parse(equation), 10))
+    assert str(classify_germ(germ)) == expected
 
 
 def test_germ_truncation_too_shallow():
@@ -395,23 +410,10 @@ def _hyperbolic_germs(draw):
 @settings(max_examples=80, deadline=None)
 @given(_hyperbolic_germs())
 def test_critical_residual_equals_the_newton_oracle(f):
-    # spy on the residual that classify_germ computes (a hypothesis test
-    # cannot take the function-scoped monkeypatch fixture)
-    seen = []
-    solve = tsing._critical_residual
-
-    def spied(g, x, y, *hessian):
-        seen.append((x, y, solve(g, x, y, *hessian)))
-        return seen[-1][2]
-
-    tsing._critical_residual = spied
-    try:
-        with contextlib.suppress(TruncationTooShallow):
-            classify_germ(QuotientGerm(1, (0, 0, 0), f))
-    finally:
-        tsing._critical_residual = solve
-    assert [(x, y) for x, y, _ in seen] == [("x", "y")]
-    assert seen[0][2] == newton_critical_residual(f, "x", "y")
+    # the constant Hessian of f in (x, y), as classify_germ reads it
+    hessian = (2 * f.poly.coefficient((2, 0, 0)), f.poly.coefficient((1, 1, 0)),
+               2 * f.poly.coefficient((0, 2, 0)))
+    assert tsing._critical_residual(f, "x", "y", *hessian) == newton_critical_residual(f, "x", "y")
 
 
 # -- chart germs: the precision ladder against one solve at the cap -------------

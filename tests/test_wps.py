@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from isurf import rings, scenarios, toric, wps
-from isurf.series import DEFAULT_ORDER
-from isurf.tsing import TSingularity
+from isurf.tsing import DEFAULT_ORDER, TSingularity
 
 
 def test_resolution_fixture_counts():
@@ -75,6 +74,36 @@ def test_s51_point_analysis_cases():
     assert at("t1", 3, 2) == "absent"
     assert at("t1", 3, 0).same_singularity(TSingularity(1, 3, 2))
     assert at("t1", 0, 0).same_singularity(TSingularity(2, 3, 1))
+
+
+def _special_theta(seed, theta) -> bool:
+    """theta * q(theta) = 0, q(theta) = a theta^2 - b c theta + d c^2 with a, b,
+    d and c the P50 coefficients of e^2 t1^16, e t1^8 ze, ze^2 and t1^11 s0:
+    at t1 = 1 and tau = 0 the quadratic part of the germ in (e, s0, ze) is
+    s0 (c e + theta ze), and theta q(theta) is the cubic part along its kernel
+    direction (e, ze) = (theta, -c)."""
+    p50 = wps.generic_p50(seed)
+
+    def coeff(**powers):
+        return p50.coefficient(wps.S51_RING.exponents(powers))
+
+    a, b, d, c = coeff(e=2, t1=16), coeff(e=1, t1=8, ze=1), coeff(ze=2), coeff(t1=11, s0=1)
+    return theta * (a * theta ** 2 - b * c * theta + d * c * c) == 0
+
+
+@pytest.mark.parametrize("seed, theta, special", [
+    (5, 3, True), (92, 3, True), (184, 3, True),
+    (0, 3, False), (1, 3, False), (2, 3, False), (3, 3, False), (4, 3, False),
+    (2, -2, True), (2, 16, True), (2, 15, False),
+    (3, 16, True), (3, Fraction(-32, 5), True),
+    (5, Fraction(-5, 2), True), (5, -2, False),
+])
+def test_wps51_index_3_point_is_special_exactly_where_theta_q_vanishes(seed, theta, special):
+    """The t1 point for tau = 0 reads 1/18(1,5) on the special locus
+    theta q(theta) = 0 and the general 1/9(1,2) off it."""
+    assert _special_theta(seed, theta) == special
+    got = wps.s51_point_analysis("t1", theta, 0, seed, DEFAULT_ORDER)
+    assert str(got) == ("1/18(1,5)" if special else "1/9(1,2)")
 
 
 def test_germ_cases_hold_at_order_12():

@@ -78,6 +78,19 @@ MUTANTS = (
            "solve_system", "done = False", "done = True"),
     Mutant("flip the Hessian determinant test", "src/isurf/tsing.py",
            "_classify_with_pair", "hxx * hyy - hxy * hxy == 0", "hxx * hyy - hxy * hxy != 0"),
+    Mutant("the Hessian without the factor 2 on x^2", "src/isurf/tsing.py",
+           "_classify_with_pair", "2 * f.poly.coefficient(e(2, 0, 0))",
+           "f.poly.coefficient(e(2, 0, 0))"),
+    Mutant("no weight check on the hyperbolic pair", "src/isurf/tsing.py",
+           "_classify_with_pair", "(wi + wj) % n != 0", "False"),
+    Mutant("a pair weight that is no unit mod n", "src/isurf/tsing.py",
+           "_classify_with_pair", "gcd(wi, n) != 1", "False"),
+    Mutant("a residual multiplicity not divisible by n", "src/isurf/tsing.py",
+           "_classify_with_pair", "k % n != 0", "False"),
+    Mutant("the residual weight left unnormalised", "src/isurf/tsing.py",
+           "_classify_with_pair", "pow(wi, -1, n) * wk", "wi * wk"),
+    Mutant("no invariance test", "src/isurf/tsing.py",
+           "classify_germ", "germ.invariance_class != 0", "False"),
     Mutant("re-raise below the cap", "src/isurf/tsing.py",
            "chart_germ", "t >= order", "True"),
     Mutant("step past the cap", "src/isurf/tsing.py",
