@@ -1,9 +1,10 @@
 """Dual-graph calculus for curve configurations on smooth surfaces.
 
 Configurations carry self-intersections, arithmetic genera, role tags and
-codiscrepancy coefficients; blow-downs rewrite them exactly.  Rule checkers
-detect the numerical contradictions used in the non-existence argument, and
-scripts replay contraction sequences step by step.
+codiscrepancy coefficients; blow-downs rewrite them exactly.  One rule set,
+for the minimal model, detects the numerical contradictions used in the
+non-existence argument; a script is the list of curves to blow down, in
+order, before those rules are checked once.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ class Curve(NamedTuple):
 
 
 class CurveConfiguration:
-    __slots__ = ("curves", "incidence", "minimal_model")
+    __slots__ = ("curves", "incidence")
 
-    def __init__(self, curves: tuple[Curve, ...], incidence: Iterable[tuple[str, str, int]],
-                 minimal_model: bool):
+    def __init__(self, curves: tuple[Curve, ...], incidence: Iterable[tuple[str, str, int]]):
         names = [c.name for c in curves]
         if len(set(names)) != len(names):
             raise InvalidInput("duplicate curve names")
@@ -51,7 +51,6 @@ class CurveConfiguration:
             if m > 0:
                 norm.append((key[0], key[1], int(m)))
         self.curves, self.incidence = curves, tuple(sorted(norm))
-        self.minimal_model = minimal_model
 
     # -- access ----------------------------------------------------------
 
@@ -110,35 +109,27 @@ class CurveConfiguration:
                 m = self.pairing(na, nb) + mult[na] * mult[nb]
                 if m:
                     new_inc.append((na, nb, m))
-        return CurveConfiguration(tuple(new_curves), new_inc, self.minimal_model)
+        return CurveConfiguration(tuple(new_curves), new_inc)
 
     # -- rules -------------------------------------------------------------
 
     def check_rules(self) -> list[str]:
-        """The names of the rules the configuration violates, on a surface of
-        Kodaira dimension one."""
+        """The names of the rules the configuration violates, read as the
+        minimal model of a surface of Kodaira dimension one."""
         violated = []
         minus_one = [c.name for c in self.curves if c.self_int == -1 and c.pa == 0]
         # two (-1)-curves meet on a surface of nonnegative Kodaira dimension
         if any(self.pairing(a, b) > 0 for a, b in combinations(minus_one, 2)):
             violated.append("disjoint-(-1)-curves")
-        if self.minimal_model:
-            # K.C < 0 for some curve C on a minimal model
-            if any(c.k_degree() < 0 for c in self.curves):
-                violated.append("nef-canonical")
-            # a K-trivial genus-one curve is a whole fiber and cannot meet
-            # another K-trivial curve
-            fibers = [c.name for c in self.curves if c.k_degree() == 0 and c.pa == 1]
-            if any(self.pairing(f, c.name) > 0 for f in fibers for c in self.curves
-                   if c.name != f and c.k_degree() == 0 and c.pa == 0):
-                violated.append("full-fiber")
-        else:
-            # a (-2)-curve surviving to the minimal model meets the
-            # contraction locus
-            eps = [c.name for c in self.curves if "eps-exceptional" in c.roles]
-            if any(sum(self.pairing(c.name, e) for e in eps) > 0 for c in self.curves
-                   if c.self_int == -2 and c.pa == 0 and "eps-exceptional" not in c.roles):
-                violated.append("minus-two-off-exceptional")
+        # K.C < 0 for some curve C on a minimal model
+        if any(c.k_degree() < 0 for c in self.curves):
+            violated.append("nef-canonical")
+        # a K-trivial genus-one curve is a whole fiber and cannot meet
+        # another K-trivial curve
+        fibers = [c.name for c in self.curves if c.k_degree() == 0 and c.pa == 1]
+        if any(self.pairing(f, c.name) > 0 for f in fibers for c in self.curves
+               if c.name != f and c.k_degree() == 0 and c.pa == 0):
+            violated.append("full-fiber")
         return violated
 
 
@@ -149,7 +140,7 @@ def config_from_dict(data: Mapping) -> CurveConfiguration:
         codisc=None if c.get("codisc") in (None, "") else Fraction(c["codisc"]),
     ) for c in data["curves"])
     incidence = tuple((a, b, int(m)) for a, b, m in data["incidence"])
-    return CurveConfiguration(curves, incidence, False)
+    return CurveConfiguration(curves, incidence)
 
 
 # ---------------------------------------------------------------------------
@@ -207,34 +198,23 @@ def enumerate_gamma_profiles(chains: Sequence[Sequence[int]],
 # script replay
 
 
-def replay_script(cfg: CurveConfiguration, script: Sequence[Mapping]) -> dict:
-    """Execute blow-down / flag / check steps; report the verdict.
+def replay_script(cfg: CurveConfiguration, curve_names: Sequence[str]) -> dict:
+    """Blow the listed curves down in order, then check the minimal-model
+    rules once on what remains.
 
     Returns {"verdict": "contradiction" | "survives", "violations": [rule
-    names], "final": configuration}.  Illegal steps raise InvalidInput.
+    names], "final": configuration}.  A curve that is absent or not a
+    contractible (-1)-curve raises InvalidInput("blow_down <name>: ...").
     """
     current = cfg
-    for step in script:
-        op = step.get("op")
-        if op == "blow_down":
-            try:
-                current = current.blow_down(step["curve"])
-            except (NotContractible, KeyError) as exc:
-                raise InvalidInput(f"blow_down {step.get('curve')}: {exc}") from exc
-        elif op == "set_minimal":
-            current = CurveConfiguration(current.curves, current.incidence, True)
-        elif op == "check":
-            violations = current.check_rules()
-            if violations:
-                return {"verdict": "contradiction", "violations": violations,
-                        "final": current}
-        else:
-            raise InvalidInput(f"unknown op {op!r}")
+    for name in curve_names:
+        try:
+            current = current.blow_down(name)
+        except (NotContractible, KeyError) as exc:
+            raise InvalidInput(f"blow_down {name}: {exc}") from exc
     violations = current.check_rules()
-    if violations:
-        return {"verdict": "contradiction", "violations": violations,
-                "final": current}
-    return {"verdict": "survives", "violations": [], "final": current}
+    return {"verdict": "contradiction" if violations else "survives",
+            "violations": violations, "final": current}
 
 
 # ---------------------------------------------------------------------------

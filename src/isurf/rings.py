@@ -102,40 +102,24 @@ def canonical_generators() -> GeneratorTable:
 # the surface equation and its push-down to the root extension
 
 
-def seeded_coefficients(seed: int, tag: str, count: int) -> list[int]:
-    """Reproducible nonzero small integers for 'general' polynomials."""
-    rng = random.Random(f"{seed}:{tag}")
-    out = []
-    for _ in range(count):
-        value = rng.randint(1, 9) * rng.choice((1, -1))
-        out.append(value)
-    return out
-
-
 def seeded_form(ring: PolyRing, monomials: Sequence[Mapping[str, int]],
                 seed: int, tag: str) -> ExactPolynomial:
-    """The given monomials with seeded coefficients, drawn in list order."""
-    coeffs = seeded_coefficients(seed, tag, len(monomials))
-    return ring.from_terms({ring.exponents(m): c for m, c in zip(monomials, coeffs)})
+    """The given monomials with reproducible nonzero coefficients in [-9, 9],
+    drawn in list order from the stream named by seed and tag: the one source
+    of every 'general' polynomial."""
+    rng = random.Random(f"{seed}:{tag}")
+    return ring.from_terms({ring.exponents(m): rng.randint(1, 9) * rng.choice((1, -1))
+                            for m in monomials})
 
 
 def relative_sextic(ring: PolyRing, seed: int) -> ExactPolynomial:
-    """The relative sextic (rhs - lhs) over ``ring``, strict-transformed by the
-    blowups whose exceptional variables c and e the ring has (1 when absent).
-
-    k1 and l1 are seeded general binary forms of degrees 11 and 16 evaluated
-    at (c^2 e^3 t0, t1).
-    """
-    t0, t1, s1, s0, ze = (ring.var(v) for v in ("t0", "t1", "s1", "s0", "ze"))
-    c, e = (ring.var(v) if v in ring.variables else ring.one() for v in ("c", "e"))
-    theta, tau = ring.var("theta"), ring.var("tau")
-    arg = c ** 2 * e ** 3 * t0
-    k1 = _binary_form_at(arg, t1, 11, seed, "k11")
-    l1 = _binary_form_at(arg, t1, 16, seed, "l16")
-    rhs = c * s0 ** 3 + c * e * t0 * k1 * s0 * s1 ** 4 \
-        + t0 * (arg * l1 + tau * t1 ** 17) * s1 ** 6
-    lhs = (e * ze - theta * t1 ** 3 * s0 * s1) * ze
-    return rhs - lhs
+    """The displayed relative sextic (``toric.displayed_sextic``) over ``ring``,
+    with the parameters theta and tau of the ring and seeded general binary
+    forms k1, l1 of degrees 11 and 16."""
+    binary = PolyRing.of("t0", "t1")
+    k1, l1 = (seeded_form(binary, [{"t0": i, "t1": degree - i} for i in range(degree + 1)],
+                          seed, tag) for degree, tag in ((11, "k11"), (16, "l16")))
+    return toric.displayed_sextic(ring, k1, l1, ring.var("theta"), ring.var("tau"))
 
 
 def parent_equation(seed: int) -> ExactPolynomial:
@@ -146,15 +130,6 @@ def parent_equation(seed: int) -> ExactPolynomial:
 def double_blowup_equation(seed: int) -> ExactPolynomial:
     """The proper transform of the relative sextic after the two blowups."""
     return relative_sextic(PolyRing.of(*toric.FTILDE_VARS, "theta", "tau"), seed)
-
-
-def _binary_form_at(x: ExactPolynomial, y: ExactPolynomial,
-                    degree: int, seed: int, tag: str) -> ExactPolynomial:
-    coeffs = seeded_coefficients(seed, tag, degree + 1)
-    total = x.ring.zero()
-    for i, cf in enumerate(coeffs):
-        total = total + x ** i * y ** (degree - i) * cf
-    return total
 
 
 def ambient_surface_equation(seed: int) -> ExactPolynomial:
@@ -362,8 +337,6 @@ def weighted_monomials(degree: int, names: Sequence[str] = GENERATOR_ORDER[:-1],
 @functools.lru_cache(maxsize=None)
 def _weighted_monomials(degree: int, names: tuple[str, ...],
                         weights: tuple[int, ...]) -> tuple[Mapping[str, int], ...]:
-    if not names:
-        return () if degree else (MappingProxyType({}),)
     out: list[dict[str, int]] = []
 
     def go(i: int, remaining: int, acc: dict[str, int]):
@@ -557,8 +530,7 @@ def chart_singularity(rels: RelationSystem, chart: ChartPlan, order: int):
     """
     if set(rels.ring.variables) - set(GENERATOR_ORDER) - {"P"}:
         raise InvalidInput("chart analysis needs a fully specialized system")
-    return chart_germ(dict(rels.relations), GENERATOR_DEGREES, chart.chart_var,
-                      chart.eliminate, chart.germ_relation, chart.local_vars, order)
+    return chart_germ(dict(rels.relations), GENERATOR_DEGREES, *chart, order)
 
 
 def specialize_standard(theta, tau, seed: int) -> RelationSystem:

@@ -300,7 +300,7 @@ def _ytilde(params: Params) -> list[dict]:
                      "pull back and divide by e"))
     core = _strip_params(bundled)
     out.append(check("multidegree of the proper transform", (0, 6, 2, 1),
-                     toric.multidegree(core, toric.FTILDE_PRESENTATION),
+                     toric.multidegree(core, toric.FTILDE_PRESENTATION.weights),
                      "reference", "hypersurface multidegree"))
     out.append(check("multidegree under the shifted grading", (6, 18, 34, 51),
                      toric.multidegree(core, toric.SHIFTED_WEIGHTS),

@@ -30,10 +30,9 @@ class CoxPresentation:
         return CoxPresentation(PolyRing.of(*variables), IntegerMatrix(weights))
 
 
-def multidegree(f: ExactPolynomial, cox: CoxPresentation | IntegerMatrix) -> tuple[int, ...]:
+def multidegree(f: ExactPolynomial, weights: IntegerMatrix) -> tuple[int, ...]:
     """Common degree vector of all terms of f under the grading rows;
     NotHomogeneous (from ``weighted_degree``) when the terms differ."""
-    weights = cox.weights if isinstance(cox, CoxPresentation) else cox
     if f.is_zero():
         raise InvalidInput("the zero polynomial has no multidegree")
     return tuple(f.weighted_degree(dict(zip(f.ring.variables, row))) for row in weights.rows)
@@ -154,8 +153,28 @@ def fiber_type(theta, tau) -> str:
     return "II" if tau != 0 else "III"
 
 
+def displayed_sextic(ring: PolyRing, k1: ExactPolynomial, l1: ExactPolynomial,
+                     theta, tau) -> ExactPolynomial:
+    """rhs - lhs of the displayed relative sextic over ``ring``,
+
+      (e ze - theta t1^3 s0 s1) ze
+          = c s0^3 + c e t0 k1 s0 s1^4 + t0 (c^2 e^3 t0 l1 + tau t1^17) s1^6,
+
+    the binary forms k1, l1 in (t0, t1) read at (c^2 e^3 t0, t1).  The
+    exceptional variables c and e of the two blowups are 1 when ``ring`` lacks
+    them, which gives the normal form before blowing up.
+    """
+    t0, t1, s0, s1, ze = (ring.var(v) for v in ("t0", "t1", "s0", "s1", "ze"))
+    c, e = (ring.var(v) if v in ring.variables else ring.one() for v in ("c", "e"))
+    arg = c ** 2 * e ** 3 * t0
+    k1, l1 = (f.substitute({"t0": arg}, ring) for f in (k1, l1))
+    rhs = c * s0 ** 3 + c * e * t0 * k1 * s0 * s1 ** 4 \
+        + t0 * (arg * l1 + tau * t1 ** 17) * s1 ** 6
+    return rhs - (e * ze - theta * t1 ** 3 * s0 * s1) * ze
+
+
 class NormalizedModel(NamedTuple):
-    """(ze - theta t1^3 s0 s1) ze = s0^3 + t0 k1 s0 s1^4 + t0 (t0 l1 + tau t1^17) s1^6."""
+    """The displayed sextic with c = e = 1, theta in ``ring`` (``displayed_sextic``)."""
 
     ring: PolyRing
     k1: ExactPolynomial
@@ -165,11 +184,7 @@ class NormalizedModel(NamedTuple):
     tau: Coeff
 
     def equation(self) -> ExactPolynomial:
-        R = self.ring
-        t0, t1, s0, s1, ze = (R.var(v) for v in ("t0", "t1", "s0", "s1", "ze"))
-        k1, l1, theta = (c.substitute({}, R) for c in (self.k1, self.l1, self.theta))
-        rhs = s0 ** 3 + t0 * k1 * s0 * s1 ** 4 + t0 * (t0 * l1 + t1 ** 17 * self.tau) * s1 ** 6
-        return rhs - (ze - theta * t1 ** 3 * s0 * s1) * ze
+        return displayed_sextic(self.ring, self.k1, self.l1, self.theta, self.tau)
 
 
 def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
@@ -200,13 +215,8 @@ def weierstrass_normalize(model: WeierstrassModel) -> NormalizedModel:
     # step 2: centre the singular fiber over t0 = 0
     alpha = k.coefficient(t_ring.exponents({"t1": 12}))
     beta = l.coefficient(t_ring.exponents({"t1": 18}))
-    if alpha == 0 and beta == 0:
-        eps = 0
-    elif alpha != 0:
-        eps = exact_quotient(-3 * beta, 2 * alpha)
-    else:
-        eps = None
-    if eps is None or alpha != -3 * eps ** 2 or beta != 2 * eps ** 3:
+    eps = exact_quotient(-3 * beta, 2 * alpha) if alpha else 0
+    if alpha != -3 * eps ** 2 or beta != 2 * eps ** 3:
         raise InvalidInput(
             "fiber over t0=0 is not singular: no eps with alpha=-3eps^2, beta=2eps^3")
     shift2 = {"s0": s0 + R.var("t1") ** 6 * s1 ** 2 * eps}

@@ -195,7 +195,7 @@ def test_criterion_09_toric_layer():
     ok = ok and second == rings.double_blowup_equation(seed=0)
     ring = PolyRing.of(*toric.FTILDE_VARS)
     core = second.substitute({"theta": 1, "tau": 1}, ring=ring)
-    ok = ok and toric.multidegree(core, toric.FTILDE_PRESENTATION) == (0, 6, 2, 1)
+    ok = ok and toric.multidegree(core, toric.FTILDE_PRESENTATION.weights) == (0, 6, 2, 1)
     ok = ok and toric.multidegree(core, toric.SHIFTED_WEIGHTS) == (6, 18, 34, 51)
     collapsed = toric.wps_collapse(second)
     stripped = collapsed.substitute(

@@ -18,7 +18,6 @@ def small_config():
         ),
         incidence=(("Gamma", "C1", 1), ("Gamma", "B1", 1),
                    ("B1", "C1", 1), ("A1", "B1", 1)),
-        minimal_model=False,
     )
 
 
@@ -63,7 +62,7 @@ def test_kx_pairing_missing_coefficients():
     cfg = cv.CurveConfiguration(
         curves=(cv.Curve("D", -2, roles=frozenset({"f-exceptional"})),
                 cv.Curve("G", -1)),
-        incidence=(("D", "G", 1),), minimal_model=False)
+        incidence=(("D", "G", 1),))
     with pytest.raises(InvalidInput, match="D is f-exceptional but has no coefficient"):
         cfg.kx_pairing("G")
 
@@ -71,39 +70,31 @@ def test_kx_pairing_missing_coefficients():
 def test_rule_two_meeting_minus_one_curves():
     cfg = cv.CurveConfiguration(
         curves=(cv.Curve("G1", -1), cv.Curve("G2", -1)),
-        incidence=(("G1", "G2", 1),), minimal_model=False)
+        incidence=(("G1", "G2", 1),))
     assert "disjoint-(-1)-curves" in cfg.check_rules()
 
 
 def test_rule_minimal_model_with_minus_one():
     cfg = cv.CurveConfiguration(
-        curves=(cv.Curve("G", -1),), incidence=(), minimal_model=True)
+        curves=(cv.Curve("G", -1),), incidence=())
     assert "nef-canonical" in cfg.check_rules()
 
 
 def test_rule_full_fiber_meeting_minus_two():
     cfg = cv.CurveConfiguration(
         curves=(cv.Curve("F", 0, pa=1), cv.Curve("D", -2)),
-        incidence=(("F", "D", 1),), minimal_model=True)
+        incidence=(("F", "D", 1),))
     assert "full-fiber" in cfg.check_rules()
-
-
-def test_rule_minus_two_meeting_exceptional():
-    cfg = cv.CurveConfiguration(
-        curves=(cv.Curve("D", -2), cv.Curve("G", -1,
-                roles=frozenset({"eps-exceptional"}))),
-        incidence=(("D", "G", 2),), minimal_model=False)
-    assert "minus-two-off-exceptional" in cfg.check_rules()
 
 
 def test_incidence_validation():
     with pytest.raises(InvalidInput):
         cv.CurveConfiguration(
-            curves=(cv.Curve("A", -1),), incidence=(("A", "B", 1),), minimal_model=False)
+            curves=(cv.Curve("A", -1),), incidence=(("A", "B", 1),))
     with pytest.raises(InvalidInput):
         cv.CurveConfiguration(
             curves=(cv.Curve("A", -1), cv.Curve("B", -2)),
-            incidence=(("A", "B", -1),), minimal_model=False)
+            incidence=(("A", "B", -1),))
 
 
 def brute_force_profiles(menu, lo, hi, caps):
@@ -189,9 +180,9 @@ def test_profile_scripts_reach_expected_contradictions():
 def test_replay_rejects_illegal_step():
     cfg = small_config()
     with pytest.raises(InvalidInput, match="blow_down C1: "):
-        cv.replay_script(cfg, [{"op": "blow_down", "curve": "C1"}])
-    with pytest.raises(InvalidInput, match="unknown op 'explode'"):
-        cv.replay_script(cfg, [{"op": "explode"}])
+        cv.replay_script(cfg, ["C1"])
+    with pytest.raises(InvalidInput, match="blow_down Z: "):
+        cv.replay_script(cfg, ["Z"])
 
 
 def test_examples_recognize_chains_and_contract():

@@ -295,6 +295,44 @@ def test_chart_pw_classifies_index_9_and_18():
     assert cls2.same_singularity(TSingularity(2, 3, 1))
 
 
+def _special_smoothing_theta(seed, theta) -> bool:
+    """theta (C theta^2 - A B theta - A^2) = 0, with A = P[w^2 u1],
+    B = P[y w z] and C = P[y^2 w^2] + P[x1 w^3] for P = generic_degree_10(seed).
+    At w = 1 and tau = 0 the eliminations give x1 = y^2, x0 = y^5,
+    u0 = y^3 u1 and t = y u1^2, so the germ's quadratic part is
+    u1 (A y + theta z); as P[z^2] = -1, the cubic part along its kernel is
+    theta (C theta^2 - A B theta - A^2)."""
+    p = rings.generic_degree_10(seed)
+
+    def coeff(**powers):
+        return p.coefficient(p.ring.exponents(powers))
+
+    a, b = coeff(w=2, u1=1), coeff(y=1, w=1, z=1)
+    c = coeff(y=2, w=2) + coeff(x1=1, w=3)
+    return theta * (c * theta ** 2 - a * b * theta - a * a) == 0
+
+
+@pytest.mark.parametrize("seed, theta, special", [
+    (234, 3, True), (252, 3, True), (275, 3, True),
+    *((seed, 3, False) for seed in (0, 1, 2, *range(4, 13))),
+    (3, 1, True), (3, Fraction(-1, 4), True), (13, -4, True), (13, -2, True),
+    (18, 6, True), (18, Fraction(-6, 7), True),
+    (3, 2, False), (13, -3, False), (18, 7, False),
+    *((seed, 0, True) for seed in range(5)),
+])
+def test_smoothing_pw_point_is_special_exactly_where_the_cubic_vanishes(seed, theta, special):
+    """The Pw point of the tau = 0 member reads 1/18(1,5) on the special
+    locus and the general 1/9(1,2) off it; theta = 0 is the cusp member."""
+    assert _special_smoothing_theta(seed, theta) == special
+    member = rings.specialize_standard(theta, Fraction(0), seed)
+    got = rings.chart_singularity(member, rings.CHARTS["Pw"], DEFAULT_ORDER)
+    assert str(got) == ("1/18(1,5)" if special else "1/9(1,2)")
+
+
+def test_smoothing_special_locus_at_theta_3_is_three_seeds():
+    assert [seed for seed in range(300) if _special_smoothing_theta(seed, 3)] == [234, 252, 275]
+
+
 def test_chart_pw_absent_when_the_surface_misses_the_point():
     spec = rings.specialize_standard(Fraction(3), Fraction(2), seed=0)
     assert rings.chart_singularity(spec, rings.CHARTS["Pw"], DEFAULT_ORDER) == "absent"

@@ -19,7 +19,7 @@ def test_multidegree_of_proper_transform():
     eq = rings.double_blowup_equation(seed=0)
     ring = PolyRing.of(*toric.FTILDE_VARS)
     core = eq.substitute({"theta": 1, "tau": 1}, ring=ring)
-    assert toric.multidegree(core, toric.FTILDE_PRESENTATION) == (0, 6, 2, 1)
+    assert toric.multidegree(core, toric.FTILDE_PRESENTATION.weights) == (0, 6, 2, 1)
     assert toric.multidegree(core, toric.SHIFTED_WEIGHTS) == (6, 18, 34, 51)
     ze = ring.var("ze")
     assert toric.multidegree(ze, toric.SHIFTED_WEIGHTS) == (3, 9, 17, 25)
@@ -28,10 +28,10 @@ def test_multidegree_of_proper_transform():
 def test_multidegree_error_reports_two_terms():
     ring = PolyRing.of(*toric.FTILDE_VARS)
     with pytest.raises(NotHomogeneous) as err:
-        toric.multidegree(ring.parse("t0 + s0"), toric.FTILDE_PRESENTATION)
+        toric.multidegree(ring.parse("t0 + s0"), toric.FTILDE_PRESENTATION.weights)
     assert len(err.value.offending) == 2
     with pytest.raises(InvalidInput):
-        toric.multidegree(ring.zero(), toric.FTILDE_PRESENTATION)
+        toric.multidegree(ring.zero(), toric.FTILDE_PRESENTATION.weights)
 
 
 def test_toric_blowup_chain_and_errors():

@@ -106,6 +106,40 @@ def test_wps51_index_3_point_is_special_exactly_where_theta_q_vanishes(seed, the
     assert str(got) == ("1/18(1,5)" if special else "1/9(1,2)")
 
 
+def _special_mu(seed, mu) -> bool:
+    """B^2 - 4 A C = 0 for the quadratic part A x1^2 + B x1 u + C u^2 of f10
+    at y = 1 after x0 = x1^3 + mu u: A = f[x1^2 y^4],
+    B = f[x1 u y^3] + mu f[x0 x1 y^4] and
+    C = f[u^2 y^2] + mu^2 f[x0^2 y^4] + mu f[x0 u y^3]."""
+    f10 = wps.generic_f10(seed)
+
+    def coeff(**powers):
+        return f10.coefficient(wps.FAMILY_RING.exponents(powers))
+
+    a = coeff(x1=2, y=4)
+    b = coeff(x1=1, u=1, y=3) + mu * coeff(x0=1, x1=1, y=4)
+    c = coeff(u=2, y=2) + mu * mu * coeff(x0=2, y=4) + mu * coeff(x0=1, u=1, y=3)
+    return b * b - 4 * a * c == 0
+
+
+@pytest.mark.parametrize("seed, mu, special", [
+    (57, 1, True), (220, 1, True), (249, 0, True), (297, 0, True),
+    (14, Fraction(-23, 4), True), (14, Fraction(-3, 4), True),
+    (26, Fraction(-1, 3), True), (26, Fraction(7, 19), True),
+    (48, -5, True), (48, -1, True),
+    *((seed, mu, False) for seed in range(5) for mu in (0, 1)),
+    (14, Fraction(-19, 4), False), (14, Fraction(1, 4), False),
+    (26, Fraction(2, 3), False), (26, Fraction(26, 19), False),
+    (48, -4, False), (48, 0, False),
+])
+def test_family_y_point_is_special_exactly_where_the_discriminant_vanishes(seed, mu, special):
+    """The y point of the nu = 0 member reads 1/8(1,3) where B^2 - 4AC
+    vanishes and the general 1/4(1,1) elsewhere."""
+    assert _special_mu(seed, mu) == special
+    got = wps.TwoSingularityFamily.of(mu, 0, seed).germ_at_y(10)
+    assert str(got) == ("1/8(1,3)" if special else "1/4(1,1)")
+
+
 def test_germ_cases_hold_at_order_12():
     """The scenarios' germ tables at the order where denominators are largest."""
     for seed in range(5):

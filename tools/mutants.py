@@ -1,6 +1,7 @@
 """Mutation check of the polynomial kernel, the series solver, germ
 classification, the Hilbert-basis stage, the coefficient reads of ``toric``
-and ``rings``, and the input checks of ``PolyRing.from_terms`` and
+and ``rings``, the blow-down and minimal-model rules of ``curves``, and the
+input checks of ``PolyRing.from_terms`` and
 ``toric.toric_blowup``: each named mutant must make the fast tests fail.
 
     python tools/mutants.py     # about 10 minutes on 2 cores
@@ -29,7 +30,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TESTS = ("tests/test_poly.py", "tests/test_series.py", "tests/test_tsing.py",
-         "tests/test_lattice.py", "tests/test_toric.py", "tests/test_rings.py")
+         "tests/test_lattice.py", "tests/test_toric.py", "tests/test_rings.py",
+         "tests/test_curves.py")
 TIMEOUT_S = 600
 
 # No packed key equals the limit, nor does a sum of two keys: the limit lies
@@ -139,6 +141,15 @@ MUTANTS = (
     Mutant("the clearing monomial is the inverse one", "src/isurf/rings.py",
            "_clearing_monomial", "-min(0, *p.coefficients_in(name))",
            "min(0, *p.coefficients_in(name))"),
+    Mutant("a blow-down adds m, not m^2, to the self-intersection", "src/isurf/curves.py",
+           "blow_down", "c.self_int + m * m", "c.self_int + m"),
+    Mutant("meeting (-1)-curves are no contradiction", "src/isurf/curves.py",
+           "check_rules", "any(self.pairing(a, b) > 0 for a, b in combinations(minus_one, 2))",
+           "False"),
+    Mutant("K.C < 0 is no contradiction", "src/isurf/curves.py",
+           "check_rules", "any(c.k_degree() < 0 for c in self.curves)", "False"),
+    Mutant("a fiber meeting a K-trivial curve is no contradiction", "src/isurf/curves.py",
+           "check_rules", "self.pairing(f, c.name) > 0", "False"),
 )
 
 
